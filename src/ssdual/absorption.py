@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, SpectrumReport, group_with_tolerance
+from .chain import ChainSpec, SpectrumReport, _propagate, group_with_tolerance
 from .duality import DualChain
 from .errors import (
     BadParameters,
@@ -93,14 +93,11 @@ def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
         raise MissingStationary("separation distance needs the stationary distribution")
     if horizon < 0:
         raise BadParameters("horizon must be nonnegative")
-    dist = c.nu.copy()
     sep = np.empty(horizon + 1)
     tv = np.empty(horizon + 1)
-    for n in range(horizon + 1):
+    for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
         sep[n] = np.max(1.0 - dist / c.pi)
         tv[n] = 0.5 * np.abs(dist - c.pi).sum()
-        if n < horizon:
-            dist = dist @ c.P
     return SeparationCurve(values=sep, tv=tv)
 
 
@@ -145,12 +142,8 @@ def absorption_survival(d: DualChain, horizon: int | None = None) -> AbsorptionL
         horizon = default_horizon(mean)
     if horizon < 0:
         raise BadParameters("horizon must be nonnegative")
-    survival = np.empty(horizon + 1)
-    mass = start.copy()
-    for n in range(horizon + 1):
-        survival[n] = mass.sum()
-        if n < horizon:
-            mass = mass @ Q
+    masses = _propagate(start, Q, horizon)
+    survival = np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
     return AbsorptionLaw(survival=survival, mean=mean, variance=variance)
 
 

@@ -1,13 +1,13 @@
 """Finite Markov chain kernel: validation, stationarity, reversal, spectra."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    BadParameters,
     DimensionMismatch,
     MissingStationary,
     NotIrreducible,
@@ -25,8 +25,8 @@ class ChainSpec:
     """Transition matrix with initial distribution, aligned to a poset.
 
     ``pi`` may be absent until computed; use :func:`with_stationary` to fill
-    it in.  Arrays are stored read-only; construction checks shapes only, use
-    :func:`validate` for a numerical report.
+    it in.  Arrays are stored read-only; construction checks shapes and
+    finiteness only, use :func:`validate` for a numerical report.
     """
 
     poset: Poset
@@ -49,6 +49,8 @@ class ChainSpec:
             if pi.shape != (m,):
                 raise DimensionMismatch(f"pi has shape {pi.shape}, expected ({m},)")
             object.__setattr__(self, "pi", _readonly(pi))
+        if not all(np.isfinite(a).all() for a in (self.P, self.nu, self.pi) if a is not None):
+            raise BadParameters("P, nu and pi must be finite")
 
     @property
     def size(self) -> int:
@@ -102,15 +104,10 @@ class SpectrumReport:
         return np.repeat(self.values, self.multiplicities)
 
 
-def _positive_adjacency(P: np.ndarray) -> np.ndarray:
-    return P > 0.0
-
-
-def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
-    m = adj.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
+def _reachable_from(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable along ``adj`` from the boolean mask ``start``."""
+    seen = start.copy()
+    frontier = np.nonzero(seen)[0]
     while frontier.size:
         nxt = adj[frontier].any(axis=0) & ~seen
         seen |= nxt
@@ -119,29 +116,22 @@ def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
 
 
 def _strongly_connected(P: np.ndarray) -> bool:
-    adj = _positive_adjacency(P)
-    return bool(_reachable_from(adj, 0).all() and _reachable_from(adj.T, 0).all())
+    adj = P > 0.0
+    first = np.arange(len(P)) == 0
+    return bool(_reachable_from(adj, first).all() and _reachable_from(adj.T, first).all())
 
 
 def _period(P: np.ndarray) -> int:
     # gcd of (depth[u] + 1 - depth[v]) over edges of an irreducible chain
-    adj = _positive_adjacency(P)
-    m = adj.shape[0]
-    depth = np.full(m, -1, dtype=np.int64)
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u, v in np.argwhere(adj):
-        g = math.gcd(g, int(depth[u]) + 1 - int(depth[v]))
-    return abs(g) if g else 1
+    adj = P > 0.0
+    depth = np.full(len(P), -1, dtype=np.int64)
+    frontier, level = np.array([0]), 0
+    while frontier.size:
+        depth[frontier] = level
+        frontier = np.nonzero(adj[frontier].any(axis=0) & (depth < 0))[0]
+        level += 1
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(depth[u] + 1 - depth[v])) or 1
 
 
 def validate(c: ChainSpec) -> ValidationReport:
@@ -215,13 +205,21 @@ def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(flux - flux.T)) <= tol)
 
 
+def _propagate(v: np.ndarray, P: np.ndarray, n: int):
+    """Yield v, vP, ..., vP^n; the first is a copy of ``v``."""
+    v = v.copy()
+    yield v
+    for _ in range(n):
+        v = v @ P
+        yield v
+
+
 def evolve(c: ChainSpec, n: int) -> np.ndarray:
     """Distribution nu P^n after n steps."""
     if n < 0:
         raise DimensionMismatch("step count must be nonnegative")
-    v = c.nu.copy()
-    for _ in range(n):
-        v = v @ c.P
+    for v in _propagate(c.nu, c.P, n):
+        pass
     return v
 
 

@@ -91,6 +91,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _finite_array(path, value, key: str, shape: tuple) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {key} is not a numeric array") from exc
+    if a.shape != shape:
+        raise ParseError(f"{path}: {key} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ParseError(f"{path}: {key} has a non-finite entry")
+    return a
+
+
+def _is_index(value, size: int) -> bool:
+    # bool subclasses int, but JSON true/false is not an index
+    return type(value) is int and 0 <= value < size
+
+
 def load_chain(path) -> LoadedChain:
     """Read a chain file; validates shapes, stochasticity and acyclicity."""
     try:
@@ -107,19 +124,15 @@ def load_chain(path) -> LoadedChain:
     size = len(labels)
     covers = _require(doc, "covers")
     for pair in covers:
-        if len(pair) != 2 or not all(isinstance(v, int) and 0 <= v < size for v in pair):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_index(v, size) for v in pair):
             raise ParseError(f"{path}: bad cover pair {pair!r}")
     try:
         poset = build_poset(labels, [(a, b) for a, b in covers])
     except CycleDetected as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-    P = np.asarray(_require(doc, "P"), dtype=float)
-    nu = np.asarray(_require(doc, "nu"), dtype=float)
-    if P.shape != (size, size):
-        raise ParseError(f"{path}: P has shape {P.shape}, expected ({size}, {size})")
-    if nu.shape != (size,):
-        raise ParseError(f"{path}: nu has shape {nu.shape}, expected ({size},)")
+    P = _finite_array(path, _require(doc, "P"), "P", (size, size))
+    nu = _finite_array(path, _require(doc, "nu"), "nu", (size,))
     row_dev = float(np.max(np.abs(P.sum(axis=1) - 1.0))) if size else 0.0
     if row_dev > LOAD_ROW_TOL:
         raise ParseError(f"{path}: kernel rows sum to 1 only within {row_dev:.3e}")
@@ -127,9 +140,7 @@ def load_chain(path) -> LoadedChain:
         raise ParseError(f"{path}: kernel has negative entry {P.min():.3e}")
     pi = doc.get("pi")
     if pi is not None:
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (size,):
-            raise ParseError(f"{path}: pi has shape {pi.shape}, expected ({size},)")
+        pi = _finite_array(path, pi, "pi", (size,))
 
     perm = poset.enumeration
     P = P[np.ix_(perm, perm)]
@@ -138,7 +149,7 @@ def load_chain(path) -> LoadedChain:
         pi = pi[perm]
     absorbing = doc.get("absorbing_index")
     if absorbing is not None:
-        if not (isinstance(absorbing, int) and 0 <= absorbing < size):
+        if not _is_index(absorbing, size):
             raise ParseError(f"{path}: bad absorbing_index {absorbing!r}")
         absorbing = int(np.nonzero(perm == absorbing)[0][0])
     meta = doc.get("meta") or {}

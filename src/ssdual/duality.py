@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, time_reversal
+from .chain import ChainSpec, _reachable_from, time_reversal
 from .errors import (
     DimensionMismatch,
     MissingStationary,
@@ -75,6 +75,8 @@ class DualChain:
             raise DimensionMismatch("dual kernel/initial distribution shape mismatch")
         if not 0 <= self.absorbing_index < m:
             raise NoAbsorbingState(f"absorbing index {self.absorbing_index} out of range")
+        if not (np.isfinite(P).all() and np.isfinite(nu).all()):
+            raise NotRowStochastic("dual kernel and initial distribution must be finite")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > ROW_TOL or P.min() < 0.0:
             raise NotRowStochastic("dual kernel is not row stochastic within 1e-10")
@@ -148,7 +150,7 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
 
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
     """Cumulative stationary mass of each down-set."""
-    return np.asarray(pi, dtype=float) @ mobius_pair(p).zeta
+    return np.asarray(pi, dtype=float) @ p.leq
 
 
 def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
@@ -157,8 +159,7 @@ def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
         raise NoUniqueMax("link construction requires a unique maximal state")
     pi = np.asarray(pi, dtype=float)
     H = down_set_masses(p, pi)
-    zeta = mobius_pair(p).zeta
-    matrix = zeta.T * pi[None, :] / H[:, None]
+    matrix = p.leq.T * pi[None, :] / H[:, None]
     return LinkKernel(matrix=matrix, down_mass=H)
 
 
@@ -254,14 +255,7 @@ def restrict_to_reachable(d: DualChain, *, atol: float = 1e-12) -> DualChain:
     reachability.  The induced sub-poset keeps the consistent enumeration;
     its ``enumeration`` field records the parent indices.
     """
-    adj = d.P_star > atol
-    seen = d.nu_star > atol
-    frontier = np.nonzero(seen)[0]
-    while frontier.size:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = np.nonzero(nxt)[0]
-    keep = np.nonzero(seen)[0]
+    keep = np.nonzero(_reachable_from(d.P_star > atol, d.nu_star > atol))[0]
     if int(d.absorbing_index) not in keep:
         raise NoAbsorbingState("absorbing state unreachable from the initial distribution")
     sub_leq = d.poset.leq[np.ix_(keep, keep)]

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec
-from .duality import DualChain, build_dual
+from .duality import DualChain
 from .errors import BadParameters, TooLarge
-from .poset import Poset, grid_poset, max_states
+from .poset import Poset, _check_cap, grid_poset
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,13 @@ def _spin_tuple(state: int, n: int) -> tuple[int, ...]:
     return tuple(1 if state >> i & 1 else -1 for i in range(n))
 
 
+def _model_poset(shape: list[int], cap: int | None) -> Poset:
+    _check_cap(math.prod(shape), cap, TooLarge)
+    return grid_poset(shape, cap=cap)
+
+
 def _spin_poset(n: int, cap: int | None) -> Poset:
-    grid = grid_poset([2] * n, cap=cap)
+    grid = _model_poset([2] * n, cap)
     labels = tuple(_spin_tuple(i, n) for i in range(grid.size))
     return replace(grid, labels=labels)
 
@@ -114,11 +119,20 @@ def _flip_probabilities(spec: IsingSpec) -> np.ndarray:
     return f
 
 
+def _ising_stationary(spec: IsingSpec) -> np.ndarray:
+    """Gibbs weights exp(beta * sum over edges of s_u s_v), normalized."""
+    n = spec.n_vertices
+    energy = np.zeros(1 << n)
+    for s in range(1 << n):
+        spins = _spin_tuple(s, n)
+        energy[s] = sum(spins[u] * spins[v] for u, v in spec.edges)
+    weights = np.exp(spec.beta * energy)
+    return weights / weights.sum()
+
+
 def _ising_chain(spec: IsingSpec, cap: int | None) -> ChainSpec:
     n = spec.n_vertices
     size = 1 << n
-    if size > (max_states() if cap is None else cap):
-        raise TooLarge(f"2^{n} spin configurations exceed the state cap")
     poset = _spin_poset(n, cap)
     f = _flip_probabilities(spec)
     P = np.zeros((size, size))
@@ -128,27 +142,21 @@ def _ising_chain(spec: IsingSpec, cap: int | None) -> ChainSpec:
             down = s & ~(1 << i)
             P[s, up] += f[s, i] / n
             P[s, down] += (1.0 - f[s, i]) / n
-    energy = np.zeros(size)
-    for s in range(size):
-        spins = _spin_tuple(s, n)
-        energy[s] = sum(spins[u] * spins[v] for u, v in spec.edges)
-    weights = np.exp(spec.beta * energy)
-    pi = weights / weights.sum()
     nu = np.zeros(size)
     nu[0] = 1.0  # all spins down
-    return ChainSpec(poset=poset, P=P, nu=nu, pi=pi)
+    return ChainSpec(poset=poset, P=P, nu=nu, pi=_ising_stationary(spec))
 
 
-def _circle_edges(N: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, (i + 1) % N) for i in range(N))
+def _circle_spec(N: int, beta: float) -> IsingSpec:
+    if N < 3:
+        raise BadParameters("a circle needs at least 3 vertices")
+    edges = tuple((i, (i + 1) % N) for i in range(N))
+    return IsingSpec(n_vertices=N, edges=edges, beta=beta, circle=True)
 
 
 def ising_circle(N: int, beta: float, *, cap: int | None = None) -> ChainSpec:
     """Gibbs sampler for the Ising model on a circle of N >= 3 vertices."""
-    if N < 3:
-        raise BadParameters("a circle needs at least 3 vertices")
-    spec = IsingSpec(n_vertices=N, edges=_circle_edges(N), beta=beta, circle=True)
-    return _ising_chain(spec, cap)
+    return _ising_chain(_circle_spec(N, beta), cap)
 
 
 def ising_gibbs_graph(
@@ -208,11 +216,11 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
     the local field d.  That cancellation needs every vertex to have degree
     2, so the closed form holds on the circle only.
     """
-    chain = ising_circle(N, beta, cap=cap)
-    size = chain.size
-    spec = IsingSpec(n_vertices=N, edges=_circle_edges(N), beta=beta, circle=True)
+    spec = _circle_spec(N, beta)
+    poset = _spin_poset(N, cap)
+    size = poset.size
     f = _flip_probabilities(spec)
-    H = _subset_masses(chain.pi, N)
+    H = _subset_masses(_ising_stationary(spec), N)
     P = np.zeros((size, size))
     for s in range(size):
         P[s, s] = s.bit_count() / N
@@ -227,7 +235,7 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
                     P[s, u] = (H[u] / H[s]) * (f[s, i] - f[s & ~(1 << j), i]) / N
     nu = np.zeros(size)
     nu[0] = 1.0
-    return DualChain(poset=chain.poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
+    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
 
 
 def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
@@ -241,9 +249,7 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     N = spec.N
     side = N + 1
     size = side * side
-    if size > (max_states() if cap is None else cap):
-        raise TooLarge(f"({side})^2 lattice states exceed the state cap")
-    poset = grid_poset([side, side], cap=cap)
+    poset = _model_poset([side, side], cap)
     P = np.zeros((size, size))
     for y in range(side):
         for x in range(side):
@@ -278,7 +284,7 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     N = spec.N
     side = N + 1
     size = side * side
-    chain_poset_ref = lattice_walk(spec, cap=cap).poset
+    poset = _model_poset([side, side], cap)
     r1 = spec.rho1 ** np.arange(side + 1)
     r2 = spec.rho2 ** np.arange(side + 1)
     P = np.zeros((size, size))
@@ -304,15 +310,13 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
                 P[s, s] = 1.0 - (spec.lambda1 + spec.lambda2 + spec.mu1 + spec.mu2)
     nu = np.zeros(size)
     nu[0] = 1.0
-    return DualChain(poset=chain_poset_ref, P_star=P, nu_star=nu, absorbing_index=size - 1)
+    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
 
 
 def kary_cube(spec: CubeSpec, *, cap: int | None = None) -> ChainSpec:
     """Lazy uniform single-coordinate resampling on {0..k}^n."""
-    size = (spec.k + 1) ** spec.n
-    if size > (max_states() if cap is None else cap):
-        raise TooLarge(f"(k+1)^n = {size} states exceed the state cap")
-    poset = grid_poset([spec.k + 1] * spec.n, cap=cap)
+    poset = _model_poset([spec.k + 1] * spec.n, cap)
+    size = poset.size
     move = 1.0 / (2 * spec.n * spec.k)
     P = np.full((size, size), 0.0)
     radices = [(spec.k + 1) ** i for i in range(spec.n)]
@@ -330,30 +334,27 @@ def kary_cube(spec: CubeSpec, *, cap: int | None = None) -> ChainSpec:
 
 
 def kary_cube_dual(spec: CubeSpec, *, cap: int | None = None) -> DualChain:
-    """Sharp dual of the cube chain.
+    """Closed-form sharp dual of the cube chain, at every state.
 
-    Rows at corner states (every coordinate 0 or k) are the closed form:
-    each zero coordinate jumps to k with probability (k+1)/(2nk) and the
-    state holds with the complementary mass.  Rows at the remaining states,
-    which the dual never visits from the bottom state, come from the generic
-    construction.
+    From state s, each coordinate below k jumps to k with probability
+    (k+1)/(2nk), and s holds with probability
+    (n(k-1) + #{a : s_a = k}(k+1))/(2nk).  The kernel is the average over
+    coordinates a of I x ... x R x ... x I with R = ((k-1)/2k) I + (1/2k) J,
+    the link is the product of per-coordinate links, and Lambda J Lambda^-1 =
+    (k+1) 1 delta_k^T, so each coordinate's dual is
+    ((k-1)/2k) I + ((k+1)/2k) 1 delta_k^T.
     """
     n, k = spec.n, spec.k
-    generic = build_dual(kary_cube(spec, cap=cap))
-    P = np.array(generic.P_star)
-    radices = [(k + 1) ** i for i in range(n)]
-    move = (k + 1) / (2 * n * k)
-    for mask in range(1 << n):
-        s = sum(k * radices[i] for i in range(n) if mask >> i & 1)
-        count = mask.bit_count()
-        P[s, :] = 0.0
-        P[s, s] = (n * (k - 1) + count * (k + 1)) / (2 * n * k)
-        for i in range(n):
-            if not mask >> i & 1:
-                P[s, s + k * radices[i]] = move
-    return DualChain(
-        poset=generic.poset,
-        P_star=P,
-        nu_star=generic.nu_star,
-        absorbing_index=generic.absorbing_index,
-    )
+    poset = _model_poset([k + 1] * n, cap)
+    size = poset.size
+    states = np.arange(size)
+    radices = (k + 1) ** np.arange(n)
+    digits = states[:, None] // radices % (k + 1)
+    P = np.zeros((size, size))
+    P[states, states] = (n * (k - 1) + (digits == k).sum(axis=1) * (k + 1)) / (2 * n * k)
+    for a in range(n):
+        low = states[digits[:, a] < k]
+        P[low, low + (k - digits[low, a]) * radices[a]] = (k + 1) / (2 * n * k)
+    nu = np.zeros(size)
+    nu[0] = 1.0
+    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)

@@ -24,8 +24,10 @@ DEFAULT_MAX_STATES = 16384
 
 def max_states() -> int:
     """Current state-count cap; override with the SSD_MAX_STATES env var."""
-    raw = os.environ.get("SSD_MAX_STATES")
-    return int(raw) if raw else DEFAULT_MAX_STATES
+    raw = os.environ.get("SSD_MAX_STATES") or str(DEFAULT_MAX_STATES)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise BadParameters(f"SSD_MAX_STATES must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_cap(size: int, cap: int | None, exc=SizeOverflow) -> None:

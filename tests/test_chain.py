@@ -9,6 +9,7 @@ import ssdual as sd
 from conftest import cube, ising, lattice
 from oracles import separation_by_matrix_power
 from ssdual.errors import (
+    BadParameters,
     DimensionMismatch,
     MissingStationary,
     NotIrreducible,
@@ -68,6 +69,14 @@ class TestValidate:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sd.ChainSpec(poset=sd.chain_poset(2), P=np.eye(3), nu=[1, 0, 0])
+
+    @pytest.mark.parametrize("field", ["P", "nu", "pi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"P": np.full((2, 2), 0.5), "nu": np.array([1.0, 0.0]), "pi": np.full(2, 0.5)}
+        arrays[field].flat[0] = bad
+        with pytest.raises(BadParameters, match="finite"):
+            sd.ChainSpec(poset=sd.chain_poset(2), **arrays)
 
 
 class TestStationary:

@@ -106,6 +106,37 @@ class TestValidation:
         with pytest.raises(ParseError, match="cover"):
             sd.load_chain(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("P", [[float("nan"), 1.0], [0.25, 0.75]]),
+            ("P", [[float("inf"), 0.5], [0.25, 0.75]]),
+            ("nu", [float("nan"), 0.0]),
+            ("pi", [0.5, float("inf")]),
+        ],
+    )
+    def test_non_finite_entry(self, tmp_path, field, value):
+        path = write_doc(tmp_path / "nonfinite.json", **{field: value})
+        with pytest.raises(ParseError, match=f"{field} has a non-finite entry"):
+            sd.load_chain(path)
+
+    def test_bool_cover_index(self, tmp_path):
+        # true == 1 in Python; as a cover index it must not pass for state 1
+        path = write_doc(
+            tmp_path / "boolcover.json",
+            labels=["a", "b", "c"],
+            covers=[[0, 1], [True, 2]],
+            P=[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+            nu=[1.0, 0.0, 0.0],
+        )
+        with pytest.raises(ParseError, match="cover"):
+            sd.load_chain(path)
+
+    def test_bool_absorbing_index(self, tmp_path):
+        path = write_doc(tmp_path / "boolabs.json", absorbing_index=True)
+        with pytest.raises(ParseError, match="absorbing_index"):
+            sd.load_chain(path)
+
 
 class TestReenumeration:
     def test_inconsistent_file_order_is_realigned(self, tmp_path):

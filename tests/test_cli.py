@@ -62,6 +62,16 @@ class TestModelGen:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_bad_cap_setting_is_input_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SSD_MAX_STATES", value)
+        code, _, err = run(
+            capsys, "model", "gen", "--type", "cube", "--n", "2", "--k", "1",
+            "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "SSD_MAX_STATES" in err
+
 
 @pytest.fixture
 def flip_file(tmp_path):
@@ -249,6 +259,15 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--chain", "/nonexistent.json")
         assert code == 1
+
+    def test_non_finite_kernel_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        c = sd.ChainSpec(poset=sd.chain_poset(2), P=[[0.5, 0.5], [0.5, 0.5]], nu=[1.0, 0.0])
+        sd.save_chain(path, c)
+        path.write_text(path.read_text().replace("0.5", "NaN", 1))
+        code, _, err = run(capsys, "dual", "--chain", str(path), "-o", str(tmp_path / "d.json"))
+        assert code == 1
+        assert "non-finite" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -122,6 +122,13 @@ class TestLink:
         with pytest.raises(NoUniqueMax):
             sd.build_link(p, np.array([0.5, 0.5]))
 
+    def test_link_does_not_build_mobius_pair(self):
+        p = sd.grid_poset([3, 3])
+        pi = np.full(9, 1 / 9)
+        sd.build_link(p, pi)
+        sd.down_set_masses(p, pi)
+        assert "_mobius_pair" not in p.__dict__
+
 
 class TestBuildDual:
     def test_ising_infinite_temperature_bottom_row(self):
@@ -330,6 +337,23 @@ class TestDualChainValidation:
                 poset=sd.chain_poset(2),
                 P_star=[[0.5, 0.4], [0.0, 1.0]],
                 nu_star=[1, 0],
+                absorbing_index=1,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotRowStochastic, match="finite"):
+            sd.DualChain(
+                poset=sd.chain_poset(2),
+                P_star=[[bad, 1.0], [0.0, 1.0]],
+                nu_star=[1, 0],
+                absorbing_index=1,
+            )
+        with pytest.raises(NotRowStochastic, match="finite"):
+            sd.DualChain(
+                poset=sd.chain_poset(2),
+                P_star=[[0.5, 0.5], [0.0, 1.0]],
+                nu_star=[bad, 0],
                 absorbing_index=1,
             )
 

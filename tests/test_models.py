@@ -41,6 +41,8 @@ class TestIsingChain:
     def test_state_cap(self):
         with pytest.raises(TooLarge):
             sd.ising_circle(5, 0.1, cap=16)
+        with pytest.raises(TooLarge):
+            sd.ising_circle_dual(5, 0.1, cap=16)
 
 
 class TestIsingGraph:
@@ -279,6 +281,8 @@ class TestCubeChain:
     def test_cap(self):
         with pytest.raises(TooLarge):
             sd.kary_cube(sd.CubeSpec(n=3, k=3), cap=60)
+        with pytest.raises(TooLarge):
+            sd.kary_cube_dual(sd.CubeSpec(n=3, k=3), cap=60)
 
 
 class TestCubeClosedDual:
@@ -311,7 +315,10 @@ class TestCubeClosedDual:
                     expect[mask, mask | (1 << i)] = move
         assert np.abs(sub.P_star - expect).max() <= 1e-12
 
-    def test_unit_cube_case_is_fully_closed_form(self):
-        closed = cube_closed_dual(3, 1)
-        generic = cube_dual(3, 1)
+    @pytest.mark.parametrize("n,k", [(3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_unit_cube_case_is_fully_closed_form(self, n, k):
+        # every row, including those the dual never visits from the bottom
+        closed = cube_closed_dual(n, k)
+        generic = cube_dual(n, k)
         assert np.abs(closed.P_star - generic.P_star).max() <= 1e-10
+        assert np.array_equal(closed.nu_star, generic.nu_star)

@@ -120,9 +120,14 @@ def load_chain(path) -> LoadedChain:
     version = _require(doc, "version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"{path}: unsupported format version {version!r}")
-    labels = [_from_jsonable(lab) for lab in _require(doc, "labels")]
+    labels = _require(doc, "labels")
+    if not isinstance(labels, list) or not labels:
+        raise ParseError(f"{path}: labels must be a non-empty list")
+    labels = [_from_jsonable(lab) for lab in labels]
     size = len(labels)
     covers = _require(doc, "covers")
+    if not isinstance(covers, list):
+        raise ParseError(f"{path}: covers must be a list")
     for pair in covers:
         if not isinstance(pair, list) or len(pair) != 2 or not all(_is_index(v, size) for v in pair):
             raise ParseError(f"{path}: bad cover pair {pair!r}")

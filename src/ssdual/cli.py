@@ -50,6 +50,19 @@ def _loaded_with_pi(path: str):
     return with_stationary(loaded.chain)
 
 
+def _load_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = doc.get("n") if isinstance(doc, dict) else None
+    edges = doc.get("edges") if isinstance(doc, dict) else None
+    # bool subclasses int, but JSON true/false is not a vertex
+    if type(n) is not int or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise SSDError(f'{path}: expected {{"n": int, "edges": [[int, int], ...]}}')
+    return n, [tuple(e) for e in edges]
+
+
 def cmd_model_gen(args) -> int:
     if args.type == "ising-circle":
         if args.N is None:
@@ -59,9 +72,7 @@ def cmd_model_gen(args) -> int:
     elif args.type == "ising-graph":
         if args.edges is None:
             raise SSDError("--edges is required for ising-graph")
-        with open(args.edges, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        chain = models.ising_gibbs_graph(doc["n"], [tuple(e) for e in doc["edges"]], args.beta)
+        chain = models.ising_gibbs_graph(*_load_edges(args.edges), args.beta)
         params = {"edges_file": args.edges, "beta": args.beta}
     elif args.type == "lattice":
         if args.N is None:
@@ -354,8 +365,8 @@ def main(argv=None) -> int:
     except MonotonicityViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MONOTONICITY_FAILURE
-    except (NotRowStochastic, SingularSystem, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NotRowStochastic, SingularSystem, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return NUMERICAL_FAILURE
     except (SSDError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

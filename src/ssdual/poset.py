@@ -273,23 +273,57 @@ def product_poset(p: Poset, q: Poset, *, cap: int | None = None) -> Poset:
     return Poset(labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size))
 
 
-def _compute_mobius_pair(p: Poset) -> MobiusPair:
-    size = p.size
-    zeta = p.leq.astype(np.int64)
-    mobius = np.zeros((size, size), dtype=np.int64)
+def _exact_mobius(leq: np.ndarray) -> np.ndarray:
+    # Row recursion in Python integers: exact at any magnitude.
+    size = leq.shape[0]
+    mobius = np.zeros((size, size), dtype=object)
     for i in range(size):
         mobius[i, i] = 1
-        for j in p.up_set(i)[1:]:
+        for j in np.flatnonzero(leq[i])[1:]:
             # mu(i, j) = -sum over i <= z < j with z <= j of mu(i, z);
             # under the consistent enumeration every such z lives in [i, j)
-            mobius[i, j] = -np.dot(mobius[i, i:j], zeta[i:j, j])
-    if not np.array_equal(zeta @ mobius, np.eye(size, dtype=np.int64)):
-        raise ArithmeticError("zeta * mobius != identity; integer overflow?")
-    return MobiusPair(zeta=zeta, mobius=mobius)
+            mobius[i, j] = -mobius[i, i:j][leq[i:j, j]].sum()
+    return mobius
+
+
+def _compute_mobius_pair(p: Poset) -> MobiusPair:
+    size = p.size
+    # zeta is unit upper triangular with 0/1 entries, so LU never pivots and
+    # the solve is integer arithmetic, exact while its sums stay below 2**53.
+    zeta = p.leq.astype(float)
+    mobius = np.linalg.inv(zeta)
+    np.rint(mobius, out=mobius)
+    # Every partial sum of zeta @ mobius is an integer of size at most
+    # size * max|mu|; below 2**53 the float64 product is exact, so it equals
+    # I exactly when mobius is zeta's inverse.  NaN and inf fail the test.
+    bound = size * max(mobius.max(), -mobius.min())
+    certified = False
+    if bound < 2.0**53:
+        residual = zeta @ mobius
+        residual.flat[:: size + 1] -= 1.0
+        certified = not residual.any()
+        del residual
+    del zeta
+    if not certified:
+        mobius = _exact_mobius(p.leq)
+    # MobiusPair's int64 conversion raises OverflowError if mu does not fit
+    return MobiusPair(zeta=p.leq, mobius=mobius)
 
 
 def mobius_pair(p: Poset) -> MobiusPair:
-    """Exact zeta matrix and Mobius function of the poset (cached)."""
+    """Exact zeta matrix and Mobius function of the poset (cached).
+
+    The Mobius function is the inverse of zeta, taken by LAPACK in float64
+    and rounded.  It is returned only when ``size * max|mu| < 2**53`` and the
+    float64 product ``zeta @ mu`` equals the identity, which that bound makes
+    an exact certificate.  Otherwise mu comes from the row recursion in
+    Python integers, exact at any magnitude.
+
+    Raises
+    ------
+    OverflowError
+        (an ``ArithmeticError``) if some value of mu does not fit in int64.
+    """
     return p._mobius_pair
 
 

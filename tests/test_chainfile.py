@@ -132,6 +132,14 @@ class TestValidation:
         with pytest.raises(ParseError, match="cover"):
             sd.load_chain(path)
 
+    @pytest.mark.parametrize(
+        "field,value", [("labels", 5), ("labels", "ab"), ("labels", []), ("covers", 5)]
+    )
+    def test_labels_and_covers_must_be_lists(self, tmp_path, field, value):
+        path = write_doc(tmp_path / "lists.json", **{field: value})
+        with pytest.raises(ParseError, match=f"{field} must be"):
+            sd.load_chain(path)
+
     def test_bool_absorbing_index(self, tmp_path):
         path = write_doc(tmp_path / "boolabs.json", absorbing_index=True)
         with pytest.raises(ParseError, match="absorbing_index"):

@@ -48,6 +48,27 @@ class TestModelGen:
         ref = sd.ising_circle(3, 0.3)
         assert np.abs(sd.load_chain(path).chain.P - ref.P).max() <= 1e-15
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "edges": [[0]]},
+            {"n": 3, "edges": [[0, 1.5]]},
+            {"n": 3, "edges": [[0, True]]},
+            {"n": "3", "edges": [[0, 1]]},
+            {"n": 3, "edges": 5},
+            [[0, 1]],
+        ],
+    )
+    def test_malformed_edges_file_is_input_error(self, tmp_path, capsys, doc):
+        edges = tmp_path / "edges.json"
+        edges.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "model", "gen", "--type", "ising-graph", "--edges", str(edges),
+            "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "edges" in err
+
     def test_missing_parameter_is_input_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "model", "gen", "--type", "cube", "-o", str(tmp_path / "x"))
         assert code == 1
@@ -268,6 +289,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, "dual", "--chain", str(path), "-o", str(tmp_path / "d.json"))
         assert code == 1
         assert "non-finite" in err
+
+    def test_labels_not_a_list_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.json"
+        c = sd.ChainSpec(poset=sd.chain_poset(2), P=[[0.5, 0.5], [0.5, 0.5]], nu=[1.0, 0.0])
+        sd.save_chain(path, c)
+        doc = json.loads(path.read_text())
+        doc["labels"] = 5
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "--chain", str(path))
+        assert code == 1
+        assert "labels" in err
+
+    def test_memory_error_is_numerical_failure(self, cube_file, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("ssdual.duality.build_dual", exhausted)
+        code, _, err = run(capsys, "dual", "--chain", str(cube_file), "-o", str(tmp_path / "d.json"))
+        assert code == 4
+        assert err.startswith("error:") and "MemoryError" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

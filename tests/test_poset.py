@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
+import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow
 
@@ -35,6 +36,20 @@ def _random_poset(rng, size):
         a, b = sorted(int(v) for v in rng.integers(0, size, size=2))
         if a != b:
             covers.add((int(order[a]), int(order[b])))
+    return sd.build_poset(list(range(size)), covers)
+
+
+def _stacked_antichains(levels, width=3):
+    """bottom < `levels` antichains of `width` < top, each level below the next.
+
+    mu(bottom, top) = -(1 - width) ** levels.
+    """
+    size = levels * width + 2
+    covers = [(0, 1 + a) for a in range(width)]
+    for level in range(levels - 1):
+        lo, hi = 1 + level * width, 1 + (level + 1) * width
+        covers += [(lo + a, hi + b) for a in range(width) for b in range(width)]
+    covers += [(size - 1 - width + a, size - 1) for a in range(width)]
     return sd.build_poset(list(range(size)), covers)
 
 
@@ -112,8 +127,10 @@ class TestMobius:
         pair = sd.mobius_pair(sd.chain_poset(2))
         assert pair.mobius.tolist() == [[1, -1], [0, 1]]
 
-    def test_boolean_lattice_sign_formula(self):
-        p = sd.grid_poset([2, 2, 2])
+    # 11 coordinates (2048 states) runs the float certificate at scale
+    @pytest.mark.parametrize("dims", [3, 11])
+    def test_boolean_lattice_sign_formula(self, dims):
+        p = sd.grid_poset([2] * dims)
         pair = sd.mobius_pair(p)
         ranks = np.array([sum(lab) for lab in p.labels])
         signs = 1 - 2 * ((ranks[None, :] - ranks[:, None]) % 2)
@@ -148,6 +165,25 @@ class TestMobius:
         size, covers = inputs
         p = build(size, covers)
         assert np.array_equal(sd.mobius_pair(p).mobius, mobius_by_first_argument(p.leq))
+
+    def test_wide_levels_exact_beyond_float_certificate(self, monkeypatch):
+        # 152 * 2**50 > 2**53, so mu comes from the Python-integer recursion
+        calls = []
+        exact = poset_module._exact_mobius
+        monkeypatch.setattr(
+            poset_module, "_exact_mobius", lambda leq: calls.append(leq.shape) or exact(leq)
+        )
+        p = _stacked_antichains(50)
+        assert p.size == 152
+        pair = sd.mobius_pair(p)
+        assert calls == [(152, 152)]
+        assert pair.mobius[0, -1] == -(2**50)
+        assert np.array_equal(pair.zeta @ pair.mobius, np.eye(p.size, dtype=np.int64))
+
+    def test_overflow_raises_instead_of_wrapping(self):
+        # mu(bottom, top) = -2**64 wraps to 0 in int64
+        with pytest.raises(ArithmeticError):
+            sd.mobius_pair(_stacked_antichains(64))
 
     def test_alternating_sums_collapse(self):
         p = sd.grid_poset([3, 3])

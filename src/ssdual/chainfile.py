@@ -2,9 +2,10 @@
 
 A chain file stores labels, the cover relation of the poset, the kernel, the
 initial distribution and optionally the stationary distribution and an
-absorbing index.  Floats are serialized with Python's shortest round-trip
-representation, so save/load is lossless to full double precision.  On load
-the states are re-enumerated consistently if the file order is not.
+absorbing index, as compact JSON with sorted keys.  Floats are serialized
+with Python's shortest round-trip representation, so save/load is lossless to
+full double precision.  On load the states are re-enumerated consistently if
+the file order is not.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .poset import build_poset
 
 SCHEMA_VERSION = 1
 LOAD_ROW_TOL = 1e-10
+LOAD_NEGATIVE_TOL = 1e-12
 
 
 def _to_jsonable(value):
@@ -72,7 +74,6 @@ def save_chain(path, obj, *, meta: dict | None = None) -> None:
         "version": SCHEMA_VERSION,
         "labels": [_to_jsonable(lab) for lab in poset.labels],
         "covers": [[a, b] for a, b in poset.covers],
-        "P": P.tolist(),
         "nu": nu.tolist(),
         "meta": meta or {},
     }
@@ -80,9 +81,16 @@ def save_chain(path, obj, *, meta: dict | None = None) -> None:
         doc["pi"] = pi.tolist()
     if absorbing is not None:
         doc["absorbing_index"] = absorbing
+    # The file is json.dumps({"P": P.tolist(), **doc}, sort_keys=True) + "\n"
+    # ("P" sorts first: uppercase before lowercase), written one kernel row at
+    # a time so that the C encoder runs and no M*M list of floats is built.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{"P": [')
+        sep = ""
+        for row in P:
+            fh.write(sep + json.dumps(row.tolist()))
+            sep = ", "
+        fh.write("], " + json.dumps(doc, sort_keys=True)[1:] + "\n")
 
 
 def _require(doc: dict, key: str):
@@ -115,6 +123,8 @@ def load_chain(path) -> LoadedChain:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     version = _require(doc, "version")
@@ -141,7 +151,7 @@ def load_chain(path) -> LoadedChain:
     row_dev = float(np.max(np.abs(P.sum(axis=1) - 1.0))) if size else 0.0
     if row_dev > LOAD_ROW_TOL:
         raise ParseError(f"{path}: kernel rows sum to 1 only within {row_dev:.3e}")
-    if P.min() < -1e-12:
+    if P.min() < -LOAD_NEGATIVE_TOL:
         raise ParseError(f"{path}: kernel has negative entry {P.min():.3e}")
     pi = doc.get("pi")
     if pi is not None:

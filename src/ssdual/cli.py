@@ -51,8 +51,11 @@ def _loaded_with_pi(path: str):
 
 
 def _load_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SSDError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     n = doc.get("n") if isinstance(doc, dict) else None
     edges = doc.get("edges") if isinstance(doc, dict) else None
     # bool subclasses int, but JSON true/false is not a vertex

@@ -176,10 +176,14 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int
 
     Raises
     ------
+    BadParameters
+        If there are no labels, or a cover pair is out of range or a loop.
     CycleDetected
         If the cover pairs contain a directed cycle.
     """
     size = len(labels)
+    if size == 0:
+        raise BadParameters("a poset needs at least one state")
     _check_cap(size, cap)
     dedup = sorted({(int(a), int(b)) for a, b in covers})
     for a, b in dedup:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,75 @@ class TestRoundTrip:
         sd.save_chain(path, ising(3, 0.0))
         with pytest.raises(NoAbsorbingState):
             sd.load_chain(path).dual()
+
+
+def old_writer_document(obj, meta):
+    """The dict the indented writer dumped: P.tolist() plus the other fields."""
+    dual = isinstance(obj, sd.DualChain)
+    P, nu = (obj.P_star, obj.nu_star) if dual else (obj.P, obj.nu)
+    doc = {
+        "version": 1,
+        "labels": [list(lab) for lab in obj.poset.labels],
+        "covers": [[a, b] for a, b in obj.poset.covers],
+        "P": P.tolist(),
+        "nu": nu.tolist(),
+        "meta": meta,
+    }
+    if dual:
+        doc["absorbing_index"] = obj.absorbing_index
+    elif obj.pi is not None:
+        doc["pi"] = obj.pi.tolist()
+    return doc
+
+
+class TestFormat:
+    @pytest.mark.parametrize(
+        "obj,meta",
+        [
+            (ising(3, 0.5), {"model": "ising-circle", "params": {"N": 3, "beta": 0.5}}),
+            (cube_dual(2, 2), {"model": "cube", "params": {"n": 2, "k": 2, "nested": {"Z": [1, 2]}}}),
+        ],
+        ids=["ising-chain", "cube-dual"],
+    )
+    def test_only_whitespace_changed(self, tmp_path, obj, meta):
+        path = tmp_path / "chain.json"
+        sd.save_chain(path, obj, meta=meta)
+        old = old_writer_document(obj, meta)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == old
+        assert text == json.dumps(old, sort_keys=True) + "\n"
+
+    def test_indented_files_still_load(self, tmp_path):
+        path = tmp_path / "indented.json"
+        c = ising(3, 0.5)
+        meta = {"model": "ising-circle"}
+        path.write_text(json.dumps(old_writer_document(c, meta), indent=2, sort_keys=True) + "\n")
+        loaded = sd.load_chain(path)
+        assert np.array_equal(loaded.chain.P, c.P)
+        assert np.array_equal(loaded.chain.pi, c.pi)
+        assert loaded.meta == meta
+
+    def test_extreme_floats_round_trip_bit_exactly(self, tmp_path):
+        path = tmp_path / "floats.json"
+        P = np.array(
+            [[1 / 3, 2 / 3, 0.0], [5e-324, 1 - 2**-53, 2**-53], [0.0, 1 - 2**-53, 2**-53]]
+        )
+        c = sd.ChainSpec(poset=sd.chain_poset(3), P=P, nu=[1 / 3, 2 / 3, 0.0])
+        sd.save_chain(path, c)
+        loaded = sd.load_chain(path).chain
+        assert loaded.P.view(np.uint64).tolist() == P.view(np.uint64).tolist()
+        assert loaded.nu.tolist() == [1 / 3, 2 / 3, 0.0]
+
+    def test_save_peak_memory_below_kernel_size(self, tmp_path):
+        c = lattice(19)
+        assert c.size == 400
+        tracemalloc.start()
+        try:
+            sd.save_chain(tmp_path / "lattice.json", c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < c.P.nbytes
 
 
 def write_doc(path, **overrides):
@@ -138,6 +208,12 @@ class TestValidation:
     def test_labels_and_covers_must_be_lists(self, tmp_path, field, value):
         path = write_doc(tmp_path / "lists.json", **{field: value})
         with pytest.raises(ParseError, match=f"{field} must be"):
+            sd.load_chain(path)
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"version": 1}).encode("utf-16-le"))
+        with pytest.raises(ParseError, match="UTF-8"):
             sd.load_chain(path)
 
     def test_bool_absorbing_index(self, tmp_path):

@@ -69,6 +69,16 @@ class TestModelGen:
         assert code == 1
         assert err.startswith("error:") and "edges" in err
 
+    def test_edges_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.json"
+        edges.write_bytes(b"\xff\xfe" + json.dumps({"n": 2, "edges": [[0, 1]]}).encode("utf-16-le"))
+        code, _, err = run(
+            capsys, "model", "gen", "--type", "ising-graph", "--edges", str(edges),
+            "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_missing_parameter_is_input_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "model", "gen", "--type", "cube", "-o", str(tmp_path / "x"))
         assert code == 1
@@ -300,6 +310,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", "--chain", str(path))
         assert code == 1
         assert "labels" in err
+
+    def test_chain_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        c = sd.ChainSpec(poset=sd.chain_poset(2), P=[[0.5, 0.5], [0.5, 0.5]], nu=[1.0, 0.0])
+        sd.save_chain(path, c)
+        path.write_bytes(b"\xff\xfe" + path.read_text().encode("utf-16-le"))
+        code, _, err = run(capsys, "check", "--chain", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "UTF-8" in err
 
     def test_memory_error_is_numerical_failure(self, cube_file, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

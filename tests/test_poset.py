@@ -73,6 +73,10 @@ class TestBuildPoset:
         p = sd.build_poset(["a", "b"], [(0, 1), (0, 1)])
         assert p.covers == ((0, 1),)
 
+    def test_empty_label_list_rejected(self):
+        with pytest.raises(BadParameters, match="at least one state"):
+            sd.build_poset([], [])
+
     def test_self_cover_rejected(self):
         with pytest.raises(BadParameters):
             sd.build_poset(["a"], [(0, 0)])

@@ -219,7 +219,7 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     nu_star = _clamp_small_negatives(nu_star, tol, "dual initial distribution")
     total = nu_star.sum()
     if abs(total - 1.0) > ROW_TOL:
-        raise NotRowStochastic(f"dual initial distribution sums to {total!r}")
+        raise NotRowStochastic(f"dual initial distribution sums to {float(total)!r}")
     nu_star = nu_star / total
 
     return DualChain(poset=p, P_star=P_star, nu_star=nu_star, absorbing_index=p.max_index)

@@ -177,7 +177,8 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int
     Raises
     ------
     BadParameters
-        If there are no labels, or a cover pair is out of range or a loop.
+        If there are no labels, a label is repeated or unhashable, or a cover
+        pair is out of range or a loop.
     CycleDetected
         If the cover pairs contain a directed cycle.
     """
@@ -185,6 +186,14 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int
     if size == 0:
         raise BadParameters("a poset needs at least one state")
     _check_cap(size, cap)
+    seen: set = set()
+    for lab in labels:
+        try:
+            if lab in seen:
+                raise BadParameters(f"duplicate label {lab!r}")
+            seen.add(lab)
+        except TypeError as exc:
+            raise BadParameters(f"label {lab!r} is not hashable") from exc
     dedup = sorted({(int(a), int(b)) for a, b in covers})
     for a, b in dedup:
         if not (0 <= a < size and 0 <= b < size):

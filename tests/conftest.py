@@ -43,3 +43,22 @@ def lattice(N, params=LATTICE_PARAMS[0]):
 @lru_cache(maxsize=None)
 def lattice_dual(N, params=LATTICE_PARAMS[0]):
     return sd.build_dual(lattice(N, params))
+
+
+def version_1_document(obj, meta):
+    """The dict the version 1 writers dumped: the dense P.tolist() plus the other fields."""
+    dual = isinstance(obj, sd.DualChain)
+    P, nu = (obj.P_star, obj.nu_star) if dual else (obj.P, obj.nu)
+    doc = {
+        "version": 1,
+        "labels": [list(lab) for lab in obj.poset.labels],
+        "covers": [[a, b] for a, b in obj.poset.covers],
+        "P": P.tolist(),
+        "nu": nu.tolist(),
+        "meta": meta,
+    }
+    if dual:
+        doc["absorbing_index"] = obj.absorbing_index
+    elif obj.pi is not None:
+        doc["pi"] = obj.pi.tolist()
+    return doc

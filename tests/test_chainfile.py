@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ssdual as sd
-from conftest import cube_dual, ising, lattice
+from conftest import cube_dual, ising, lattice, version_1_document
 from ssdual.errors import NoAbsorbingState, ParseError, SchemaVersionMismatch
 
 
@@ -55,47 +55,88 @@ class TestRoundTrip:
             sd.load_chain(path).dual()
 
 
-def old_writer_document(obj, meta):
-    """The dict the indented writer dumped: P.tolist() plus the other fields."""
-    dual = isinstance(obj, sd.DualChain)
-    P, nu = (obj.P_star, obj.nu_star) if dual else (obj.P, obj.nu)
-    doc = {
-        "version": 1,
-        "labels": [list(lab) for lab in obj.poset.labels],
-        "covers": [[a, b] for a, b in obj.poset.covers],
-        "P": P.tolist(),
-        "nu": nu.tolist(),
-        "meta": meta,
-    }
-    if dual:
-        doc["absorbing_index"] = obj.absorbing_index
-    elif obj.pi is not None:
-        doc["pi"] = obj.pi.tolist()
+def csr_document(obj, meta):
+    """The v2 dict, built directly: P's nonzeros in compressed sparse rows."""
+    doc = version_1_document(obj, meta)
+    P = np.asarray(doc.pop("P"))
+    rows, cols = np.nonzero(P)
+    doc.update(
+        version=2,
+        P_data=P[rows, cols].tolist(),
+        P_indices=cols.tolist(),
+        P_indptr=np.searchsorted(rows, np.arange(P.shape[0] + 1)).tolist(),
+    )
     return doc
 
 
+FORMAT_CASES = [
+    (ising(3, 0.5), {"model": "ising-circle", "params": {"N": 3, "beta": 0.5}}),
+    (cube_dual(2, 2), {"model": "cube", "params": {"n": 2, "k": 2, "nested": {"Z": [1, 2]}}}),
+]
+
+
+def same_bits(a, b):
+    return np.asarray(a).view(np.uint64).tolist() == np.asarray(b).view(np.uint64).tolist()
+
+
 class TestFormat:
-    @pytest.mark.parametrize(
-        "obj,meta",
-        [
-            (ising(3, 0.5), {"model": "ising-circle", "params": {"N": 3, "beta": 0.5}}),
-            (cube_dual(2, 2), {"model": "cube", "params": {"n": 2, "k": 2, "nested": {"Z": [1, 2]}}}),
-        ],
-        ids=["ising-chain", "cube-dual"],
-    )
-    def test_only_whitespace_changed(self, tmp_path, obj, meta):
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    @pytest.mark.parametrize("obj,meta", FORMAT_CASES, ids=["ising-chain", "cube-dual"])
+    def test_version_1_loads_bit_exactly(self, tmp_path, obj, meta, indent):
+        # the document the version 1 writers produced, compact and indented
+        path = tmp_path / "v1.json"
+        doc = version_1_document(obj, meta)
+        path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+        loaded = sd.load_chain(path)
+        dual = isinstance(obj, sd.DualChain)
+        P, nu = (obj.P_star, obj.nu_star) if dual else (obj.P, obj.nu)
+        assert loaded.chain.poset.labels == obj.poset.labels
+        assert same_bits(loaded.chain.P, P) and same_bits(loaded.chain.nu, nu)
+        if dual:
+            assert loaded.absorbing_index == obj.absorbing_index
+        else:
+            assert same_bits(loaded.chain.pi, obj.pi)
+        assert loaded.meta == meta
+
+    @pytest.mark.parametrize("obj,meta", FORMAT_CASES, ids=["ising-chain", "cube-dual"])
+    def test_writer_matches_reference_encoding(self, tmp_path, obj, meta):
         path = tmp_path / "chain.json"
         sd.save_chain(path, obj, meta=meta)
-        old = old_writer_document(obj, meta)
+        doc = csr_document(obj, meta)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text) == old
-        assert text == json.dumps(old, sort_keys=True) + "\n"
+        assert json.loads(text) == doc
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [ising(4, 0.5), cube_dual(2, 2), lattice(4)], ids=str)
+    def test_v2_save_load_save_is_byte_stable(self, tmp_path, obj):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        sd.save_chain(first, obj, meta={"m": 1})
+        loaded = sd.load_chain(first)
+        again = loaded.dual() if isinstance(obj, sd.DualChain) else loaded.chain
+        sd.save_chain(second, again, meta=loaded.meta)
+        assert json.loads(first.read_text())["version"] == 2
+        assert first.read_bytes() == second.read_bytes()
+        P = obj.P_star if isinstance(obj, sd.DualChain) else obj.P
+        nz = P != 0
+        assert same_bits(loaded.chain.P[nz], P[nz])
+        assert not loaded.chain.P[~nz].any()
+
+    def test_negative_zero_is_stored_implicitly(self, tmp_path):
+        path = tmp_path / "zeros.json"
+        P = np.array([[0.5, 0.5, -0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        sd.save_chain(path, sd.ChainSpec(poset=sd.chain_poset(3), P=P, nu=[1.0, 0.0, 0.0]))
+        doc = json.loads(path.read_text())
+        assert doc["P_indptr"] == [0, 2, 5, 7]
+        assert doc["P_indices"] == [0, 1, 0, 1, 2, 1, 2]
+        loaded = sd.load_chain(path).chain.P
+        assert np.signbit(P[0, 2]) and not np.signbit(loaded[0, 2])
+        assert np.array_equal(loaded, P)
 
     def test_indented_files_still_load(self, tmp_path):
         path = tmp_path / "indented.json"
         c = ising(3, 0.5)
         meta = {"model": "ising-circle"}
-        path.write_text(json.dumps(old_writer_document(c, meta), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(version_1_document(c, meta), indent=2, sort_keys=True) + "\n")
         loaded = sd.load_chain(path)
         assert np.array_equal(loaded.chain.P, c.P)
         assert np.array_equal(loaded.chain.pi, c.pi)
@@ -122,6 +163,18 @@ class TestFormat:
         finally:
             tracemalloc.stop()
         assert peak < c.P.nbytes
+        # fully dense: every entry is stored, still streamed one row at a time
+        dense = sd.ChainSpec(
+            poset=sd.chain_poset(400), P=np.full((400, 400), 1 / 400), nu=np.full(400, 1 / 400)
+        )
+        tracemalloc.start()
+        try:
+            sd.save_chain(tmp_path / "dense.json", dense)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense.P.nbytes
+        assert np.array_equal(sd.load_chain(tmp_path / "dense.json").chain.P, dense.P)
 
 
 def write_doc(path, **overrides):
@@ -146,8 +199,15 @@ class TestValidation:
             sd.load_chain(path)
 
     def test_version_mismatch(self, tmp_path):
-        path = write_doc(tmp_path / "v2.json", version=2)
+        path = write_doc(tmp_path / "v3.json", version=3)
         with pytest.raises(SchemaVersionMismatch):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize("version", [True, False, 1.0, 2.0, "1", None, [1], 0, -1])
+    def test_version_must_be_a_known_integer(self, tmp_path, version):
+        # true == 1 in Python; it must not pass for version 1
+        path = write_doc(tmp_path / "version.json", version=version)
+        with pytest.raises(SchemaVersionMismatch, match="version"):
             sd.load_chain(path)
 
     def test_cycle_in_covers_named(self, tmp_path):
@@ -222,6 +282,148 @@ class TestValidation:
             sd.load_chain(path)
 
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            (["a", "a"], "duplicate label 'a'"),
+            ([[0, 1], [0, 1]], r"duplicate label \(0, 1\)"),
+            ([1, 1.0], "duplicate label"),
+            ([{"x": 1}, "b"], "not hashable"),
+        ],
+    )
+    def test_labels_must_be_distinct_and_hashable(self, tmp_path, labels, message):
+        path = write_doc(tmp_path / "labels.json", labels=labels)
+        with pytest.raises(ParseError, match=message):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("nu", [0.5, 0.0], "nu sums to 1 only within 5.000e-01"),
+            ("nu", [1.5, -0.5], "nu has negative entry"),
+            ("nu", [True, 0.0], "nu is not a numeric array"),
+            ("nu", ["1.0", 0.0], "nu is not a numeric array"),
+            ("pi", [0.5, 0.5], "pi is stationary only within"),
+            ("pi", [1.0, 1.0], "pi sums to 1"),
+            ("pi", [-1 / 3, 4 / 3], "pi has negative entry"),
+        ],
+    )
+    def test_distributions_are_validated(self, tmp_path, field, value, message):
+        path = write_doc(tmp_path / "dist.json", **{field: value})
+        with pytest.raises(ParseError, match=message):
+            sd.load_chain(path)
+
+    def test_stationary_pi_loads(self, tmp_path):
+        # the stationary law of [[0.5, 0.5], [0.25, 0.75]] is (1/3, 2/3)
+        path = write_doc(tmp_path / "pi.json", pi=[1 / 3, 2 / 3])
+        assert sd.load_chain(path).chain.pi.tolist() == [1 / 3, 2 / 3]
+
+
+MISSING = object()
+
+
+def write_v2(path, **overrides):
+    doc = {
+        "version": 2,
+        "labels": ["a", "b", "c"],
+        "covers": [[0, 1], [1, 2]],
+        "P_indptr": [0, 2, 5, 7],
+        "P_indices": [0, 1, 0, 1, 2, 1, 2],
+        "P_data": [0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 0.5],
+        "nu": [1.0, 0.0, 0.0],
+        "meta": {},
+    }
+    doc.update(overrides)
+    for key in [k for k, v in overrides.items() if v is MISSING]:
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestVersion2Validation:
+    def test_valid_document_loads(self, tmp_path):
+        P = sd.load_chain(write_v2(tmp_path / "ok.json")).chain.P
+        assert P.tolist() == [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
+
+    @pytest.mark.parametrize("field", ["P_indptr", "P_indices", "P_data"])
+    def test_missing_csr_field(self, tmp_path, field):
+        path = write_v2(tmp_path / "missing.json", **{field: MISSING})
+        with pytest.raises(ParseError, match=f"missing the '{field}' field"):
+            sd.load_chain(path)
+
+    def test_dense_kernel_is_not_read_in_version_2(self, tmp_path):
+        path = write_v2(
+            tmp_path / "dense.json", P=[[1.0, 0.0, 0.0]] * 3,
+            P_indptr=MISSING, P_indices=MISSING, P_data=MISSING,
+        )
+        with pytest.raises(ParseError, match="P_indices"):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ([0, 2, 5], "4 offsets"),
+            ([0, 2, 5, 7, 7], "4 offsets"),
+            ([1, 2, 5, 7], "4 offsets from 0"),
+            ([0, 2, 5, 6], "to len\\(P_indices\\) = 7"),
+            ([0, 5, 2, 7], "decreases"),
+            ([0, 2, 5, 8], "outside"),
+            ([-1, 2, 5, 7], "outside"),
+            ([0, 2.0, 5, 7], "list of integers"),
+            ([0, True, 5, 7], "list of integers"),
+            ("0257", "list of integers"),
+        ],
+    )
+    def test_bad_indptr(self, tmp_path, value, message):
+        path = write_v2(tmp_path / "indptr.json", P_indptr=value)
+        with pytest.raises(ParseError, match=f"P_indptr.*{message}"):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ([0, 1, 0, 1, 3, 1, 2], "outside \\[0, 3\\)"),
+            ([0, 1, 0, 1, -1, 1, 2], "outside"),
+            ([0, 1, 0, True, 2, 1, 2], "list of integers"),
+            ([0, 1, 0, 1.0, 2, 1, 2], "list of integers"),
+            ([0, 1, 0, "1", 2, 1, 2], "list of integers"),
+            ([0, 1, 0, 1, 2, 1, 2**70], "outside"),
+            ([0, 1, 0, 1, 1, 1, 2], "repeats column 1 in row 1"),
+            ({"0": 1}, "list of integers"),
+        ],
+    )
+    def test_bad_indices(self, tmp_path, value, message):
+        path = write_v2(tmp_path / "indices.json", P_indices=value)
+        with pytest.raises(ParseError, match=f"P_indices.*{message}"):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5], "shape \\(6,\\), expected \\(7,\\)"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 0.5, 0.0], "shape"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, float("nan")], "non-finite"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, float("inf")], "non-finite"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 10**400], "not a numeric array"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, True], "not a numeric array"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, "0.5"], "not a numeric array"),
+            ([0.5, 0.5, 0.25, 0.5, 0.25, 0.5, [0.5]], "not a numeric array"),
+        ],
+    )
+    def test_bad_data(self, tmp_path, value, message):
+        path = write_v2(tmp_path / "data.json", P_data=value)
+        with pytest.raises(ParseError, match=f"P_data.*{message}"):
+            sd.load_chain(path)
+
+    def test_row_sums_and_signs_checked_after_scatter(self, tmp_path):
+        path = write_v2(tmp_path / "rows.json", P_data=[0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 0.4])
+        with pytest.raises(ParseError, match="rows sum"):
+            sd.load_chain(path)
+        path = write_v2(tmp_path / "neg.json", P_data=[1.5, -0.5, 0.25, 0.5, 0.25, 0.5, 0.5])
+        with pytest.raises(ParseError, match="negative"):
+            sd.load_chain(path)
+
+
 class TestReenumeration:
     def test_inconsistent_file_order_is_realigned(self, tmp_path):
         # file lists the top state first; the loader re-sorts consistently
@@ -232,7 +434,7 @@ class TestReenumeration:
             "covers": [[1, 0]],
             "P": [[0.75, 0.25], [0.5, 0.5]],
             "nu": [0.0, 1.0],
-            "pi": [0.25, 0.75],
+            "pi": [2 / 3, 1 / 3],
             "absorbing_index": 0,
             "meta": {},
         }
@@ -242,8 +444,28 @@ class TestReenumeration:
         assert loaded.chain.P[0].tolist() == [0.5, 0.5]
         assert loaded.chain.P[1].tolist() == [0.25, 0.75]
         assert loaded.chain.nu.tolist() == [1.0, 0.0]
-        assert loaded.chain.pi.tolist() == [0.75, 0.25]
+        assert loaded.chain.pi.tolist() == [1 / 3, 2 / 3]
         assert loaded.absorbing_index == 1
+
+    def test_inconsistent_order_is_realigned_in_version_2(self, tmp_path):
+        # top, middle, bottom in the file; the kernel moves down from the top
+        path = write_v2(
+            tmp_path / "swapped.json",
+            labels=["top", "mid", "bottom"],
+            covers=[[2, 1], [1, 0]],
+            P_indptr=[0, 2, 4, 5],
+            P_indices=[0, 1, 1, 2, 2],
+            P_data=[0.75, 0.25, 0.5, 0.5, 1.0],
+            nu=[0.0, 0.0, 1.0],
+            pi=[0.0, 0.0, 1.0],
+            absorbing_index=2,
+        )
+        loaded = sd.load_chain(path)
+        assert loaded.chain.poset.labels == ("bottom", "mid", "top")
+        assert loaded.chain.P.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
+        assert loaded.chain.nu.tolist() == [1.0, 0.0, 0.0]
+        assert loaded.chain.pi.tolist() == [1.0, 0.0, 0.0]
+        assert loaded.absorbing_index == 0
 
     def test_tuple_labels_survive(self, tmp_path):
         path = tmp_path / "tuples.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ssdual as sd
+from conftest import version_1_document
 from ssdual.cli import main
 
 
@@ -176,10 +177,12 @@ class TestDualVerify:
         dual_path = tmp_path / "dual.json"
         run(capsys, "dual", "--chain", str(cube_file), "-o", str(dual_path))
         doc = json.loads(dual_path.read_text())
-        row = doc["P"][0]
-        moved = max(range(len(row)), key=row.__getitem__)
-        row[0] += 0.01
-        row[moved] -= 0.01
+        # row 0 of the CSR kernel: move mass from its largest entry to column 0
+        row = range(doc["P_indptr"][0], doc["P_indptr"][1])
+        first = next(k for k in row if doc["P_indices"][k] == 0)
+        moved = max(row, key=doc["P_data"].__getitem__)
+        doc["P_data"][first] += 0.01
+        doc["P_data"][moved] -= 0.01
         dual_path.write_text(json.dumps(doc))
         code, out, _ = run(
             capsys, "verify", "--chain", str(cube_file), "--dual", str(dual_path)
@@ -197,6 +200,25 @@ class TestDualVerify:
                 "-o", str(out_path),
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_version_1_chain_file_gives_version_2_dual(self, tmp_path, capsys):
+        # the migration path: any command that writes a file writes version 2
+        chain = sd.kary_cube(sd.CubeSpec(2, 2))
+        v1_path = tmp_path / "v1.json"
+        v1_path.write_text(json.dumps(version_1_document(chain, {"model": "cube"}), indent=2))
+        dual_path = tmp_path / "dual.json"
+        code, _, _ = run(capsys, "dual", "--chain", str(v1_path), "-o", str(dual_path))
+        assert code == 0
+        doc = json.loads(dual_path.read_text())
+        assert doc["version"] == 2 and "P" not in doc
+        assert doc["meta"]["source_meta"] == {"model": "cube"}
+        expected = sd.build_dual(chain)
+        assert np.array_equal(sd.load_chain(dual_path).dual().P_star, expected.P_star)
+        code, out, _ = run(
+            capsys, "verify", "--chain", str(v1_path), "--dual", str(dual_path), "--horizon", "40"
+        )
+        assert code == 0 and json.loads(out)["passed"]
 
 
 class TestAnalysisCommands:
@@ -320,6 +342,37 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:") and "UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("version", True, "unsupported format version True"),
+            ("version", 3, "unsupported format version 3"),
+            ("nu", [0.5] + [0.0] * 8, "nu sums to 1"),
+            ("P_indices", "first", "P_indices must be a list of integers"),
+            ("P_indptr", [0] * 10, "P_indptr must hold 10 offsets"),
+            ("labels", [[0, 0]] * 9, "duplicate label"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "dual", "verify", "absorb"])
+    def test_malformed_file_is_input_error(
+        self, cube_file, tmp_path, capsys, command, field, value, message
+    ):
+        dual_path = tmp_path / "dual.json"
+        run(capsys, "dual", "--chain", str(cube_file), "-o", str(dual_path))
+        target = dual_path if command == "absorb" else cube_file
+        doc = json.loads(target.read_text())
+        doc[field] = value
+        target.write_text(json.dumps(doc))
+        argv = {
+            "check": ["check", "--chain", str(cube_file)],
+            "dual": ["dual", "--chain", str(cube_file), "-o", str(tmp_path / "d.json")],
+            "verify": ["verify", "--chain", str(cube_file), "--dual", str(dual_path)],
+            "absorb": ["absorb", "--dual", str(dual_path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_memory_error_is_numerical_failure(self, cube_file, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -337,3 +390,59 @@ class TestErrorPaths:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+CORRUPT_VALUES = (True, "x", -1, 2.5, {}, [[]], [True])
+CORRUPT_ENTRIES = (None, True, "x", -1, 1e300, [0], {})
+
+
+def corruptions(doc):
+    """(name, document) pairs, each with one field of ``doc`` made invalid."""
+    for key, value in doc.items():
+        if key == "meta":  # free-form
+            continue
+        if key != "pi":  # pi is optional; a missing pi is computed
+            yield f"{key} missing", {k: v for k, v in doc.items() if k != key}
+        for bad in CORRUPT_VALUES:
+            yield f"{key} = {bad!r}", {**doc, key: bad}
+        if key == "labels":  # any hashable JSON value is a label
+            yield "labels[0] repeated", {**doc, key: [value[1], *value[1:]]}
+            yield "labels[0] = {}", {**doc, key: [{}, *value[1:]]}
+        elif isinstance(value, list):
+            for bad in CORRUPT_ENTRIES:
+                yield f"{key}[0] = {bad!r}", {**doc, key: [bad, *value[1:]]}
+    yield "top level is a list", [doc]
+
+
+class TestCorruptedFiles:
+    """Every single-field corruption of a valid file gives an exit code and an error line."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("kind", ["chain", "dual"])
+    def test_each_corruption_fails_cleanly(self, tmp_path, capsys, version, kind):
+        chain = sd.kary_cube(sd.CubeSpec(2, 2))
+        obj = sd.build_dual(chain) if kind == "dual" else chain
+        path = tmp_path / "valid.json"
+        if version == 1:
+            path.write_text(json.dumps(version_1_document(obj, {})))
+        else:
+            sd.save_chain(path, obj)
+        if kind == "dual":
+            argv = ["absorb", "--dual", str(path), "--horizon", "20"]
+        else:
+            argv = ["dual", "--chain", str(path), "-o", str(tmp_path / "out.json")]
+        assert run(capsys, *argv)[0] == 0
+        doc = json.loads(path.read_text())
+        failures = []
+        cases = list(corruptions(doc))
+        for name, bad in cases:
+            path.write_text(json.dumps(bad))
+            try:
+                code, _, err = run(capsys, *argv)
+            except Exception as exc:  # escaped main: a traceback for the user
+                failures.append(f"{name}: {exc!r}")
+                continue
+            if code not in (1, 2, 3, 4) or not err.startswith("error:") or "Traceback" in err:
+                failures.append(f"{name}: exit {code}, stderr {err!r}")
+        assert len(cases) > 60
+        assert failures == []

@@ -177,6 +177,13 @@ class TestBuildDual:
         with pytest.raises(MissingStationary):
             sd.build_dual(c)
 
+    def test_unnormalized_initial_distribution_names_its_sum(self):
+        c = sd.ChainSpec(
+            poset=sd.chain_poset(2), P=np.full((2, 2), 0.5), nu=[0.5, 0.0], pi=[0.5, 0.5]
+        )
+        with pytest.raises(NotRowStochastic, match=r"distribution sums to 0\.5$"):
+            sd.build_dual(c)
+
     def test_symmetric_two_state_jumps_to_top(self):
         c = sd.ChainSpec(
             poset=sd.chain_poset(2), P=np.full((2, 2), 0.5), nu=[1.0, 0.0], pi=[0.5, 0.5]

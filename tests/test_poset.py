@@ -77,6 +77,18 @@ class TestBuildPoset:
         with pytest.raises(BadParameters, match="at least one state"):
             sd.build_poset([], [])
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            (["a", "b", "a"], "duplicate label 'a'"),
+            ([(0, 1), (0, 1)], "duplicate"),
+            ([["a"], ["b"]], "not hashable"),
+        ],
+    )
+    def test_labels_must_be_distinct_and_hashable(self, labels, message):
+        with pytest.raises(BadParameters, match=message):
+            sd.build_poset(labels, [])
+
     def test_self_cover_rejected(self):
         with pytest.raises(BadParameters):
             sd.build_poset(["a"], [(0, 0)])

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import STATIONARY_TOL, ChainSpec
-from .duality import DualChain
+from .duality import DEBRIS_TOL, DualChain
 from .errors import (
     BadParameters,
     CycleDetected,
@@ -35,7 +35,6 @@ from .poset import build_poset
 
 SCHEMA_VERSION = 2
 LOAD_ROW_TOL = 1e-10
-LOAD_NEGATIVE_TOL = 1e-12
 _NUMBER = {int, float}  # json.load types of a number; bool is neither
 
 
@@ -66,10 +65,12 @@ class LoadedChain:
     def dual(self) -> DualChain:
         if self.absorbing_index is None:
             raise NoAbsorbingState("chain file has no absorbing_index field")
+        # load_chain admits entries down to -DEBRIS_TOL; like build_dual,
+        # treat those as rounding debris, since DualChain rejects negatives.
         return DualChain(
             poset=self.chain.poset,
-            P_star=self.chain.P,
-            nu_star=self.chain.nu,
+            P_star=np.maximum(self.chain.P, 0.0),
+            nu_star=np.maximum(self.chain.nu, 0.0),
             absorbing_index=self.absorbing_index,
         )
 
@@ -155,7 +156,7 @@ def _index_array(path, value, key: str, stop: int) -> np.ndarray:
 
 def _distribution(path, value, key: str, size: int) -> np.ndarray:
     a = _finite_array(path, value, key, (size,))
-    if a.min() < -LOAD_NEGATIVE_TOL:
+    if a.min() < -DEBRIS_TOL:
         raise ParseError(f"{path}: {key} has negative entry {a.min():.3e}")
     dev = abs(float(a.sum()) - 1.0)
     if dev > LOAD_ROW_TOL:
@@ -238,7 +239,7 @@ def load_chain(path) -> LoadedChain:
     row_dev = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
     if row_dev > LOAD_ROW_TOL:
         raise ParseError(f"{path}: kernel rows sum to 1 only within {row_dev:.3e}")
-    if P.min() < -LOAD_NEGATIVE_TOL:
+    if P.min() < -DEBRIS_TOL:
         raise ParseError(f"{path}: kernel has negative entry {P.min():.3e}")
     nu = _distribution(path, _require(doc, "nu"), "nu", size)[perm]
     pi = doc.get("pi")

@@ -25,6 +25,7 @@ from .poset import Poset, _readonly, _transitive_reduction, mobius_pair
 
 DEFAULT_TOL = 1e-9
 ROW_TOL = 1e-10
+DEBRIS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +179,12 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     and the density nu/pi down-Mobius monotone at ``tol``.
 
     The dual kernel is the transformed time reversal rescaled by down-set
-    mass ratios; entries in [-tol, 0) are rounding debris and are clamped to
-    zero before rows are renormalized (deviation beyond 1e-10 aborts).
+    mass ratios.  Its entries in [-tol, 0) and in (0, DEBRIS_TOL] are
+    rounding debris and become exact zeros, so the kernel keeps the sparsity
+    of the closed-form duals; each row moves by at most (entries dropped) x
+    DEBRIS_TOL.  Rows are then checked (deviation beyond 1e-10 aborts) and
+    renormalized.  Only negative entries of the initial distribution are
+    clamped.
     """
     if c.pi is None:
         raise MissingStationary("dual construction needs the stationary distribution")
@@ -208,6 +213,7 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     transformed = mono.transformed  # mobius @ reversed_kernel @ zeta
     P_star = (transformed * H[:, None]).T / H[:, None]
     P_star = _clamp_small_negatives(P_star, tol, "dual kernel")
+    P_star[P_star <= DEBRIS_TOL] = 0.0
     rows = P_star.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_TOL:
         raise NotRowStochastic(
@@ -248,7 +254,7 @@ def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
     return float(np.max(np.abs(sep.values - law.survival)))
 
 
-def restrict_to_reachable(d: DualChain, *, atol: float = 1e-12) -> DualChain:
+def restrict_to_reachable(d: DualChain, *, atol: float = DEBRIS_TOL) -> DualChain:
     """Dual chain restricted to states reachable from its initial distribution.
 
     Transitions with probability <= atol are treated as absent when deciding

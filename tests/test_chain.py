@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
-from conftest import cube, ising, lattice
+from conftest import cube, ising, ising_dual, lattice, lattice_dual
 from oracles import separation_by_matrix_power
+from ssdual.chain import _propagate
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -184,6 +185,76 @@ class TestEvolve:
             sep = separation_by_matrix_power(c.P, c.nu, c.pi, n)
             dist = sd.evolve(c, n)
             assert np.max(1.0 - dist / c.pi) == pytest.approx(sep, abs=1e-10)
+
+
+def matrix_steps(v, P, n):
+    """Reference for _propagate: v, vP, ..., vP^n by an explicit v @ P loop."""
+    steps = [np.array(v, dtype=float)]
+    for _ in range(n):
+        steps.append(steps[-1] @ P)
+    return steps
+
+
+def assert_propagation_parity(v, P, n=60):
+    got = list(_propagate(v, P, n))
+    want = matrix_steps(v, P, n)
+    assert len(got) == n + 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12
+
+
+def model_and_dual(kind, *args):
+    if kind == "ising":
+        return ising(*args), ising_dual(*args)
+    if kind == "lattice":
+        return lattice(*args), lattice_dual(*args)
+    # not cached: the 4096-state cube (6, 3) holds two 128 MB kernels; its
+    # closed-form dual has build_dual's nonzero pattern
+    spec = sd.CubeSpec(n=args[0], k=args[1])
+    return sd.kary_cube(spec), sd.kary_cube_dual(spec)
+
+
+PROPAGATION_MODELS = [
+    *[("ising", N, beta) for N in (4, 10) for beta in (0.0, 0.5, 2.0)],
+    ("lattice", 8),
+    ("lattice", 24),
+    ("cube", 3, 2),
+    ("cube", 6, 3),
+]
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("model", PROPAGATION_MODELS, ids=str)
+    def test_matches_matrix_steps_on_models(self, model):
+        c, d = model_and_dual(*model)
+        for P in (c.P, d.P_star):
+            # from 256 states on, these kernels take the bincount step
+            assert c.size < 256 or 32 * np.count_nonzero(P) <= P.size
+        assert_propagation_parity(c.nu, c.P)
+        assert_propagation_parity(d.nu_star, d.P_star)
+
+    def test_dense_kernel_matches_matrix_steps(self):
+        rng = np.random.default_rng(7)
+        P = rng.random((300, 300))
+        P /= P.sum(axis=1, keepdims=True)
+        assert 32 * np.count_nonzero(P) > P.size
+        assert_propagation_parity(rng.dirichlet(np.ones(300)), P)
+
+    def test_transient_block_with_empty_last_columns(self):
+        # bincount's output ends at the largest column it sees unless
+        # minlength pads it to M
+        rng = np.random.default_rng(3)
+        m = 400
+        Q = np.where(rng.random((m, m)) < 0.01, rng.random((m, m)), 0.0)
+        Q[:, -3:] = 0.0
+        Q *= 0.9 / np.maximum(Q.sum(axis=1, keepdims=True), 1.0)
+        assert 32 * np.count_nonzero(Q) <= Q.size
+        assert_propagation_parity(np.full(m, 1.0 / m), Q)
+
+    def test_all_zero_and_empty_kernels(self):
+        assert_propagation_parity(np.array([0.25, 0.75]), np.zeros((2, 2)), 3)
+        assert_propagation_parity(np.zeros(0), np.zeros((0, 0)), 3)
 
 
 class TestSpectrumNumeric:

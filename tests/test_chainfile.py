@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ssdual as sd
-from conftest import cube_dual, ising, lattice, version_1_document
+from conftest import cube_dual, ising, lattice, lattice_dual, version_1_document
 from ssdual.errors import NoAbsorbingState, ParseError, SchemaVersionMismatch
 
 
@@ -152,6 +152,13 @@ class TestFormat:
         loaded = sd.load_chain(path).chain
         assert loaded.P.view(np.uint64).tolist() == P.view(np.uint64).tolist()
         assert loaded.nu.tolist() == [1 / 3, 2 / 3, 0.0]
+
+    def test_generic_lattice_dual_file_is_small(self, tmp_path):
+        # build_dual drops rounding debris, so only the 4.8 entries per row of
+        # the closed form are written (1.5 MB when the debris was kept)
+        path = tmp_path / "dual.json"
+        sd.save_chain(path, lattice_dual(24))
+        assert path.stat().st_size < 150_000
 
     def test_save_peak_memory_below_kernel_size(self, tmp_path):
         c = lattice(19)

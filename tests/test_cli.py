@@ -253,6 +253,26 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert payload["mean"] == pytest.approx(4.0, abs=1e-10)
 
+    def test_absorb_admits_negative_debris_in_a_dual_file(self, tmp_path, capsys):
+        # load_chain admits kernel and nu entries down to -DEBRIS_TOL; the
+        # dual built from the file must zero them, not fail as not stochastic
+        clean, debris = tmp_path / "clean.json", tmp_path / "debris.json"
+        sd.save_chain(clean, sd.kary_cube_dual(sd.CubeSpec(n=2, k=2)))
+        doc = json.loads(clean.read_text())
+        row0 = doc["P_indices"][: doc["P_indptr"][1]]
+        col = min(set(range(len(doc["labels"]))) - set(row0))
+        at = sum(c < col for c in row0)
+        doc["P_indices"].insert(at, col)
+        doc["P_data"].insert(at, -1e-13)
+        doc["P_indptr"] = [doc["P_indptr"][0]] + [v + 1 for v in doc["P_indptr"][1:]]
+        doc["nu"][doc["nu"].index(0.0)] = -1e-13
+        debris.write_text(json.dumps(doc, sort_keys=True))
+        code, out, _ = run(capsys, "absorb", "--dual", str(clean))
+        assert code == 0
+        code, perturbed, err = run(capsys, "absorb", "--dual", str(debris))
+        assert code == 0, err
+        assert json.loads(perturbed)["mean"] == json.loads(out)["mean"]
+
     def test_bounds_ising(self, capsys):
         code, out, _ = run(capsys, "bounds", "--type", "ising-circle", "--N", "10", "--c", "2")
         assert code == 0

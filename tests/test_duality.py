@@ -192,6 +192,31 @@ class TestBuildDual:
         assert np.abs(d.P_star - [[0.0, 1.0], [0.0, 1.0]]).max() <= 1e-14
 
 
+class TestDebrisRule:
+    # build_dual zeroes entries in (0, DEBRIS_TOL], so its kernel has the
+    # nonzero pattern of the closed form: the largest debris measured is
+    # 1.05e-13 (Ising N = 6, beta = 2), the smallest genuine entry 3.4e-5
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_ising_pattern_is_closed_form(self, N, beta):
+        closed = sd.ising_circle_dual(N, beta)
+        assert np.array_equal(ising_dual(N, beta).P_star != 0, closed.P_star != 0)
+
+    def test_lattice_pattern_is_closed_form(self):
+        l1, l2, m1, m2 = LATTICE_PARAMS[0]
+        spec = sd.LatticeSpec(N=8, lambda1=l1, lambda2=l2, mu1=m1, mu2=m2)
+        closed = sd.lattice_walk_dual(spec)
+        assert np.array_equal(lattice_dual(8).P_star != 0, closed.P_star != 0)
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (6, 3)])
+    def test_cube_pattern_is_closed_form(self, n, k):
+        # built here, not cached: the generic dual of the 4096-state cube
+        # (6, 3) takes about 1 GB to build
+        spec = sd.CubeSpec(n=n, k=k)
+        generic = sd.build_dual(sd.kary_cube(spec))
+        assert np.array_equal(generic.P_star != 0, sd.kary_cube_dual(spec).P_star != 0)
+
+
 class TestIntertwining:
     @pytest.mark.parametrize(
         "chain,dual",

@@ -21,11 +21,11 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _readonly, _transitive_reduction, mobius_pair
+from .poset import MobiusPair, Poset, _readonly, _transitive_reduction, mobius_pair
 
 DEFAULT_TOL = 1e-9
 ROW_TOL = 1e-10
-DEBRIS_TOL = 1e-12
+DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +171,21 @@ def _clamp_small_negatives(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     return np.where(a < 0.0, 0.0, a)
 
 
+def _within_error_bound(transformed: np.ndarray, R: np.ndarray, pair: MobiusPair) -> np.ndarray:
+    """Mask of the entries of ``mobius @ R @ zeta`` within their error bound.
+
+    The two length-M products err by at most M * eps times
+    ``|mobius| @ R @ zeta``, and a pi that is stationary for P only up to a
+    relative defect (the rows of the reversal R sum to 1 within rho) moves
+    the entries by about rho times it.  The bound is freed on return, before
+    the caller builds the dual kernel.
+    """
+    rho = float(np.max(np.abs(R.sum(axis=1) - 1.0)))
+    bound = np.abs(pair.mobius) @ R @ pair.zeta
+    bound *= len(R) * np.finfo(float).eps + rho
+    return transformed <= bound
+
+
 def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     """Construct the strong stationary dual of a Mobius-monotone chain.
 
@@ -179,12 +194,16 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     and the density nu/pi down-Mobius monotone at ``tol``.
 
     The dual kernel is the transformed time reversal rescaled by down-set
-    mass ratios.  Its entries in [-tol, 0) and in (0, DEBRIS_TOL] are
-    rounding debris and become exact zeros, so the kernel keeps the sparsity
-    of the closed-form duals; each row moves by at most (entries dropped) x
-    DEBRIS_TOL.  Rows are then checked (deviation beyond 1e-10 aborts) and
-    renormalized.  Only negative entries of the initial distribution are
-    clamped.
+    mass ratios.  Its entries in [-tol, 0), and its positive entries that lie
+    within their own error bound, are rounding debris and become exact
+    zeros, so the kernel keeps the sparsity of the closed-form duals.  The
+    bound is (M * eps + rho) times the same rescaling of
+    ``|mobius| @ reversed_kernel @ zeta``, where rho is the largest deviation
+    of the reversal's row sums from 1; it is relative, so a genuine small
+    transition (a rate of 1e-13, say) is kept.  Each row moves by at most
+    the sum of its dropped entries' bounds.  Rows are then checked
+    (deviation beyond 1e-10 aborts) and renormalized.  Only negative entries
+    of the initial distribution are clamped.
     """
     if c.pi is None:
         raise MissingStationary("dual construction needs the stationary distribution")
@@ -211,9 +230,10 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
     H = down_set_masses(p, c.pi)
     transformed = mono.transformed  # mobius @ reversed_kernel @ zeta
+    debris = _within_error_bound(transformed, reversed_kernel, mobius_pair(p))
     P_star = (transformed * H[:, None]).T / H[:, None]
     P_star = _clamp_small_negatives(P_star, tol, "dual kernel")
-    P_star[P_star <= DEBRIS_TOL] = 0.0
+    P_star[debris.T] = 0.0
     rows = P_star.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_TOL:
         raise NotRowStochastic(

@@ -193,14 +193,37 @@ class TestBuildDual:
 
 
 class TestDebrisRule:
-    # build_dual zeroes entries in (0, DEBRIS_TOL], so its kernel has the
-    # nonzero pattern of the closed form: the largest debris measured is
-    # 1.05e-13 (Ising N = 6, beta = 2), the smallest genuine entry 3.4e-5
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    # build_dual zeroes each entry within its own error bound, so its kernel
+    # has the nonzero pattern of the closed form.  Beta = 3 is the largest
+    # integer beta the generic engine builds: from 4 on its time-reversal
+    # transform fails the monotonicity check before any entry is dropped.
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_ising_pattern_is_closed_form(self, N, beta):
         closed = sd.ising_circle_dual(N, beta)
         assert np.array_equal(ising_dual(N, beta).P_star != 0, closed.P_star != 0)
+
+    @pytest.mark.parametrize(
+        "rates", [(1e-13, 0.2, 0.3, 0.1), (0.3, 0.2, 1e-13, 0.1)], ids=["lambda1", "mu1"]
+    )
+    def test_tiny_rates_are_kept(self, rates):
+        # the down-moves (lambda1) or up-moves (mu1) along x are about 1e-13:
+        # genuine entries, far above their own error bound
+        spec = sd.LatticeSpec(5, *rates)
+        generic = sd.build_dual(sd.lattice_walk(spec))
+        assert np.array_equal(generic.P_star != 0, sd.lattice_walk_dual(spec).P_star != 0)
+
+    def test_tiny_only_route_to_absorption_is_kept(self):
+        # every move along y is below 1e-12, so the absorbing corner is
+        # reachable only through entries an absolute 1e-12 cutoff deletes
+        spec = sd.LatticeSpec(3, lambda1=0.3, lambda2=1e-14, mu1=0.1, mu2=1e-13)
+        generic = sd.build_dual(sd.lattice_walk(spec))
+        closed = sd.lattice_walk_dual(spec)
+        assert np.array_equal(generic.P_star != 0, closed.P_star != 0)
+        # the mean is about 3e13, so I - Q is nearly singular and each solve
+        # keeps only about three digits
+        mean = sd.absorption_survival(generic, 0).mean
+        assert mean == pytest.approx(sd.absorption_survival(closed, 0).mean, rel=1e-2)
 
     def test_lattice_pattern_is_closed_form(self):
         l1, l2, m1, m2 = LATTICE_PARAMS[0]

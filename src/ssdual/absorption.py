@@ -106,15 +106,25 @@ def _transient_parts(d: DualChain) -> tuple[np.ndarray, np.ndarray]:
     return d.P_star[np.ix_(keep, keep)], d.nu_star[keep]
 
 
-def _absorption_moments(Q: np.ndarray, start: np.ndarray) -> tuple[float, float]:
-    m = Q.shape[0]
+def _survival(d: DualChain, horizon: int) -> np.ndarray:
+    """P(T > n) for n = 0..horizon: the mass left in transient states."""
+    Q, start = _transient_parts(d)
+    masses = _propagate(start, Q, horizon)
+    return np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
+
+
+def _absorption_moments(d: DualChain) -> tuple[float, float]:
+    system, start = _transient_parts(d)  # Q, as a fresh copy
+    m = system.shape[0]
     if m == 0:
         return 0.0, 0.0
-    system = np.eye(m) - Q
-    ones = np.ones(m)
+    # I - Q in place, the same floats as np.eye(m) - Q
+    np.subtract(0.0, system, out=system)
+    system.flat[:: m + 1] += 1.0
     try:
-        steps = np.linalg.solve(system, ones)
-        second = np.linalg.solve(system, ones + 2.0 * (Q @ steps))
+        steps = np.linalg.solve(system, np.ones(m))
+        # (I - Q) steps = 1, so the second moment's 1 + 2 Q steps is 2 steps - 1
+        second = np.linalg.solve(system, 2.0 * steps - 1.0)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix solve failed: {exc}") from exc
     if not np.all(np.isfinite(steps)) or steps.min() < 0.0:
@@ -136,15 +146,12 @@ def absorption_survival(d: DualChain, horizon: int | None = None) -> AbsorptionL
     steps; the mean and variance come from fundamental-matrix solves and are
     horizon-independent.
     """
-    Q, start = _transient_parts(d)
-    mean, variance = _absorption_moments(Q, start)
+    mean, variance = _absorption_moments(d)
     if horizon is None:
         horizon = default_horizon(mean)
     if horizon < 0:
         raise BadParameters("horizon must be nonnegative")
-    masses = _propagate(start, Q, horizon)
-    survival = np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
-    return AbsorptionLaw(survival=survival, mean=mean, variance=variance)
+    return AbsorptionLaw(survival=_survival(d, horizon), mean=mean, variance=variance)
 
 
 def geometric_sum_law(
@@ -283,8 +290,7 @@ def simulate_sst(
     cum_start[-1] = 1.0
     absorbing = int(d.absorbing_index)
     if horizon is None:
-        Q, start = _transient_parts(d)
-        exact_mean, _ = _absorption_moments(Q, start)
+        exact_mean, _ = _absorption_moments(d)
         horizon = default_horizon(exact_mean)
     times = np.empty(samples, dtype=np.int64)
     for i in range(samples):

@@ -202,7 +202,8 @@ def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
     if c.pi is None:
         raise MissingStationary("reversibility check needs the stationary distribution")
     flux = c.pi[:, None] * c.P
-    return bool(np.max(np.abs(flux - flux.T)) <= tol)
+    flux = flux - flux.T
+    return bool(np.max(np.abs(flux, out=flux)) <= tol)
 
 
 def _propagate(v: np.ndarray, P: np.ndarray, n: int):
@@ -252,8 +253,14 @@ def spectrum_numeric(
     if not is_reversible(c, reversible_tol):
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
     root = np.sqrt(c.pi)
-    sym = root[:, None] * c.P / root[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym = root[:, None] * c.P
+    sym /= root[None, :]
+    # eigvalsh reads the lower triangle only: average it with the upper one a
+    # block of rows at a time, without a second M x M array
+    for lo in range(0, c.size, 128):
+        rows, cols = slice(lo, lo + 128), slice(0, lo + 128)
+        sym[rows, cols] += sym[cols, rows].T
+        sym[rows, cols] *= 0.5
     vals = np.linalg.eigvalsh(sym)[::-1]
     values, counts = group_with_tolerance(vals, group_tol)
     return SpectrumReport(values=values, multiplicities=counts, source="numeric")

@@ -161,14 +161,14 @@ def cmd_verify(args) -> int:
     link = duality.build_link(chain.poset, chain.pi)
     kernel_res, initial_res = duality.intertwining_residuals(chain, dual, link)
     sep = absorption.separation_curve(chain, args.horizon)
-    law = absorption.absorption_survival(dual, args.horizon)
-    sharpness = float(np.max(np.abs(sep.values - law.survival)))
+    survival = absorption._survival(dual, args.horizon)
+    sharpness = float(np.max(np.abs(sep.values - survival)))
     passed = max(kernel_res, initial_res, sharpness) <= args.tol
     if args.output:
         _write_csv(
             args.output,
             ["n", "separation", "tv", "survival"],
-            [np.arange(args.horizon + 1), sep.values, sep.tv, law.survival],
+            [np.arange(args.horizon + 1), sep.values, sep.tv, survival],
         )
     _emit(
         {

@@ -21,7 +21,7 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import MobiusPair, Poset, _readonly, _transitive_reduction, mobius_pair
+from .poset import Poset, _mobius_apply, _readonly, _transitive_reduction, mobius_pair
 
 DEFAULT_TOL = 1e-9
 ROW_TOL = 1e-10
@@ -108,11 +108,10 @@ def check_mobius_monotone(
         raise DimensionMismatch(f"kernel shape {P.shape} does not match poset size {p.size}")
     if direction not in ("down", "up"):
         raise DimensionMismatch(f"unknown direction {direction!r}")
-    pair = mobius_pair(p)
     if direction == "down":
-        transformed = pair.mobius @ P @ pair.zeta
+        transformed = _mobius_apply(p, P, "mobius", "zeta")
     else:
-        transformed = pair.mobius.T @ P @ pair.zeta.T
+        transformed = _mobius_apply(p, P, "mobius.T", "zeta.T")
     idx = np.unravel_index(np.argmin(transformed), transformed.shape)
     min_entry = float(transformed[idx])
     return MonotonicityReport(
@@ -136,7 +135,7 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
     if c.pi.min() <= 0.0:
         raise MissingStationary("stationary distribution must be strictly positive")
     g = c.nu / c.pi
-    transformed = mobius_pair(c.poset).mobius @ g
+    transformed = _mobius_apply(c.poset, g, left="mobius")
     idx = int(np.argmin(transformed))
     min_entry = float(transformed[idx])
     return MonotonicityReport(
@@ -151,7 +150,7 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
 
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
     """Cumulative stationary mass of each down-set."""
-    return np.asarray(pi, dtype=float) @ p.leq
+    return _mobius_apply(p, pi, right="zeta")
 
 
 def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
@@ -164,24 +163,25 @@ def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
     return LinkKernel(matrix=matrix, down_mass=H)
 
 
-def _clamp_small_negatives(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _clamp_small_negatives(a: np.ndarray, tol: float, what: str) -> None:
+    """Zero the entries of ``a`` in [-tol, 0), in place."""
     low = float(a.min())
     if low < -tol:
         raise MonotonicityViolated(f"{what} has entry {low:.3e} below -{tol:.1e}")
-    return np.where(a < 0.0, 0.0, a)
+    np.maximum(a, 0.0, out=a)
 
 
-def _within_error_bound(transformed: np.ndarray, R: np.ndarray, pair: MobiusPair) -> np.ndarray:
+def _within_error_bound(transformed: np.ndarray, R: np.ndarray, p: Poset) -> np.ndarray:
     """Mask of the entries of ``mobius @ R @ zeta`` within their error bound.
 
-    The two length-M products err by at most M * eps times
-    ``|mobius| @ R @ zeta``, and a pi that is stationary for P only up to a
-    relative defect (the rows of the reversal R sum to 1 within rho) moves
-    the entries by about rho times it.  The bound is freed on return, before
-    the caller builds the dual kernel.
+    The two products err by at most M * eps times ``|mobius| @ R @ zeta``
+    (as length-M dense products; axis-wise sums err less), and a pi that is
+    stationary for P only up to a relative defect (the rows of the reversal
+    R sum to 1 within rho) moves the entries by about rho times it.  The
+    bound is freed on return, before the caller builds the dual kernel.
     """
     rho = float(np.max(np.abs(R.sum(axis=1) - 1.0)))
-    bound = np.abs(pair.mobius) @ R @ pair.zeta
+    bound = _mobius_apply(p, R, "|mobius|", "zeta")
     bound *= len(R) * np.finfo(float).eps + rho
     return transformed <= bound
 
@@ -210,6 +210,9 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     p = c.poset
     if not p.has_unique_max:
         raise NoUniqueMax("dual construction requires a unique maximal state")
+    # the exact Mobius pair first (cached; the Kronecker product on a product
+    # of chains): an order whose mu overflows int64 fails before the reversal
+    mobius_pair(p)
     reversed_kernel = time_reversal(c)
     mono = check_mobius_monotone(reversed_kernel, p, "down", tol)
     if not mono.passed:
@@ -230,19 +233,21 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
     H = down_set_masses(p, c.pi)
     transformed = mono.transformed  # mobius @ reversed_kernel @ zeta
-    debris = _within_error_bound(transformed, reversed_kernel, mobius_pair(p))
-    P_star = (transformed * H[:, None]).T / H[:, None]
-    P_star = _clamp_small_negatives(P_star, tol, "dual kernel")
+    debris = _within_error_bound(transformed, reversed_kernel, p)
+    del reversed_kernel
+    P_star = (transformed * H[:, None]).T
+    P_star /= H[:, None]
+    _clamp_small_negatives(P_star, tol, "dual kernel")
     P_star[debris.T] = 0.0
     rows = P_star.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_TOL:
         raise NotRowStochastic(
             f"dual rows sum to 1 only within {np.max(np.abs(rows - 1.0)):.3e}"
         )
-    P_star = P_star / rows[:, None]
+    P_star /= rows[:, None]
 
     nu_star = H * gmono.transformed
-    nu_star = _clamp_small_negatives(nu_star, tol, "dual initial distribution")
+    _clamp_small_negatives(nu_star, tol, "dual initial distribution")
     total = nu_star.sum()
     if abs(total - 1.0) > ROW_TOL:
         raise NotRowStochastic(f"dual initial distribution sums to {float(total)!r}")
@@ -267,19 +272,19 @@ def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:
 
 def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
     """Max over n <= horizon of |separation(n) - P(T* > n)|."""
-    from .absorption import absorption_survival, separation_curve
+    from .absorption import _survival, separation_curve
 
     sep = separation_curve(c, horizon)
-    law = absorption_survival(d, horizon)
-    return float(np.max(np.abs(sep.values - law.survival)))
+    return float(np.max(np.abs(sep.values - _survival(d, horizon))))
 
 
-def restrict_to_reachable(d: DualChain, *, atol: float = DEBRIS_TOL) -> DualChain:
+def restrict_to_reachable(d: DualChain, *, atol: float = 0.0) -> DualChain:
     """Dual chain restricted to states reachable from its initial distribution.
 
-    Transitions with probability <= atol are treated as absent when deciding
-    reachability.  The induced sub-poset keeps the consistent enumeration;
-    its ``enumeration`` field records the parent indices.
+    Transitions with probability <= atol (by default, exact zeros) are
+    treated as absent when deciding reachability.  The induced sub-poset
+    keeps the consistent enumeration; its ``enumeration`` field records the
+    parent indices.
     """
     keep = np.nonzero(_reachable_from(d.P_star > atol, d.nu_star > atol))[0]
     if int(d.absorbing_index) not in keep:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec
-from .duality import DualChain
+from .duality import DualChain, down_set_masses
 from .errors import BadParameters, TooLarge
 from .poset import Poset, _check_cap, grid_poset
 
@@ -87,10 +87,6 @@ class CubeSpec:
             raise BadParameters("cube needs n >= 1 and k >= 1")
 
 
-def _spin_tuple(state: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if state >> i & 1 else -1 for i in range(n))
-
-
 def _model_poset(shape: list[int], cap: int | None) -> Poset:
     _check_cap(math.prod(shape), cap, TooLarge)
     return grid_poset(shape, cap=cap)
@@ -98,51 +94,54 @@ def _model_poset(shape: list[int], cap: int | None) -> Poset:
 
 def _spin_poset(n: int, cap: int | None) -> Poset:
     grid = _model_poset([2] * n, cap)
-    labels = tuple(_spin_tuple(i, n) for i in range(grid.size))
+    labels = tuple(map(tuple, _spins(n).tolist()))
     return replace(grid, labels=labels)
 
 
-def _flip_probabilities(spec: IsingSpec) -> np.ndarray:
-    """f[state, vertex] = probability the refreshed spin lands on +1."""
+def _spins(n: int) -> np.ndarray:
+    """spins[state, vertex] in {-1, +1}: bit i of the state is vertex i up."""
+    states = np.arange(1 << n)
+    return 2 * (states[:, None] >> np.arange(n) & 1) - 1
+
+
+def _flip_probabilities(spec: IsingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down)[state, vertex]: the refreshed spin lands on +1, on -1.
+
+    With d = k_plus - k_minus the local field at the vertex, up is
+    1/(1 + exp(-2 beta d)) and down is 1/(1 + exp(2 beta d)).  Each is its own
+    logistic, so the smaller keeps its relative accuracy when 1 - up would
+    cancel.
+    """
     n = spec.n_vertices
-    size = 1 << n
-    nbrs = [[] for _ in range(n)]
+    adjacency = np.zeros((n, n), dtype=np.int64)
     for u, v in spec.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    f = np.empty((size, n))
-    for s in range(size):
-        spins = _spin_tuple(s, n)
-        for i in range(n):
-            d = sum(spins[j] for j in nbrs[i])  # k_plus - k_minus at vertex i
-            f[s, i] = 1.0 / (1.0 + math.exp(-2.0 * spec.beta * d))
-    return f
+        adjacency[u, v] = adjacency[v, u] = 1
+    field = 2.0 * spec.beta * (_spins(n) @ adjacency)
+    return 1.0 / (1.0 + np.exp(-field)), 1.0 / (1.0 + np.exp(field))
 
 
 def _ising_stationary(spec: IsingSpec) -> np.ndarray:
     """Gibbs weights exp(beta * sum over edges of s_u s_v), normalized."""
-    n = spec.n_vertices
-    energy = np.zeros(1 << n)
-    for s in range(1 << n):
-        spins = _spin_tuple(s, n)
-        energy[s] = sum(spins[u] * spins[v] for u, v in spec.edges)
+    spins = _spins(spec.n_vertices)
+    us = [u for u, _ in spec.edges]
+    vs = [v for _, v in spec.edges]
+    energy = (spins[:, us] * spins[:, vs]).sum(axis=1)
     weights = np.exp(spec.beta * energy)
     return weights / weights.sum()
 
 
 def _ising_chain(spec: IsingSpec, cap: int | None) -> ChainSpec:
     n = spec.n_vertices
-    size = 1 << n
     poset = _spin_poset(n, cap)
-    f = _flip_probabilities(spec)
-    P = np.zeros((size, size))
-    for s in range(size):
-        for i in range(n):
-            up = s | (1 << i)
-            down = s & ~(1 << i)
-            P[s, up] += f[s, i] / n
-            P[s, down] += (1.0 - f[s, i]) / n
-    nu = np.zeros(size)
+    up, down = _flip_probabilities(spec)
+    states = np.arange(poset.size)
+    bits = 1 << np.arange(n)
+    is_up = (states[:, None] & bits) != 0
+    P = np.zeros((poset.size, poset.size))
+    # refreshing vertex i to the spin it has holds, to the other flips bit i
+    P[states, states] = (np.where(is_up, up, down) / n).sum(axis=1)
+    P[states[:, None], states[:, None] ^ bits] = np.where(is_up, down, up) / n
+    nu = np.zeros(poset.size)
     nu[0] = 1.0  # all spins down
     return ChainSpec(poset=poset, P=P, nu=nu, pi=_ising_stationary(spec))
 
@@ -187,17 +186,6 @@ def _connected(spec: IsingSpec) -> bool:
     return len(seen) == n
 
 
-def _subset_masses(pi: np.ndarray, n: int) -> np.ndarray:
-    """Down-set masses on {0,1}^n via the subset-sum transform."""
-    H = pi.astype(float).copy()
-    for i in range(n):
-        bit = 1 << i
-        for s in range(len(H)):
-            if s & bit:
-                H[s] += H[s ^ bit]
-    return H
-
-
 def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualChain:
     """Closed-form sharp dual of the circle Gibbs sampler.
 
@@ -206,7 +194,8 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
 
     * hold, with probability |x|/N (|x| = number of up spins);
     * step up: for each down vertex i, to x + {i} with probability
-      H(x + {i})/H(x) * (1 - f(x, i))/N;
+      H(x + {i})/H(x) * (1 - f(x, i))/N, with 1 - f(x, i) the down-flip
+      probability;
     * swap: for each down vertex i and each up neighbour j of i, to
       u = x - {j} + {i} with probability H(u)/H(x) * (f(x, i) - f(x - {j}, i))/N.
 
@@ -219,20 +208,20 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
     spec = _circle_spec(N, beta)
     poset = _spin_poset(N, cap)
     size = poset.size
-    f = _flip_probabilities(spec)
-    H = _subset_masses(_ising_stationary(spec), N)
+    up, down = _flip_probabilities(spec)
+    H = down_set_masses(poset, _ising_stationary(spec))
+    states = np.arange(size)
     P = np.zeros((size, size))
-    for s in range(size):
-        P[s, s] = s.bit_count() / N
-        for i in range(N):
-            if s >> i & 1:
-                continue
-            t = s | (1 << i)
-            P[s, t] = (H[t] / H[s]) * (1.0 - f[s, i]) / N
-            for j in ((i - 1) % N, (i + 1) % N):
-                if s >> j & 1:
-                    u = t & ~(1 << j)
-                    P[s, u] = (H[u] / H[s]) * (f[s, i] - f[s & ~(1 << j), i]) / N
+    spins = _spins(N)
+    P[states, states] = (spins > 0).sum(axis=1) / N
+    s, i = np.nonzero(spins < 0)  # vertex i is down in state s
+    t = s | (1 << i)
+    P[s, t] = (H[t] / H[s]) * down[s, i] / N
+    for j in ((i - 1) % N, (i + 1) % N):
+        swap = (s >> j & 1) == 1  # neighbour j is up
+        x, down_i, up_j = s[swap], i[swap], j[swap]
+        u = t[swap] & ~(1 << up_j)
+        P[x, u] = (H[u] / H[x]) * (up[x, down_i] - up[x & ~(1 << up_j), down_i]) / N
     nu = np.zeros(size)
     nu[0] = 1.0
     return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)

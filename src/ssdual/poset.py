@@ -56,15 +56,27 @@ class Poset:
     enumeration : ndarray of int
         ``enumeration[t]`` is the constructor-input position of internal
         state ``t``; the identity permutation for generated posets.
+    shape : tuple of int or None
+        Chain lengths when the poset is the product of chains
+        {0..s_0 - 1} x {0..s_1 - 1} x ... in mixed radix, coordinate 0 least
+        significant; set by :func:`chain_poset`, :func:`grid_poset` and
+        :func:`product_poset`, and ``None`` otherwise.  Zeta and Mobius
+        products then run axis by axis instead of as dense matrices.
     """
 
     labels: tuple
     covers: tuple[tuple[int, int], ...]
     leq: np.ndarray
     enumeration: np.ndarray
+    shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        if self.shape is not None:
+            shape = tuple(int(s) for s in self.shape)
+            if math.prod(shape) != len(self.labels):
+                raise BadParameters(f"shape {shape} does not match {len(self.labels)} states")
+            object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
         object.__setattr__(self, "leq", _readonly(np.ascontiguousarray(self.leq, dtype=bool)))
         object.__setattr__(
@@ -227,7 +239,8 @@ def chain_poset(length: int) -> Poset:
         raise BadParameters("chain length must be positive")
     leq = np.triu(np.ones((length, length), dtype=bool))
     covers = tuple((i, i + 1) for i in range(length - 1))
-    return Poset(labels=tuple(range(length)), covers=covers, leq=leq, enumeration=np.arange(length))
+    labels = tuple(range(length))
+    return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(length), shape=(length,))
 
 
 def mixed_radix_decode(index: int, shape: Sequence[int]) -> tuple[int, ...]:
@@ -250,9 +263,7 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
         raise BadParameters(f"invalid grid shape {shape}")
     size = math.prod(shape)
     _check_cap(size, cap)
-    leq = np.ones((1, 1), dtype=bool)
-    for s in shape:  # each new coordinate becomes the most significant
-        leq = np.kron(np.triu(np.ones((s, s), dtype=bool)), leq)
+    leq = _kron_axes(shape, lambda s: np.triu(np.ones((s, s), dtype=bool)))
     labels = tuple(mixed_radix_decode(i, shape) for i in range(size))
     covers = []
     radix = 1
@@ -264,14 +275,25 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
         for axis, s in enumerate(shape):
             if lab[axis] + 1 < s:
                 covers.append((i, i + radices[axis]))
-    return Poset(labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size))
+    return Poset(
+        labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size), shape=shape
+    )
+
+
+def _kron_axes(shape: Sequence[int], axis_matrix) -> np.ndarray:
+    """Kronecker product of ``axis_matrix(s)`` over the axes, coordinate 0 fastest."""
+    out = axis_matrix(shape[0])
+    for s in shape[1:]:  # each new coordinate becomes the most significant
+        out = np.kron(axis_matrix(s), out)
+    return out
 
 
 def product_poset(p: Poset, q: Poset, *, cap: int | None = None) -> Poset:
     """Coordinate-wise product; labels are (p_label, q_label) pairs.
 
     The product index is ``i + p.size * j`` (p varies fastest), which keeps
-    the enumeration consistent.
+    the enumeration consistent.  The product of two products of chains is
+    one, with the axes of ``p`` first.
     """
     size = p.size * q.size
     _check_cap(size, cap)
@@ -283,7 +305,10 @@ def product_poset(p: Poset, q: Poset, *, cap: int | None = None) -> Poset:
         covers.extend((base + a, base + b) for a, b in p.covers)
     for a, b in q.covers:
         covers.extend((a * p.size + i, b * p.size + i) for i in range(p.size))
-    return Poset(labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size))
+    shape = None if p.shape is None or q.shape is None else p.shape + q.shape
+    return Poset(
+        labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size), shape=shape
+    )
 
 
 def _exact_mobius(leq: np.ndarray) -> np.ndarray:
@@ -299,7 +324,15 @@ def _exact_mobius(leq: np.ndarray) -> np.ndarray:
     return mobius
 
 
+def _chain_mobius(length: int) -> np.ndarray:
+    # mu of the chain 0 < 1 < ... : 1 on the diagonal, -1 just above it
+    return np.eye(length, dtype=np.int64) - np.eye(length, k=1, dtype=np.int64)
+
+
 def _compute_mobius_pair(p: Poset) -> MobiusPair:
+    if p.shape is not None:
+        # product rule: mu of a product of chains is the product of their mus
+        return MobiusPair(zeta=p.leq, mobius=_kron_axes(p.shape, _chain_mobius))
     size = p.size
     # zeta is unit upper triangular with 0/1 entries, so LU never pivots and
     # the solve is integer arithmetic, exact while its sums stay below 2**53.
@@ -326,11 +359,13 @@ def _compute_mobius_pair(p: Poset) -> MobiusPair:
 def mobius_pair(p: Poset) -> MobiusPair:
     """Exact zeta matrix and Mobius function of the poset (cached).
 
-    The Mobius function is the inverse of zeta, taken by LAPACK in float64
-    and rounded.  It is returned only when ``size * max|mu| < 2**53`` and the
-    float64 product ``zeta @ mu`` equals the identity, which that bound makes
-    an exact certificate.  Otherwise mu comes from the row recursion in
-    Python integers, exact at any magnitude.
+    On a product of chains (a poset with a ``shape``) mu is the Kronecker
+    product of the chains' Mobius matrices, exact by the product rule, with
+    entries in {-1, 0, 1}.  On any other poset mu is the inverse of zeta,
+    taken by LAPACK in float64 and rounded.  It is returned only when
+    ``size * max|mu| < 2**53`` and the float64 product ``zeta @ mu`` equals
+    the identity, which that bound makes an exact certificate.  Otherwise mu
+    comes from the row recursion in Python integers, exact at any magnitude.
 
     Raises
     ------
@@ -338,6 +373,83 @@ def mobius_pair(p: Poset) -> MobiusPair:
         (an ``ArithmeticError``) if some value of mu does not fit in int64.
     """
     return p._mobius_pair
+
+
+# Each factor acts on one chain axis, from the left, as the in-place
+# recurrence b[k] += sign * b[k + offset].  A cumulative sum (zeta) reads the
+# entries it has already updated and a difference (Mobius) those it has not,
+# which fixes the direction of the sweep.  Acting from the right is acting
+# by the transpose, the same recurrence with the offset negated.
+_AXIS_STEPS = {  # name: (sign, offset, cumulative)
+    "zeta": (1, 1, True),
+    "zeta.T": (1, -1, True),
+    "mobius": (-1, 1, False),
+    "mobius.T": (-1, -1, False),
+    "|mobius|": (1, 1, False),
+}
+
+
+def _dense_factor(p: Poset, name: str) -> np.ndarray:
+    if name == "zeta":
+        return p.leq
+    if name == "zeta.T":
+        return p.leq.T
+    mobius = mobius_pair(p).mobius
+    return {"mobius": mobius, "mobius.T": mobius.T, "|mobius|": np.abs(mobius)}[name]
+
+
+def _axis_sweep(view: np.ndarray, sign: int, offset: int, cumulative: bool) -> None:
+    # view is (outer, length, inner): the chain axis between the axes before
+    # and after it, each collapsed to one
+    length, inner = view.shape[1:]
+    ks = range(length - 1) if offset > 0 else range(1, length)
+    if (offset > 0) == cumulative:
+        ks = reversed(ks)
+    op = np.add if sign > 0 else np.subtract
+    # numpy loops over the innermost axis of a slice; rows of fewer than 8
+    # entries run faster as one strided pass per inner position
+    lanes = [slice(None)] if inner >= 8 else range(inner)
+    for k in ks:
+        for lane in lanes:
+            target = view[:, k, lane]
+            op(target, view[:, k + offset, lane], out=target)
+
+
+def _mobius_apply(
+    p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None
+) -> np.ndarray:
+    """``left @ a @ right`` as a new float array, factors named in ``_AXIS_STEPS``.
+
+    ``a`` is an M x M matrix, or a vector with one factor on either side.  On
+    a product of chains the factors run in place on a copy, one chain axis at
+    a time, in O(a.size * sum(shape)); other posets multiply by dense zeta
+    and Mobius matrices.
+    """
+    a = np.asarray(a, dtype=float)
+    if p.shape is None:
+        out = a
+        if left is not None:
+            out = _dense_factor(p, left) @ out
+        if right is not None:
+            out = out @ _dense_factor(p, right)
+        return out
+    out = np.array(a, order="K")  # a copy in the memory order of a
+    # sweep the C-ordered face of the copy: the transpose of an F-ordered
+    # matrix, whose leading axes index the columns
+    transposed = not out.flags.c_contiguous
+    face = out.T if transposed else out
+    d = len(p.shape)
+    rows, cols = (d, 0) if transposed else (0, (a.ndim - 1) * d)
+    # in C order coordinate 0, the fastest, is the last axis of each index
+    dims = p.shape[::-1] * a.ndim
+    for name, first, flip in ((left, rows, 1), (right, cols, -1)):
+        if name is None:
+            continue
+        sign, offset, cumulative = _AXIS_STEPS[name]
+        for axis in range(first, first + d):
+            view = face.reshape(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
+            _axis_sweep(view, sign, flip * offset, cumulative)
+    return out
 
 
 def mobius_inverse_check(f: np.ndarray, p: Poset) -> np.ndarray:
@@ -349,6 +461,5 @@ def mobius_inverse_check(f: np.ndarray, p: Poset) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (p.size,):
         raise BadParameters(f"vector of length {f.shape} does not match poset size {p.size}")
-    pair = mobius_pair(p)
-    up_sums = pair.zeta @ f
-    return pair.mobius @ up_sums
+    up_sums = _mobius_apply(p, f, left="zeta")
+    return _mobius_apply(p, up_sums, left="mobius")

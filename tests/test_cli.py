@@ -202,6 +202,32 @@ class TestDualVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_dual_that_never_absorbs_fails_verification(self, tmp_path, capsys):
+        # state 0 of this dual holds forever, so I - Q is singular; verify
+        # needs only the survival curve and reports the residuals (exit 3)
+        # where it once stopped at the moment solve (exit 4)
+        chain = sd.ChainSpec(
+            poset=sd.chain_poset(3),
+            P=[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+            nu=[1.0, 0.0, 0.0],
+        )
+        stuck = sd.DualChain(
+            poset=sd.chain_poset(3),
+            P_star=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+            nu_star=[1.0, 0.0, 0.0],
+            absorbing_index=2,
+        )
+        chain_path, dual_path = tmp_path / "c.json", tmp_path / "d.json"
+        sd.save_chain(chain_path, chain)
+        sd.save_chain(dual_path, stuck)
+        code, out, _ = run(
+            capsys, "verify", "--chain", str(chain_path), "--dual", str(dual_path), "--horizon", "5"
+        )
+        assert code == 3
+        assert json.loads(out)["sharpness_max_dev"] > 0.5
+        code, _, err = run(capsys, "absorb", "--dual", str(dual_path))
+        assert code == 4 and "solve failed" in err
+
     def test_version_1_chain_file_gives_version_2_dual(self, tmp_path, capsys):
         # the migration path: any command that writes a file writes version 2
         chain = sd.kary_cube(sd.CubeSpec(2, 2))
@@ -213,8 +239,11 @@ class TestDualVerify:
         doc = json.loads(dual_path.read_text())
         assert doc["version"] == 2 and "P" not in doc
         assert doc["meta"]["source_meta"] == {"model": "cube"}
-        expected = sd.build_dual(chain)
-        assert np.array_equal(sd.load_chain(dual_path).dual().P_star, expected.P_star)
+        # the file's poset is rebuilt from covers, so it takes the dense Mobius
+        # path; the dual written is exactly the one built from the loaded chain
+        written = sd.load_chain(dual_path).dual().P_star
+        assert np.array_equal(written, sd.build_dual(sd.load_chain(v1_path).chain).P_star)
+        assert np.abs(written - sd.build_dual(chain).P_star).max() <= 1e-15
         code, out, _ = run(
             capsys, "verify", "--chain", str(v1_path), "--dual", str(dual_path), "--horizon", "40"
         )

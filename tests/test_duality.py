@@ -194,14 +194,23 @@ class TestBuildDual:
 
 class TestDebrisRule:
     # build_dual zeroes each entry within its own error bound, so its kernel
-    # has the nonzero pattern of the closed form.  Beta = 3 is the largest
-    # integer beta the generic engine builds: from 4 on its time-reversal
-    # transform fails the monotonicity check before any entry is dropped.
+    # has the nonzero pattern of the closed form.
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("N", [4, 6, 8])
     def test_ising_pattern_is_closed_form(self, N, beta):
         closed = sd.ising_circle_dual(N, beta)
         assert np.array_equal(ising_dual(N, beta).P_star != 0, closed.P_star != 0)
+
+    def test_ising_at_high_beta(self):
+        # down flips of probability about 1e-14 stay accurate, so the reversal
+        # passes the monotonicity check and the pattern is the closed form's
+        closed = sd.ising_circle_dual(4, 8.0)
+        generic = sd.build_dual(sd.ising_circle(4, 8.0))
+        assert np.array_equal(generic.P_star != 0, closed.P_star != 0)
+        # the mean is about 1.5e14, so I - Q is ill-conditioned; horizon 0
+        # because the default horizon would take 6e14 steps
+        mean = sd.absorption_survival(generic, 0).mean
+        assert mean == pytest.approx(sd.absorption_survival(closed, 0).mean, rel=0.05)
 
     @pytest.mark.parametrize(
         "rates", [(1e-13, 0.2, 0.3, 0.1), (0.3, 0.2, 1e-13, 0.1)], ids=["lambda1", "mu1"]
@@ -300,6 +309,13 @@ class TestSharpness:
     def test_separation_equals_survival(self, chain, dual, horizon):
         assert sd.verify_sharpness(chain, dual, horizon) <= 1e-10
 
+    def test_needs_no_moment_solves(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("verify_sharpness solved for the absorption moments")
+
+        monkeypatch.setattr("ssdual.absorption._absorption_moments", unused)
+        assert sd.verify_sharpness(ising(3, 0.5), ising_dual(3, 0.5), 60) <= 1e-10
+
     def test_symmetric_two_state_mixes_in_one_step(self):
         c = sd.ChainSpec(
             poset=sd.chain_poset(2), P=np.full((2, 2), 0.5), nu=[1.0, 0.0], pi=[0.5, 0.5]
@@ -376,6 +392,15 @@ class TestReachableRestriction:
         assert all(set(lab) <= {0, 2} for lab in sub.poset.labels)
         assert sub.poset.labels[sub.absorbing_index] == (2, 2, 2)
         assert np.abs(sub.P_star.sum(axis=1) - 1.0).max() <= 1e-10
+
+    def test_tiny_genuine_moves_count(self):
+        # every move along y is below 1e-12; an absolute cutoff there cut the
+        # absorbing corner off from the start
+        spec = sd.LatticeSpec(3, lambda1=0.3, lambda2=1e-14, mu1=0.1, mu2=1e-13)
+        d = sd.build_dual(sd.lattice_walk(spec))
+        sub = sd.restrict_to_reachable(d)
+        assert sub.size == d.size == 16
+        assert sub.poset.labels[sub.absorbing_index] == (3, 3)
 
     def test_absorbing_must_stay_reachable(self):
         poset = sd.chain_poset(3)

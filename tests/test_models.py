@@ -38,6 +38,13 @@ class TestIsingChain:
         with pytest.raises(BadParameters):
             sd.ising_circle(2, 0.5)
 
+    def test_down_flip_keeps_relative_accuracy_at_high_beta(self):
+        # from the all-up state every local field is 2, so the down flip has
+        # probability 1/(1 + e^32) / N, which 1 - f would round to a multiple of eps
+        c = sd.ising_circle(4, 8.0)
+        for i in range(4):
+            assert c.P[15, 15 ^ (1 << i)] == pytest.approx(1 / (1 + np.exp(32.0)) / 4, rel=1e-14)
+
     def test_state_cap(self):
         with pytest.raises(TooLarge):
             sd.ising_circle(5, 0.1, cap=16)
@@ -52,6 +59,26 @@ class TestIsingGraph:
         c = ising(4, 0.5)
         assert np.abs(g.P - c.P).max() <= 1e-15
         assert np.abs(g.pi - c.pi).max() <= 1e-15
+
+    def test_heat_bath_rows_by_hand(self):
+        edges = [(0, 1), (0, 2), (0, 3), (3, 4), (1, 4)]
+        beta, n = 0.8, 5
+        g = sd.ising_gibbs_graph(n, edges, beta)
+        expect = np.zeros((1 << n, 1 << n))
+        for s in range(1 << n):
+            spin = [1 if s >> v & 1 else -1 for v in range(n)]
+            for i in range(n):
+                d = sum(spin[b] for a, b in edges if a == i)
+                d += sum(spin[a] for a, b in edges if b == i)
+                expect[s, s | (1 << i)] += 1 / (1 + np.exp(-2 * beta * d)) / n
+                expect[s, s & ~(1 << i)] += 1 / (1 + np.exp(2 * beta * d)) / n
+        assert np.abs(g.P - expect).max() <= 1e-15
+        energy = [
+            sum((1 if s >> a & 1 else -1) * (1 if s >> b & 1 else -1) for a, b in edges)
+            for s in range(1 << n)
+        ]
+        weights = np.exp(beta * np.asarray(energy, dtype=float))
+        assert np.abs(g.pi - weights / weights.sum()).max() <= 1e-15
 
     def test_path_at_infinite_temperature(self):
         g = sd.ising_gibbs_graph(3, [(0, 1), (1, 2)], 0.0)

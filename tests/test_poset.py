@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import ssdual as sd
 import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow
+from ssdual.poset import _mobius_apply
 
 
 @st.composite
@@ -143,7 +146,7 @@ class TestMobius:
         pair = sd.mobius_pair(sd.chain_poset(2))
         assert pair.mobius.tolist() == [[1, -1], [0, 1]]
 
-    # 11 coordinates (2048 states) runs the float certificate at scale
+    # 11 coordinates: the Kronecker mu at 2048 states
     @pytest.mark.parametrize("dims", [3, 11])
     def test_boolean_lattice_sign_formula(self, dims):
         p = sd.grid_poset([2] * dims)
@@ -151,6 +154,17 @@ class TestMobius:
         ranks = np.array([sum(lab) for lab in p.labels])
         signs = 1 - 2 * ((ranks[None, :] - ranks[:, None]) % 2)
         assert np.array_equal(pair.mobius, np.where(p.leq, signs, 0))
+
+    def test_boolean_lattice_from_covers_runs_float_certificate(self, monkeypatch):
+        # the same order rebuilt from its covers has no shape, so its 2048-state
+        # mu is the certified float inverse, not the Python-integer fallback
+        monkeypatch.setattr(poset_module, "_exact_mobius", None)
+        grid = sd.grid_poset([2] * 11)
+        p = sd.build_poset(list(range(grid.size)), grid.covers)
+        assert p.shape is None and np.array_equal(p.leq, grid.leq)
+        ranks = np.array([sum(lab) for lab in grid.labels])
+        signs = 1 - 2 * ((ranks[None, :] - ranks[:, None]) % 2)
+        assert np.array_equal(sd.mobius_pair(p).mobius, np.where(p.leq, signs, 0))
 
     def test_square_lattice_unit_box(self):
         p = sd.grid_poset([4, 4])
@@ -260,6 +274,87 @@ class TestProductPoset:
     def test_cap(self):
         with pytest.raises(SizeOverflow):
             sd.product_poset(sd.chain_poset(100), sd.chain_poset(200), cap=1000)
+
+
+@st.composite
+def shaped_posets(draw):
+    """A product of chains of length 1-4, at most 256 states, from any of its constructors."""
+    shape = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(lambda s: math.prod(s) <= 256)
+    )
+    split = draw(st.integers(0, len(shape)))
+    if 0 < split < len(shape):
+        return sd.product_poset(sd.grid_poset(shape[:split]), sd.grid_poset(shape[split:]))
+    if len(shape) == 1:
+        return sd.chain_poset(shape[0])
+    return sd.grid_poset(shape)
+
+
+def unshaped(p):
+    """The same order rebuilt from its covers, without a shape."""
+    q = sd.build_poset(list(range(p.size)), p.covers)
+    assert q.shape is None and np.array_equal(q.enumeration, np.arange(p.size))
+    return q
+
+
+class TestShapedCalculus:
+    def test_constructors_set_shape(self):
+        assert sd.chain_poset(3).shape == (3,)
+        assert sd.grid_poset([2, 3]).shape == (2, 3)
+        assert sd.product_poset(sd.grid_poset([2, 3]), sd.chain_poset(4)).shape == (2, 3, 4)
+        assert sd.ising_circle(3, 0.5).poset.shape == (2, 2, 2)
+        assert sd.product_poset(sd.build_poset([0, 1], [(0, 1)]), sd.chain_poset(2)).shape is None
+
+    def test_shape_must_match_size(self):
+        p = sd.grid_poset([2, 2])
+        with pytest.raises(BadParameters, match="shape"):
+            sd.Poset(
+                labels=p.labels, covers=p.covers, leq=p.leq, enumeration=p.enumeration, shape=(3,)
+            )
+
+    def test_restriction_drops_shape(self):
+        sub = sd.restrict_to_reachable(sd.kary_cube_dual(sd.CubeSpec(2, 2)))
+        assert sub.size == 4 and sub.poset.shape is None
+
+    @given(shaped_posets())
+    @settings(max_examples=40, deadline=None)
+    def test_kronecker_mobius_equals_dense_inverse(self, p):
+        q = unshaped(p)
+        assert np.array_equal(p.leq, q.leq)
+        assert np.array_equal(sd.mobius_pair(p).mobius, sd.mobius_pair(q).mobius)
+        assert np.array_equal(sd.mobius_pair(p).zeta, sd.mobius_pair(q).zeta)
+
+    @given(shaped_posets(), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_transforms_match_dense_products(self, p, seed, order):
+        q = unshaped(p)
+        rng = np.random.default_rng(seed)
+        A = np.asarray(rng.standard_normal((p.size, p.size)), order=order)
+        v = rng.standard_normal(p.size)
+        mu = sd.mobius_pair(q).mobius.astype(float)
+        zeta = p.leq.astype(float)
+
+        def close(fast, dense, scale):
+            assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
+
+        for name, M in (("mobius", mu), ("mobius.T", mu.T), ("|mobius|", np.abs(mu))):
+            for right, Z in (("zeta", zeta), ("zeta.T", zeta.T)):
+                fast, scale = _mobius_apply(p, A, name, right), np.abs(M) @ np.abs(A) @ Z
+                close(fast, M @ A @ Z, scale)
+                close(fast, _mobius_apply(q, A, name, right), scale)
+            close(_mobius_apply(p, v, left=name), M @ v, np.abs(M) @ np.abs(v))
+            close(_mobius_apply(p, v, right=name), v @ M, np.abs(v) @ np.abs(M))
+        for name, Z in (("zeta", zeta), ("zeta.T", zeta.T)):
+            close(_mobius_apply(p, v, left=name), Z @ v, Z @ np.abs(v))
+            close(_mobius_apply(p, v, right=name), v @ Z, np.abs(v) @ Z)
+        for direction in ("down", "up"):
+            fast = sd.check_mobius_monotone(A, p, direction).transformed
+            dense = sd.check_mobius_monotone(A, q, direction).transformed
+            M, Z = (mu, zeta) if direction == "down" else (mu.T, zeta.T)
+            close(fast, dense, np.abs(M) @ np.abs(A) @ Z)
+        close(sd.down_set_masses(p, np.abs(v)), sd.down_set_masses(q, np.abs(v)), np.abs(v) @ zeta)
+        scale = np.abs(mu) @ zeta @ np.abs(v)
+        close(sd.mobius_inverse_check(v, p), sd.mobius_inverse_check(v, q), scale)
 
 
 class TestMobiusInverse:

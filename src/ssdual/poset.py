@@ -72,13 +72,16 @@ class Poset:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
+        object.__setattr__(self, "leq", _readonly(np.ascontiguousarray(self.leq, dtype=bool)))
         if self.shape is not None:
             shape = tuple(int(s) for s in self.shape)
             if math.prod(shape) != len(self.labels):
                 raise BadParameters(f"shape {shape} does not match {len(self.labels)} states")
+            # the shape decides the Mobius function, so it must describe leq
+            if not np.array_equal(self.leq, _kron_axes(shape, _chain_zeta)):
+                raise BadParameters(f"order is not the product of chains of shape {shape}")
             object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
-        object.__setattr__(self, "leq", _readonly(np.ascontiguousarray(self.leq, dtype=bool)))
         object.__setattr__(
             self, "enumeration", _readonly(np.ascontiguousarray(self.enumeration, dtype=np.int64))
         )
@@ -237,7 +240,7 @@ def chain_poset(length: int) -> Poset:
     """Linear order 0 < 1 < ... < length-1."""
     if length < 1:
         raise BadParameters("chain length must be positive")
-    leq = np.triu(np.ones((length, length), dtype=bool))
+    leq = _chain_zeta(length)
     covers = tuple((i, i + 1) for i in range(length - 1))
     labels = tuple(range(length))
     return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(length), shape=(length,))
@@ -263,7 +266,7 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
         raise BadParameters(f"invalid grid shape {shape}")
     size = math.prod(shape)
     _check_cap(size, cap)
-    leq = _kron_axes(shape, lambda s: np.triu(np.ones((s, s), dtype=bool)))
+    leq = _kron_axes(shape, _chain_zeta)
     labels = tuple(mixed_radix_decode(i, shape) for i in range(size))
     covers = []
     radix = 1
@@ -278,6 +281,10 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
     return Poset(
         labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size), shape=shape
     )
+
+
+def _chain_zeta(length: int) -> np.ndarray:
+    return np.triu(np.ones((length, length), dtype=bool))
 
 
 def _kron_axes(shape: Sequence[int], axis_matrix) -> np.ndarray:
@@ -375,6 +382,11 @@ def mobius_pair(p: Poset) -> MobiusPair:
     return p._mobius_pair
 
 
+# Products of chains up to this size multiply by dense matrices.  On 2 vCPUs
+# with OpenBLAS, mobius @ a @ zeta on {0,1}^7 takes 0.18 ms as two BLAS
+# products and 0.26 ms as axis sweeps; on {0,1}^8, 1.3 ms against 0.9 ms.
+_DENSE_MAX_STATES = 128
+
 # Each factor acts on one chain axis, from the left, as the in-place
 # recurrence b[k] += sign * b[k + offset].  A cumulative sum (zeta) reads the
 # entries it has already updated and a difference (Mobius) those it has not,
@@ -406,8 +418,8 @@ def _axis_sweep(view: np.ndarray, sign: int, offset: int, cumulative: bool) -> N
     if (offset > 0) == cumulative:
         ks = reversed(ks)
     op = np.add if sign > 0 else np.subtract
-    # numpy loops over the innermost axis of a slice; rows of fewer than 8
-    # entries run faster as one strided pass per inner position
+    # numpy loops over the innermost axis of a slice; rows of 2 or 4 entries
+    # run faster as one strided pass per inner position, rows of 8 do not
     lanes = [slice(None)] if inner >= 8 else range(inner)
     for k in ks:
         for lane in lanes:
@@ -420,28 +432,39 @@ def _mobius_apply(
 ) -> np.ndarray:
     """``left @ a @ right`` as a new float array, factors named in ``_AXIS_STEPS``.
 
-    ``a`` is an M x M matrix, or a vector with one factor on either side.  On
-    a product of chains the factors run in place on a copy, one chain axis at
-    a time, in O(a.size * sum(shape)); other posets multiply by dense zeta
-    and Mobius matrices.
+    ``a`` is an M x M matrix, or a vector with one factor on either side.  A
+    product of chains of more than ``_DENSE_MAX_STATES`` states takes the
+    factors axis by axis (:func:`_axis_apply`); other posets, and small
+    products of chains, where dense products are faster, multiply by the
+    zeta and Mobius matrices.
     """
     a = np.asarray(a, dtype=float)
-    if p.shape is None:
-        out = a
-        if left is not None:
-            out = _dense_factor(p, left) @ out
-        if right is not None:
-            out = out @ _dense_factor(p, right)
-        return out
-    out = np.array(a, order="K")  # a copy in the memory order of a
+    if p.shape is not None and p.size > _DENSE_MAX_STATES:
+        return _axis_apply(p.shape, a, left, right)
+    out = a
+    if left is not None:
+        out = _dense_factor(p, left) @ out
+    if right is not None:
+        out = out @ _dense_factor(p, right)
+    return out
+
+
+def _axis_apply(
+    shape: tuple[int, ...], a: np.ndarray, left: str | None = None, right: str | None = None
+) -> np.ndarray:
+    """``left @ a @ right`` on the product of chains ``shape``, in O(a.size * sum(shape)).
+
+    The factors run in place on a copy of ``a``, one chain axis at a time.
+    """
+    out = np.array(a, dtype=float, order="K")  # a copy in the memory order of a
     # sweep the C-ordered face of the copy: the transpose of an F-ordered
     # matrix, whose leading axes index the columns
     transposed = not out.flags.c_contiguous
     face = out.T if transposed else out
-    d = len(p.shape)
+    d = len(shape)
     rows, cols = (d, 0) if transposed else (0, (a.ndim - 1) * d)
     # in C order coordinate 0, the fastest, is the last axis of each index
-    dims = p.shape[::-1] * a.ndim
+    dims = shape[::-1] * a.ndim
     for name, first, flip in ((left, rows, 1), (right, cols, -1)):
         if name is None:
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import ssdual as sd
 import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow
-from ssdual.poset import _mobius_apply
+from ssdual.poset import _axis_apply, _mobius_apply
 
 
 @st.composite
@@ -312,6 +313,18 @@ class TestShapedCalculus:
                 labels=p.labels, covers=p.covers, leq=p.leq, enumeration=p.enumeration, shape=(3,)
             )
 
+    def test_shape_must_describe_the_order(self):
+        # an antichain of 4 states is not the chain of length 4
+        with pytest.raises(BadParameters, match="product of chains"):
+            sd.Poset(
+                labels=range(4), covers=(), leq=np.eye(4, dtype=bool), enumeration=np.arange(4),
+                shape=(4,),
+            )
+        grid = sd.grid_poset([2, 2])
+        with pytest.raises(BadParameters, match="product of chains"):
+            dataclasses.replace(grid, leq=sd.chain_poset(4).leq)
+        assert dataclasses.replace(grid, labels="abcd").shape == (2, 2)
+
     def test_restriction_drops_shape(self):
         sub = sd.restrict_to_reachable(sd.kary_cube_dual(sd.CubeSpec(2, 2)))
         assert sub.size == 4 and sub.poset.shape is None
@@ -337,16 +350,18 @@ class TestShapedCalculus:
         def close(fast, dense, scale):
             assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
 
+        # the axis sweeps directly, since small shapes take the dense products
         for name, M in (("mobius", mu), ("mobius.T", mu.T), ("|mobius|", np.abs(mu))):
             for right, Z in (("zeta", zeta), ("zeta.T", zeta.T)):
-                fast, scale = _mobius_apply(p, A, name, right), np.abs(M) @ np.abs(A) @ Z
+                fast, scale = _axis_apply(p.shape, A, name, right), np.abs(M) @ np.abs(A) @ Z
                 close(fast, M @ A @ Z, scale)
                 close(fast, _mobius_apply(q, A, name, right), scale)
-            close(_mobius_apply(p, v, left=name), M @ v, np.abs(M) @ np.abs(v))
-            close(_mobius_apply(p, v, right=name), v @ M, np.abs(v) @ np.abs(M))
+                close(_mobius_apply(p, A, name, right), M @ A @ Z, scale)
+            close(_axis_apply(p.shape, v, left=name), M @ v, np.abs(M) @ np.abs(v))
+            close(_axis_apply(p.shape, v, right=name), v @ M, np.abs(v) @ np.abs(M))
         for name, Z in (("zeta", zeta), ("zeta.T", zeta.T)):
-            close(_mobius_apply(p, v, left=name), Z @ v, Z @ np.abs(v))
-            close(_mobius_apply(p, v, right=name), v @ Z, np.abs(v) @ Z)
+            close(_axis_apply(p.shape, v, left=name), Z @ v, Z @ np.abs(v))
+            close(_axis_apply(p.shape, v, right=name), v @ Z, np.abs(v) @ Z)
         for direction in ("down", "up"):
             fast = sd.check_mobius_monotone(A, p, direction).transformed
             dense = sd.check_mobius_monotone(A, q, direction).transformed

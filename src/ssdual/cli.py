@@ -41,13 +41,8 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _load(path: str) -> chainfile.LoadedChain:
-    return chainfile.load_chain(path)
-
-
 def _loaded_with_pi(path: str):
-    loaded = _load(path)
-    return with_stationary(loaded.chain)
+    return with_stationary(chainfile.load_chain(path).chain)
 
 
 def _load_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
@@ -139,7 +134,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    loaded = _load(args.chain)
+    loaded = chainfile.load_chain(args.chain)
     chain = with_stationary(loaded.chain)
     dual = duality.build_dual(chain, tol=args.tol)
     chainfile.save_chain(
@@ -157,7 +152,7 @@ def cmd_dual(args) -> int:
 
 def cmd_verify(args) -> int:
     chain = _loaded_with_pi(args.chain)
-    dual = _load(args.dual).dual()
+    dual = chainfile.load_chain(args.dual).dual()
     link = duality.build_link(chain.poset, chain.pi)
     kernel_res, initial_res = duality.intertwining_residuals(chain, dual, link)
     sep = absorption.separation_curve(chain, args.horizon)
@@ -193,7 +188,7 @@ def cmd_eigen(args) -> int:
         }
     }
     if args.dual:
-        dual = _load(args.dual).dual()
+        dual = chainfile.load_chain(args.dual).dual()
         tri = absorption.spectrum_from_triangular(dual)
         payload["triangular_dual"] = {
             "values": tri.values.tolist(),
@@ -224,7 +219,7 @@ def cmd_separation(args) -> int:
 
 
 def cmd_absorb(args) -> int:
-    dual = _load(args.dual).dual()
+    dual = chainfile.load_chain(args.dual).dual()
     law = absorption.absorption_survival(dual, args.horizon)
     if args.output:
         _write_csv(
@@ -259,7 +254,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dual = _load(args.dual).dual()
+    dual = chainfile.load_chain(args.dual).dual()
     law = absorption.simulate_sst(dual, args.samples, args.seed, horizon=args.horizon)
     if args.output:
         _write_csv(

@@ -113,16 +113,7 @@ def check_mobius_monotone(
         transformed = _mobius_apply(p, P, "mobius", "zeta")
     else:
         transformed = _mobius_apply(p, P, "mobius.T", "zeta.T")
-    idx = np.unravel_index(np.argmin(transformed), transformed.shape)
-    min_entry = float(transformed[idx])
-    return MonotonicityReport(
-        direction=direction,
-        transformed=transformed,
-        min_entry=min_entry,
-        passed=min_entry >= -tol,
-        witness=tuple(int(i) for i in idx),
-        tol=tol,
-    )
+    return _report(direction, transformed, tol)
 
 
 def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityReport:
@@ -136,15 +127,19 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
     if c.pi.min() <= 0.0:
         raise MissingStationary("stationary distribution must be strictly positive")
     g = c.nu / c.pi
-    transformed = _mobius_apply(c.poset, g, left="mobius")
-    idx = int(np.argmin(transformed))
+    return _report("down", _mobius_apply(c.poset, g, left="mobius"), tol)
+
+
+def _report(direction: str, transformed: np.ndarray, tol: float) -> MonotonicityReport:
+    """Report on ``transformed``, witnessed by its most negative entry."""
+    idx = np.unravel_index(np.argmin(transformed), transformed.shape)
     min_entry = float(transformed[idx])
     return MonotonicityReport(
-        direction="down",
+        direction=direction,
         transformed=transformed,
         min_entry=min_entry,
         passed=min_entry >= -tol,
-        witness=(idx,),
+        witness=tuple(int(i) for i in idx),
         tol=tol,
     )
 

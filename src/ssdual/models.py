@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _reachable_from
 from .duality import DualChain, down_set_masses
 from .errors import BadParameters, TooLarge
-from .poset import Poset, _check_cap, grid_poset
+from .poset import Poset, _check_cap, _digits, grid_poset
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class IsingSpec:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
     beta: float
-    circle: bool = False
 
     def __post_init__(self):
         if self.n_vertices < 1:
@@ -92,6 +91,12 @@ def _model_poset(shape: list[int], cap: int | None) -> Poset:
     return grid_poset(shape, cap=cap)
 
 
+def _start_at_bottom(size: int) -> np.ndarray:
+    nu = np.zeros(size)
+    nu[0] = 1.0
+    return nu
+
+
 def _spin_poset(n: int, cap: int | None) -> Poset:
     grid = _model_poset([2] * n, cap)
     labels = tuple(map(tuple, _spins(n).tolist()))
@@ -100,8 +105,15 @@ def _spin_poset(n: int, cap: int | None) -> Poset:
 
 def _spins(n: int) -> np.ndarray:
     """spins[state, vertex] in {-1, +1}: bit i of the state is vertex i up."""
-    states = np.arange(1 << n)
-    return 2 * (states[:, None] >> np.arange(n) & 1) - 1
+    return 2 * _digits((2,) * n) - 1
+
+
+def _adjacency(spec: IsingSpec) -> np.ndarray:
+    n = spec.n_vertices
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for u, v in spec.edges:
+        adjacency[u, v] = adjacency[v, u] = 1
+    return adjacency
 
 
 def _flip_probabilities(spec: IsingSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +124,7 @@ def _flip_probabilities(spec: IsingSpec) -> tuple[np.ndarray, np.ndarray]:
     logistic, so the smaller keeps its relative accuracy when 1 - up would
     cancel.
     """
-    n = spec.n_vertices
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for u, v in spec.edges:
-        adjacency[u, v] = adjacency[v, u] = 1
-    field = 2.0 * spec.beta * (_spins(n) @ adjacency)
+    field = 2.0 * spec.beta * (_spins(spec.n_vertices) @ _adjacency(spec))
     return 1.0 / (1.0 + np.exp(-field)), 1.0 / (1.0 + np.exp(field))
 
 
@@ -141,8 +149,7 @@ def _ising_chain(spec: IsingSpec, cap: int | None) -> ChainSpec:
     # refreshing vertex i to the spin it has holds, to the other flips bit i
     P[states, states] = (np.where(is_up, up, down) / n).sum(axis=1)
     P[states[:, None], states[:, None] ^ bits] = np.where(is_up, down, up) / n
-    nu = np.zeros(poset.size)
-    nu[0] = 1.0  # all spins down
+    nu = _start_at_bottom(poset.size)  # all spins down
     return ChainSpec(poset=poset, P=P, nu=nu, pi=_ising_stationary(spec))
 
 
@@ -150,7 +157,7 @@ def _circle_spec(N: int, beta: float) -> IsingSpec:
     if N < 3:
         raise BadParameters("a circle needs at least 3 vertices")
     edges = tuple((i, (i + 1) % N) for i in range(N))
-    return IsingSpec(n_vertices=N, edges=edges, beta=beta, circle=True)
+    return IsingSpec(n_vertices=N, edges=edges, beta=beta)
 
 
 def ising_circle(N: int, beta: float, *, cap: int | None = None) -> ChainSpec:
@@ -165,25 +172,9 @@ def ising_gibbs_graph(
     spec = IsingSpec(
         n_vertices=n_vertices, edges=tuple((int(u), int(v)) for u, v in edges), beta=beta
     )
-    if not _connected(spec):
+    if not _reachable_from(_adjacency(spec) > 0, np.arange(n_vertices) == 0).all():
         warnings.warn("Ising graph is disconnected", stacklevel=2)
     return _ising_chain(spec, cap)
-
-
-def _connected(spec: IsingSpec) -> bool:
-    n = spec.n_vertices
-    adj = [[] for _ in range(n)]
-    for u, v in spec.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualChain:
@@ -222,9 +213,37 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
         x, down_i, up_j = s[swap], i[swap], j[swap]
         u = t[swap] & ~(1 << up_j)
         P[x, u] = (H[u] / H[x]) * (up[x, down_i] - up[x & ~(1 << up_j), down_i]) / N
-    nu = np.zeros(size)
-    nu[0] = 1.0
-    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
+    return DualChain(
+        poset=poset, P_star=P, nu_star=_start_at_bottom(size), absorbing_index=size - 1
+    )
+
+
+def _product_walk(poset: Poset, moves: Sequence[np.ndarray], total: float = 1.0) -> np.ndarray:
+    """Kernel that moves one coordinate of a product of chains at a time.
+
+    ``moves[a][x, j]`` (zero diagonal) is the weight, out of ``total``, with
+    which coordinate a goes from x to j, whatever the other coordinates are;
+    the rest of each row holds.  The kernel is the Kronecker sum of the
+    ``moves`` plus the holding diagonal, divided by ``total``: integer
+    weights out of an integer total give exact holds.  A hold that rounding
+    takes below zero is zero.
+    """
+    digits = _digits(poset.shape)
+    states = np.arange(poset.size)[:, None]
+    P = np.zeros((poset.size, poset.size))
+    for a, A in enumerate(moves):
+        radix = math.prod(poset.shape[:a])
+        # row x of A scattered onto the states that differ from x in coordinate a only
+        targets = states + (np.arange(len(A)) - digits[:, a, None]) * radix
+        P[states, targets] = A[digits[:, a]]
+    P.flat[:: poset.size + 1] = np.maximum(total - P.sum(axis=1), 0.0)
+    P /= total
+    return P
+
+
+def _steps(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Moves of a birth-death chain: ``up[x]`` from x to x + 1, ``down[x]`` from x + 1 to x."""
+    return np.diag(up, 1) + np.diag(down, -1)
 
 
 def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
@@ -236,98 +255,57 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     rho = 1 needs no special casing.
     """
     N = spec.N
-    side = N + 1
-    size = side * side
-    poset = _model_poset([side, side], cap)
-    P = np.zeros((size, size))
-    for y in range(side):
-        for x in range(side):
-            s = x + side * y
-            if x + 1 <= N:
-                P[s, s + 1] = spec.lambda1
-            if x - 1 >= 0:
-                P[s, s - 1] = spec.mu1
-            if y + 1 <= N:
-                P[s, s + side] = spec.lambda2
-            if y - 1 >= 0:
-                P[s, s - side] = spec.mu2
-            P[s, s] = 1.0 - P[s].sum()
-    pow1 = spec.rho1 ** np.arange(side)
-    pow2 = spec.rho2 ** np.arange(side)
+    poset = _model_poset([N + 1, N + 1], cap)
+    rates = ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2))
+    P = _product_walk(poset, [_steps(np.full(N, lam), np.full(N, mu)) for lam, mu in rates])
+    pow1 = spec.rho1 ** np.arange(N + 1)
+    pow2 = spec.rho2 ** np.arange(N + 1)
     weights = (pow2[:, None] * pow1[None, :]).ravel()
-    pi = weights / weights.sum()
-    nu = np.zeros(size)
-    nu[0] = 1.0
-    return ChainSpec(poset=poset, P=P, nu=nu, pi=pi)
+    return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=weights / weights.sum())
 
 
 def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain:
     """Closed-form sharp dual of the lattice walk, absorbing at (N, N).
 
-    Requires lambda1 != mu1 and lambda2 != mu2.  Up-moves carry the mu rates
-    scaled by down-set mass ratios, down-moves the lambda rates, and a down
-    move along an axis is forbidden from that axis' upper border.
+    Requires lambda1 != mu1 and lambda2 != mu2.  The link of the product is
+    the product of the per-axis links, so the dual is the Kronecker sum of
+    the birth-death duals of the two axes.  With r = rho^x on an axis, its
+    dual moves up from x with probability mu (1 - r^(x+2)) / (1 - r^(x+1)),
+    down from x + 1 with lambda (1 - r^(x+1)) / (1 - r^(x+2)), and never down
+    from the upper border N.
     """
     if spec.lambda1 == spec.mu1 or spec.lambda2 == spec.mu2:
         raise BadParameters("closed-form dual requires lambda_i != mu_i")
     N = spec.N
-    side = N + 1
-    size = side * side
-    poset = _model_poset([side, side], cap)
-    r1 = spec.rho1 ** np.arange(side + 1)
-    r2 = spec.rho2 ** np.arange(side + 1)
-    P = np.zeros((size, size))
-    for y in range(side):
-        for x in range(side):
-            s = x + side * y
-            if x == N and y == N:
-                P[s, s] = 1.0
-                continue
-            if x + 1 <= N:
-                P[s, s + 1] = spec.mu1 * (1.0 - r1[x + 2]) / (1.0 - r1[x + 1])
-            if y + 1 <= N:
-                P[s, s + side] = spec.mu2 * (1.0 - r2[y + 2]) / (1.0 - r2[y + 1])
-            if x >= 1 and x != N:
-                P[s, s - 1] = spec.lambda1 * (1.0 - r1[x]) / (1.0 - r1[x + 1])
-            if y >= 1 and y != N:
-                P[s, s - side] = spec.lambda2 * (1.0 - r2[y]) / (1.0 - r2[y + 1])
-            if y == N:
-                P[s, s] = 1.0 - (spec.lambda1 + spec.mu1)
-            elif x == N:
-                P[s, s] = 1.0 - (spec.lambda2 + spec.mu2)
-            else:
-                P[s, s] = 1.0 - (spec.lambda1 + spec.lambda2 + spec.mu1 + spec.mu2)
-    nu = np.zeros(size)
-    nu[0] = 1.0
-    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
+    poset = _model_poset([N + 1, N + 1], cap)
+    moves = []
+    for lam, mu in ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2)):
+        r = (lam / mu) ** np.arange(N + 2)
+        down = lam * (1.0 - r[1:-1]) / (1.0 - r[2:])
+        down[-1] = 0.0
+        moves.append(_steps(mu * (1.0 - r[2:]) / (1.0 - r[1:-1]), down))
+    P = _product_walk(poset, moves)
+    return DualChain(
+        poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1
+    )
 
 
 def kary_cube(spec: CubeSpec, *, cap: int | None = None) -> ChainSpec:
     """Lazy uniform single-coordinate resampling on {0..k}^n."""
-    poset = _model_poset([spec.k + 1] * spec.n, cap)
-    size = poset.size
-    move = 1.0 / (2 * spec.n * spec.k)
-    P = np.full((size, size), 0.0)
-    radices = [(spec.k + 1) ** i for i in range(spec.n)]
-    for s in range(size):
-        P[s, s] = 0.5
-        for axis in range(spec.n):
-            value = (s // radices[axis]) % (spec.k + 1)
-            for other in range(spec.k + 1):
-                if other != value:
-                    P[s, s + (other - value) * radices[axis]] = move
-    pi = np.full(size, 1.0 / size)
-    nu = np.zeros(size)
-    nu[0] = 1.0
-    return ChainSpec(poset=poset, P=P, nu=nu, pi=pi)
+    n, k = spec.n, spec.k
+    poset = _model_poset([k + 1] * n, cap)
+    # each coordinate moves to each other value in 1 of 2nk equally likely outcomes
+    P = _product_walk(poset, [1.0 - np.eye(k + 1)] * n, total=2 * n * k)
+    return ChainSpec(
+        poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=np.full(poset.size, 1.0 / poset.size)
+    )
 
 
 def kary_cube_dual(spec: CubeSpec, *, cap: int | None = None) -> DualChain:
     """Closed-form sharp dual of the cube chain, at every state.
 
     From state s, each coordinate below k jumps to k with probability
-    (k+1)/(2nk), and s holds with probability
-    (n(k-1) + #{a : s_a = k}(k+1))/(2nk).  The kernel is the average over
+    (k+1)/(2nk), and s holds with the rest.  The kernel is the average over
     coordinates a of I x ... x R x ... x I with R = ((k-1)/2k) I + (1/2k) J,
     the link is the product of per-coordinate links, and Lambda J Lambda^-1 =
     (k+1) 1 delta_k^T, so each coordinate's dual is
@@ -335,15 +313,9 @@ def kary_cube_dual(spec: CubeSpec, *, cap: int | None = None) -> DualChain:
     """
     n, k = spec.n, spec.k
     poset = _model_poset([k + 1] * n, cap)
-    size = poset.size
-    states = np.arange(size)
-    radices = (k + 1) ** np.arange(n)
-    digits = states[:, None] // radices % (k + 1)
-    P = np.zeros((size, size))
-    P[states, states] = (n * (k - 1) + (digits == k).sum(axis=1) * (k + 1)) / (2 * n * k)
-    for a in range(n):
-        low = states[digits[:, a] < k]
-        P[low, low + (k - digits[low, a]) * radices[a]] = (k + 1) / (2 * n * k)
-    nu = np.zeros(size)
-    nu[0] = 1.0
-    return DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=size - 1)
+    jump = np.zeros((k + 1, k + 1))
+    jump[:k, k] = k + 1
+    P = _product_walk(poset, [jump] * n, total=2 * n * k)
+    return DualChain(
+        poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1
+    )

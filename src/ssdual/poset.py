@@ -246,13 +246,10 @@ def chain_poset(length: int) -> Poset:
     return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(length), shape=(length,))
 
 
-def mixed_radix_decode(index: int, shape: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of a mixed-radix index, coordinate 0 least significant."""
-    out = []
-    for s in shape:
-        out.append(index % s)
-        index //= s
-    return tuple(out)
+def _digits(shape: Sequence[int]) -> np.ndarray:
+    """``digits[state, axis]``: the mixed-radix coordinates, coordinate 0 least significant."""
+    radices = np.cumprod((1, *shape[:-1]))
+    return np.arange(math.prod(shape))[:, None] // radices % np.asarray(shape)
 
 
 def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
@@ -267,20 +264,16 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
     size = math.prod(shape)
     _check_cap(size, cap)
     leq = _kron_axes(shape, _chain_zeta)
-    labels = tuple(mixed_radix_decode(i, shape) for i in range(size))
-    covers = []
-    radix = 1
-    radices = []
-    for s in shape:
-        radices.append(radix)
-        radix *= s
-    for i, lab in enumerate(labels):
-        for axis, s in enumerate(shape):
-            if lab[axis] + 1 < s:
-                covers.append((i, i + radices[axis]))
-    return Poset(
-        labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size), shape=shape
+    labels = tuple(map(tuple, _digits(shape).tolist()))
+    radices = [math.prod(shape[:axis]) for axis in range(len(shape))]
+    # a loop over the labels: a nonzero() table would keep M * d more ints alive
+    covers = sorted(
+        (i, i + radices[axis])
+        for i, lab in enumerate(labels)
+        for axis, s in enumerate(shape)
+        if lab[axis] + 1 < s
     )
+    return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(size), shape=shape)
 
 
 def _chain_zeta(length: int) -> np.ndarray:

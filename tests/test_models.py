@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
 from ssdual.errors import BadParameters, TooLarge
+from ssdual.models import _product_walk
 
 
 class TestIsingChain:
@@ -177,6 +180,51 @@ class TestIsingClosedDual:
         assert np.abs(d.P_star - expect).max() <= 1e-12
 
 
+def kronecker_sum(shape, moves):
+    """Sum over axes a of I x moves[a] x I (coordinate 0 fastest), holding 1 - row sum."""
+    size = math.prod(shape)
+    P = np.zeros((size, size))
+    for a, A in enumerate(moves):
+        P += np.kron(np.eye(math.prod(shape[a + 1:])), np.kron(A, np.eye(math.prod(shape[:a]))))
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return P
+
+
+def birth_death_dual(N, lam, mu):
+    """build_dual of the walk on 0..N that steps up with lam and down with mu."""
+    P = np.diag(np.full(N, lam), 1) + np.diag(np.full(N, mu), -1)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    pi = (lam / mu) ** np.arange(N + 1)
+    chain = sd.ChainSpec(poset=sd.chain_poset(N + 1), P=P, nu=np.eye(N + 1)[0], pi=pi / pi.sum())
+    return sd.build_dual(chain).P_star
+
+
+class TestProductWalk:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_explicit_kronecker_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 5)))
+        moves = []
+        for s in shape:
+            A = rng.random((s, s)) / (len(shape) * max(s - 1, 1))
+            np.fill_diagonal(A, 0.0)
+            moves.append(A)
+        P = _product_walk(sd.grid_poset(shape), moves)
+        assert np.array_equal(P, kronecker_sum(shape, moves))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (2, 1, 3, 1)])
+    def test_length_one_axes_never_move(self, shape):
+        moves = [np.full((s, s), 0.1) - 0.1 * np.eye(s) for s in shape]
+        P = _product_walk(sd.grid_poset(shape), moves)
+        assert np.array_equal(P, kronecker_sum(shape, moves))
+
+    def test_weights_out_of_an_integer_total_give_exact_holds(self):
+        # 7 moves of 1/14 sum to 0.5 only up to rounding; 7 out of 14 is exact
+        P = _product_walk(sd.grid_poset((2,) * 7), [1.0 - np.eye(2)] * 7, total=14)
+        assert (np.diag(P) == 0.5).all()
+        assert P[0, 1] == 1.0 / 14
+
+
 class TestLatticeChain:
     def test_interior_row_has_five_moves(self):
         c = lattice(2)
@@ -273,6 +321,27 @@ class TestLatticeClosedDual:
         moves = {poset.labels[j] for j in np.nonzero(d.P_star[s])[0]}
         assert moves == {(0, 2), (1, 2), (2, 2)}
 
+    @pytest.mark.parametrize("params", LATTICE_PARAMS, ids=["balanced", "skew"])
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_is_kronecker_sum_of_axis_duals(self, N, params):
+        l1, l2, m1, m2 = params
+        closed = sd.lattice_walk_dual(sd.LatticeSpec(N=N, lambda1=l1, lambda2=l2, mu1=m1, mu2=m2))
+        D1, D2 = birth_death_dual(N, l1, m1), birth_death_dual(N, l2, m2)
+        eye = np.eye(N + 1)
+        expect = np.kron(eye, D1) + np.kron(D2, eye) - np.eye((N + 1) ** 2)
+        assert np.abs(closed.P_star - expect).max() <= 1e-12
+
+    @pytest.mark.parametrize("params", [(0.2, 0.4, 0.3, 0.1), (0.05, 0.1, 0.3, 0.55)])
+    def test_rates_summing_to_one_hold_nothing_inside(self, params):
+        # the interior holds are 0 up to rounding, which must not make them negative:
+        # 1 - (0.2 + 0.4 + 0.3 + 0.1) is -2.2e-16, and so is 1 - the second's dual row sum
+        l1, l2, m1, m2 = params
+        spec = sd.LatticeSpec(N=3, lambda1=l1, lambda2=l2, mu1=m1, mu2=m2)
+        closed = sd.lattice_walk_dual(spec)
+        assert closed.P_star.min() == 0.0
+        generic = sd.build_dual(sd.lattice_walk(spec))
+        assert np.abs(closed.P_star - generic.P_star).max() <= 1e-10
+
     def test_requires_distinct_rates(self):
         with pytest.raises(BadParameters):
             sd.lattice_walk_dual(sd.LatticeSpec(N=1, lambda1=0.2, lambda2=0.2, mu1=0.2, mu2=0.25))
@@ -305,6 +374,11 @@ class TestCubeChain:
         c = cube(2, 3)
         assert np.abs(c.pi - 1 / 16).max() <= 1e-15
 
+    @pytest.mark.parametrize("n,k", [(7, 1), (2, 5), (5, 2)])
+    def test_holds_exactly_half(self, n, k):
+        c = sd.kary_cube(sd.CubeSpec(n=n, k=k))
+        assert (np.diag(c.P) == 0.5).all()
+
     def test_cap(self):
         with pytest.raises(TooLarge):
             sd.kary_cube(sd.CubeSpec(n=3, k=3), cap=60)
@@ -327,6 +401,12 @@ class TestCubeClosedDual:
         for mask in range(1 << n):
             s = sum(k * radices[i] for i in range(n) if mask >> i & 1)
             assert np.abs(closed.P_star[s] - generic.P_star[s]).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [6, 7, 9])
+    def test_unit_cube_bottom_never_holds(self, n):
+        # each of the n coordinates jumps with 1/n; the hold is an exact zero
+        d = sd.kary_cube_dual(sd.CubeSpec(n=n, k=1))
+        assert d.P_star[0, 0] == 0.0
 
     def test_reachable_part_is_unit_cube_walk(self):
         n, k = 3, 2

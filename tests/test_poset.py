@@ -277,6 +277,29 @@ class TestProductPoset:
             sd.product_poset(sd.chain_poset(100), sd.chain_poset(200), cap=1000)
 
 
+class TestGridPoset:
+    @pytest.mark.parametrize("shape", [(1,), (3, 1, 2), (2, 2, 2, 2)])
+    def test_labels_and_covers_match_per_state_reference(self, shape):
+        labels = []
+        for i in range(math.prod(shape)):
+            lab = []
+            for s in shape:
+                i, digit = divmod(i, s)
+                lab.append(digit)
+            labels.append(tuple(lab))
+        # a cover raises exactly one coordinate by one
+        covers = [
+            (i, j)
+            for i, a in enumerate(labels)
+            for j, b in enumerate(labels)
+            if sorted(y - x for x, y in zip(a, b)) == [0] * (len(shape) - 1) + [1]
+        ]
+        p = sd.grid_poset(shape)
+        assert p.labels == tuple(labels)
+        assert p.covers == tuple(covers)
+        assert all(type(v) is int for lab in p.labels for v in lab)
+
+
 @st.composite
 def shaped_posets(draw):
     """A product of chains of length 1-4, at most 256 states, from any of its constructors."""

@@ -226,18 +226,20 @@ def _product_walk(poset: Poset, moves: Sequence[np.ndarray], total: float = 1.0)
     the rest of each row holds.  The kernel is the Kronecker sum of the
     ``moves`` plus the holding diagonal, divided by ``total``: integer
     weights out of an integer total give exact holds.  A hold that rounding
-    takes below zero is zero.
+    takes below zero is zero; moves that exceed ``total`` still leave a row
+    that sums to more than one.
     """
     digits = _digits(poset.shape)
     states = np.arange(poset.size)[:, None]
     P = np.zeros((poset.size, poset.size))
+    hold = np.full(poset.size, float(total))
     for a, A in enumerate(moves):
         radix = math.prod(poset.shape[:a])
         # row x of A scattered onto the states that differ from x in coordinate a only
         targets = states + (np.arange(len(A)) - digits[:, a, None]) * radix
-        P[states, targets] = A[digits[:, a]]
-    P.flat[:: poset.size + 1] = np.maximum(total - P.sum(axis=1), 0.0)
-    P /= total
+        P[states, targets] = (A / total)[digits[:, a]]
+        hold -= A.sum(axis=1)[digits[:, a]]
+    P.flat[:: poset.size + 1] = np.maximum(hold, 0.0) / total
     return P
 
 
@@ -258,9 +260,10 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     poset = _model_poset([N + 1, N + 1], cap)
     rates = ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2))
     P = _product_walk(poset, [_steps(np.full(N, lam), np.full(N, mu)) for lam, mu in rates])
-    pow1 = spec.rho1 ** np.arange(N + 1)
-    pow2 = spec.rho2 ** np.arange(N + 1)
-    weights = (pow2[:, None] * pow1[None, :]).ravel()
+    # hold 1 - the whole row's sum, which keeps lattice files bit for bit
+    np.fill_diagonal(P, 0.0)
+    np.fill_diagonal(P, np.maximum(1.0 - P.sum(axis=1), 0.0))
+    weights = np.outer(spec.rho2 ** np.arange(N + 1), spec.rho1 ** np.arange(N + 1)).ravel()
     return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=weights / weights.sum())
 
 
@@ -269,10 +272,12 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
 
     Requires lambda1 != mu1 and lambda2 != mu2.  The link of the product is
     the product of the per-axis links, so the dual is the Kronecker sum of
-    the birth-death duals of the two axes.  With r = rho^x on an axis, its
+    the birth-death duals of the two axes.  With r = lambda/mu on an axis, its
     dual moves up from x with probability mu (1 - r^(x+2)) / (1 - r^(x+1)),
     down from x + 1 with lambda (1 - r^(x+1)) / (1 - r^(x+2)), and never down
-    from the upper border N.
+    from the upper border N.  Both ratios are taken between the sums
+    S_x = 1 + r + ... + r^x = (1 - r^(x+1)) / (1 - r), whose positive terms
+    do not cancel as 1 - r^x does when r is near 1.
     """
     if spec.lambda1 == spec.mu1 or spec.lambda2 == spec.mu2:
         raise BadParameters("closed-form dual requires lambda_i != mu_i")
@@ -280,10 +285,10 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     poset = _model_poset([N + 1, N + 1], cap)
     moves = []
     for lam, mu in ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2)):
-        r = (lam / mu) ** np.arange(N + 2)
-        down = lam * (1.0 - r[1:-1]) / (1.0 - r[2:])
+        S = np.cumsum((lam / mu) ** np.arange(N + 1))
+        down = lam * S[:-1] / S[1:]
         down[-1] = 0.0
-        moves.append(_steps(mu * (1.0 - r[2:]) / (1.0 - r[1:-1]), down))
+        moves.append(_steps(mu * S[1:] / S[:-1], down))
     P = _product_walk(poset, moves)
     return DualChain(
         poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1

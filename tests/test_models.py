@@ -190,6 +190,14 @@ def kronecker_sum(shape, moves):
     return P
 
 
+def assert_is_kronecker_sum(P, shape, moves):
+    """The moves are copied exactly; the holds, summed axis by axis, agree to rounding."""
+    expect = kronecker_sum(shape, moves)
+    off = ~np.eye(len(P), dtype=bool)
+    assert np.array_equal(P[off], expect[off])
+    assert np.abs(np.diag(P) - np.diag(expect)).max() <= 4.4e-16
+
+
 def birth_death_dual(N, lam, mu):
     """build_dual of the walk on 0..N that steps up with lam and down with mu."""
     P = np.diag(np.full(N, lam), 1) + np.diag(np.full(N, mu), -1)
@@ -210,13 +218,13 @@ class TestProductWalk:
             np.fill_diagonal(A, 0.0)
             moves.append(A)
         P = _product_walk(sd.grid_poset(shape), moves)
-        assert np.array_equal(P, kronecker_sum(shape, moves))
+        assert_is_kronecker_sum(P, shape, moves)
 
     @pytest.mark.parametrize("shape", [(1,), (1, 3), (2, 1, 3, 1)])
     def test_length_one_axes_never_move(self, shape):
         moves = [np.full((s, s), 0.1) - 0.1 * np.eye(s) for s in shape]
         P = _product_walk(sd.grid_poset(shape), moves)
-        assert np.array_equal(P, kronecker_sum(shape, moves))
+        assert_is_kronecker_sum(P, shape, moves)
 
     def test_weights_out_of_an_integer_total_give_exact_holds(self):
         # 7 moves of 1/14 sum to 0.5 only up to rounding; 7 out of 14 is exact
@@ -341,6 +349,14 @@ class TestLatticeClosedDual:
         assert closed.P_star.min() == 0.0
         generic = sd.build_dual(sd.lattice_walk(spec))
         assert np.abs(closed.P_star - generic.P_star).max() <= 1e-10
+
+    @pytest.mark.parametrize("lambda1", [0.24999999, np.nextafter(0.25, 0.0)])
+    def test_rates_near_balance_match_generic(self, lambda1):
+        # 1 - rho^x by subtraction cancels here: 2.9e-10 off build_dual at 0.24999999
+        spec = sd.LatticeSpec(N=5, lambda1=lambda1, lambda2=0.2, mu1=0.25, mu2=0.25)
+        closed = sd.lattice_walk_dual(spec)
+        generic = sd.build_dual(sd.lattice_walk(spec))
+        assert np.abs(closed.P_star - generic.P_star).max() <= 1e-12
 
     def test_requires_distinct_rates(self):
         with pytest.raises(BadParameters):

@@ -2,10 +2,10 @@
 """Sweep the inverse temperature of the circle spin sampler.
 
 For each beta the script builds the absorbing dual, reports the absorption
-moments and largest subdominant eigenvalue, and checks the separation
-distance against the coupon-collector step count.  At beta = 0 the absorption
-time is the convolution of geometrics with rates 1 - i/N; the sweep shows how
-quickly interaction destroys that picture.
+moments and the largest subdominant eigenvalue, read from the dual's level
+blocks, and checks the separation distance against the coupon-collector step
+count.  At beta = 0 the absorption time is the convolution of geometrics with
+rates 1 - i/N; the sweep shows how quickly interaction destroys that picture.
 """
 import argparse
 import csv
@@ -37,7 +37,7 @@ def main() -> int:
         chain = sd.ising_circle(args.N, beta)
         dual = sd.build_dual(chain)
         law = sd.absorption_survival(dual, steps)
-        slem = float(sd.spectrum_numeric(chain).expanded()[1])
+        slem = float(sd.spectrum_from_triangular(dual).expanded()[1])
         sep = sd.separation_curve(chain, steps)
         holds = sep.values[steps] <= bound
         print(

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, SpectrumReport, _propagate, group_with_tolerance
+from .chain import TRIANGULAR_TOL, ChainSpec, SpectrumReport, _propagate, group_with_tolerance
 from .duality import DualChain
 from .errors import (
     BadParameters,
@@ -15,15 +15,11 @@ from .errors import (
     MaxStepsExceeded,
     MissingStationary,
     NoAbsorbingState,
-    NotLumpable,
-    NotPureBirth,
+    NotReversible,
     NotTriangular,
     SingularSystem,
 )
-from .poset import _readonly
-
-LUMP_TOL = 1e-10
-TRIANGULAR_TOL = 1e-12
+from .poset import Poset, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,35 +52,6 @@ class AbsorptionLaw:
     @property
     def horizon(self) -> int:
         return len(self.survival) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class BirthChain:
-    """Pure-birth chain on levels 0..L; the top level is absorbing."""
-
-    birth: np.ndarray
-
-    def __post_init__(self):
-        birth = np.asarray(self.birth, dtype=float)
-        if birth.ndim != 1 or len(birth) < 1:
-            raise BadParameters("birth rates must be a nonempty vector")
-        if birth.min() < 0.0 or birth.max() > 1.0:
-            raise BadParameters("birth rates must lie in [0, 1]")
-        if birth[-1] != 0.0:
-            raise BadParameters("top level must be absorbing (birth rate 0)")
-        object.__setattr__(self, "birth", _readonly(birth))
-
-    @property
-    def levels(self) -> int:
-        return len(self.birth)
-
-    @property
-    def hold(self) -> np.ndarray:
-        return 1.0 - self.birth
-
-    def success_probabilities(self) -> np.ndarray:
-        """Geometric rates of the level passage times, bottom to top."""
-        return self.birth[:-1].copy()
 
 
 def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
@@ -183,60 +150,34 @@ def geometric_sum_law(
     return AbsorptionLaw(survival=survival, mean=mean, variance=variance)
 
 
-def pure_birth_projection(
-    d: DualChain, level: Callable | Sequence[int]
-) -> BirthChain:
-    """Lump the dual through a level function into a pure-birth chain.
-
-    Verifies lumpability (class-aggregated rows agree within 1e-10 inside
-    every class) and that no move drops a level or climbs more than one.
-    """
-    if callable(level):
-        levels = np.asarray([int(level(lab)) for lab in d.poset.labels])
-    else:
-        levels = np.asarray([int(v) for v in level])
-    if levels.shape != (d.size,):
-        raise BadParameters("level function must cover every state")
-    top = int(levels.max())
-    if levels.min() != 0 or set(np.unique(levels)) != set(range(top + 1)):
-        raise BadParameters("levels must cover 0..L without gaps")
-    indicator = np.zeros((d.size, top + 1))
-    indicator[np.arange(d.size), levels] = 1.0
-    aggregated = d.P_star @ indicator
-    lumped = np.empty((top + 1, top + 1))
-    for value in range(top + 1):
-        members = np.nonzero(levels == value)[0]
-        rows = aggregated[members]
-        dev = np.abs(rows - rows[0]).max(axis=1)
-        worst = int(np.argmax(dev))
-        if dev[worst] > LUMP_TOL:
-            raise NotLumpable(
-                f"states {d.poset.labels[members[0]]!r} and "
-                f"{d.poset.labels[members[worst]]!r} at level {value} disagree by {dev[worst]:.3e}"
-            )
-        lumped[value] = rows[0]
-    off = np.abs(np.tril(lumped, -1)).max() if top else 0.0
-    if off > TRIANGULAR_TOL:
-        raise NotPureBirth(f"lumped chain moves down a level with probability {off:.3e}")
-    skips = np.triu(lumped, 2)
-    if top >= 2 and np.abs(skips).max() > TRIANGULAR_TOL:
-        raise NotPureBirth("lumped chain skips levels")
-    birth = np.zeros(top + 1)
-    if top:
-        birth[:-1] = np.diag(lumped, 1)
-    return BirthChain(birth=birth)
+def _levels(p: Poset) -> np.ndarray:
+    """Length of the longest chain below each state; covers go up in index."""
+    level = [0] * p.size
+    for lower, upper in sorted(p.covers):
+        level[upper] = max(level[upper], level[lower] + 1)
+    return np.asarray(level, dtype=np.int64)
 
 
 def spectrum_from_triangular(d: DualChain, *, group_tol: float = 1e-9) -> SpectrumReport:
-    """Eigenvalues read off the diagonal of an upper-triangular dual kernel."""
-    below = np.tril(d.P_star, -1)
-    worst = float(np.abs(below).max()) if d.size > 1 else 0.0
-    if worst > TRIANGULAR_TOL:
-        raise NotTriangular(
-            f"dual kernel has mass {worst:.3e} below the diagonal"
-        )
-    diag = np.sort(np.diag(d.P_star))[::-1]
-    values, counts = group_with_tolerance(diag, group_tol)
+    """Eigenvalues of a dual kernel that never moves down a level.
+
+    Ordered by level (the longest chain below a state), such a kernel is block
+    upper triangular: its spectrum is the union of its level blocks' spectra,
+    which for a triangular dual is the diagonal.  An eigenvalue with an
+    imaginary part above ``group_tol`` is an error, never dropped.
+    """
+    level = _levels(d.poset)
+    rows, cols = np.nonzero(d.P_star > TRIANGULAR_TOL)
+    down = level[cols] < level[rows]
+    if down.any():
+        worst = float(d.P_star[rows[down], cols[down]].max())
+        raise NotTriangular(f"dual kernel moves down a level with probability {worst:.3e}")
+    blocks = (np.nonzero(level == k)[0] for k in range(int(level.max()) + 1))
+    eig = np.concatenate([np.linalg.eigvals(d.P_star[np.ix_(b, b)]) for b in blocks])
+    imag = float(np.abs(eig.imag).max())
+    if imag > group_tol:
+        raise NotReversible(f"dual level block has an eigenvalue with imaginary part {imag:.3e}")
+    values, counts = group_with_tolerance(np.sort(eig.real)[::-1], group_tol)
     return SpectrumReport(values=values, multiplicities=counts, source="triangular-dual")
 
 

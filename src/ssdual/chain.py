@@ -16,8 +16,13 @@ from .errors import (
 )
 from .poset import Poset, _readonly
 
-ROW_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-10
+# The named tolerances, defined here once for every module.
+DEFAULT_TOL = 1e-9  # Mobius-monotonicity slack; build_dual clamps [-tol, 0) to zero
+ROW_TOL = 1e-10  # row sums of a built or loaded kernel
+ROW_SUM_TOL = 1e-12  # row sums of a chain that validate() calls healthy
+STATIONARY_TOL = 1e-10  # |pi P - pi| of a stationary distribution
+DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
+TRIANGULAR_TOL = 1e-12  # moves to a lower level that a level-block spectrum ignores
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import STATIONARY_TOL, ChainSpec
-from .duality import DEBRIS_TOL, DualChain
+from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec
+from .duality import DualChain
 from .errors import (
     BadParameters,
     CycleDetected,
@@ -34,7 +34,6 @@ from .errors import (
 from .poset import build_poset
 
 SCHEMA_VERSION = 2
-LOAD_ROW_TOL = 1e-10
 _NUMBER = {int, float}  # json.load types of a number; bool is neither
 
 
@@ -159,7 +158,7 @@ def _distribution(path, value, key: str, size: int) -> np.ndarray:
     if a.min() < -DEBRIS_TOL:
         raise ParseError(f"{path}: {key} has negative entry {a.min():.3e}")
     dev = abs(float(a.sum()) - 1.0)
-    if dev > LOAD_ROW_TOL:
+    if dev > ROW_TOL:
         raise ParseError(f"{path}: {key} sums to 1 only within {dev:.3e}")
     return a
 
@@ -237,7 +236,7 @@ def load_chain(path) -> LoadedChain:
     rank[perm] = np.arange(size)
     P = _kernel(path, doc, version, rank)
     row_dev = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-    if row_dev > LOAD_ROW_TOL:
+    if row_dev > ROW_TOL:
         raise ParseError(f"{path}: kernel rows sum to 1 only within {row_dev:.3e}")
     if P.min() < -DEBRIS_TOL:
         raise ParseError(f"{path}: kernel has negative entry {P.min():.3e}")

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import absorption, chainfile, duality, models
-from .chain import spectrum_numeric, time_reversal, with_stationary
+from .chain import DEFAULT_TOL, spectrum_numeric, time_reversal, with_stationary
 from .errors import (
     MonotonicityViolated,
     NotRowStochastic,
@@ -300,12 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="Mobius monotonicity checks")
     check.add_argument("--chain", required=True)
     check.add_argument("--direction", choices=["down", "up"], default="down")
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     check.set_defaults(func=cmd_check)
 
     dual = sub.add_parser("dual", help="build the strong stationary dual")
     dual.add_argument("--chain", required=True)
-    dual.add_argument("--tol", type=float, default=1e-9)
+    dual.add_argument("--tol", type=float, default=DEFAULT_TOL)
     dual.add_argument("-o", "--output", required=True)
     dual.set_defaults(func=cmd_dual)
 
@@ -313,11 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--chain", required=True)
     verify.add_argument("--dual", required=True)
     verify.add_argument("--horizon", type=int, default=60)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("-o", "--output")
     verify.set_defaults(func=cmd_verify)
 
-    eigen = sub.add_parser("eigen", help="numeric and triangular-dual spectra")
+    eigen = sub.add_parser(
+        "eigen", help="numeric spectrum; with --dual, also the dual's from its level blocks"
+    )
     eigen.add_argument("--chain", required=True)
     eigen.add_argument("--dual")
     eigen.set_defaults(func=cmd_eigen)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _reachable_from, time_reversal
+from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _reachable_from, time_reversal
 from .errors import (
     DimensionMismatch,
     MissingStationary,
@@ -23,10 +23,6 @@ from .errors import (
 )
 from .poset import Poset, _mobius_apply, _readonly, _transitive_reduction
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
-
-DEFAULT_TOL = 1e-9
-ROW_TOL = 1e-10
-DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,16 +65,8 @@ class BadProbability(SSDError):
     """Probability parameter outside (0, 1]."""
 
 
-class NotLumpable(SSDError):
-    """Level classes do not aggregate to a Markov projection."""
-
-
-class NotPureBirth(SSDError):
-    """Lumped chain moves down or skips levels."""
-
-
 class NotTriangular(SSDError):
-    """Kernel is not upper triangular under the consistent enumeration."""
+    """Kernel moves down a level, so it is not block upper triangular by level."""
 
 
 class MaxStepsExceeded(SSDError):

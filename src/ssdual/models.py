@@ -263,7 +263,12 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     # hold 1 - the whole row's sum, which keeps lattice files bit for bit
     np.fill_diagonal(P, 0.0)
     np.fill_diagonal(P, np.maximum(1.0 - P.sum(axis=1), 0.0))
-    weights = np.outer(spec.rho2 ** np.arange(N + 1), spec.rho1 ** np.arange(N + 1)).ravel()
+    # rho^x on each axis, over rho^N where rho > 1 so that no power overflows
+    w1, w2 = (
+        (mu / lam) ** np.arange(N, -1, -1) if lam > mu else (lam / mu) ** np.arange(N + 1)
+        for lam, mu in rates
+    )
+    weights = np.outer(w2, w1).ravel()
     return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=weights / weights.sum())
 
 
@@ -277,7 +282,8 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     down from x + 1 with lambda (1 - r^(x+1)) / (1 - r^(x+2)), and never down
     from the upper border N.  Both ratios are taken between the sums
     S_x = 1 + r + ... + r^x = (1 - r^(x+1)) / (1 - r), whose positive terms
-    do not cancel as 1 - r^x does when r is near 1.
+    do not cancel as 1 - r^x does when r is near 1.  For r > 1, S_x = r^x Q_x
+    with Q_x = 1 + ... + r^-x, so no power overflows.
     """
     if spec.lambda1 == spec.mu1 or spec.lambda2 == spec.mu2:
         raise BadParameters("closed-form dual requires lambda_i != mu_i")
@@ -285,10 +291,11 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     poset = _model_poset([N + 1, N + 1], cap)
     moves = []
     for lam, mu in ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2)):
-        S = np.cumsum((lam / mu) ** np.arange(N + 1))
-        down = lam * S[:-1] / S[1:]
+        lo, hi = min(lam, mu), max(lam, mu)
+        Q = np.cumsum((lo / hi) ** np.arange(N + 1))
+        down = lo * Q[:-1] / Q[1:]
         down[-1] = 0.0
-        moves.append(_steps(mu * S[1:] / S[:-1], down))
+        moves.append(_steps(hi * Q[1:] / Q[:-1], down))
     P = _product_walk(poset, moves)
     return DualChain(
         poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1

@@ -10,10 +10,26 @@ from ssdual.errors import (
     BadParameters,
     BadProbability,
     MaxStepsExceeded,
-    NotLumpable,
-    NotPureBirth,
+    NotReversible,
     NotTriangular,
 )
+from ssdual.absorption import _levels
+from ssdual.chain import group_with_tolerance
+
+
+def reads_its_diagonal(d):
+    report = sd.spectrum_from_triangular(d)
+    values, counts = group_with_tolerance(np.sort(np.diag(d.P_star))[::-1], 1e-9)
+    return np.array_equal(report.values, values) and np.array_equal(report.multiplicities, counts)
+
+
+def unranked_dual(P):
+    # 0 < a < b < 1 and 0 < c < 1, enumerated 0, a, b, c, 1: c sits above b by
+    # index and below it by level
+    poset = sd.build_poset(
+        ["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)]
+    )
+    return sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0, 0], absorbing_index=4)
 
 
 def two_state_symmetric():
@@ -123,47 +139,6 @@ class TestGeometricSumLaw:
         assert geo.mean == pytest.approx(2 * n * k / (k + 1) * sum(1 / i for i in range(1, n + 1)))
 
 
-class TestPureBirthProjection:
-    def test_ising_levels_at_infinite_temperature(self):
-        N = 4
-        birth = sd.pure_birth_projection(
-            ising_dual(N, 0.0), lambda lab: sum(1 for s in lab if s == 1)
-        )
-        expect = [1 - k / N for k in range(N)] + [0.0]
-        assert np.abs(birth.birth - expect).max() <= 1e-12
-        assert np.abs(birth.hold + birth.birth - 1.0).max() <= 1e-15
-
-    def test_cube_reachable_levels(self):
-        n, k = 3, 2
-        sub = sd.restrict_to_reachable(cube_closed_dual(n, k))
-        birth = sd.pure_birth_projection(sub, lambda lab: sum(1 for v in lab if v == k))
-        expect = [(n - i) * (k + 1) / (2 * n * k) for i in range(n)] + [0.0]
-        assert np.abs(birth.birth - expect).max() <= 1e-12
-        assert birth.success_probabilities().tolist() == birth.birth[:-1].tolist()
-
-    def test_lattice_dual_is_not_lumpable_by_total_coordinate(self):
-        with pytest.raises(NotLumpable):
-            sd.pure_birth_projection(lattice_dual(2), lambda lab: lab[0] + lab[1])
-
-    def test_interacting_spins_break_lumpability(self):
-        with pytest.raises(NotLumpable):
-            sd.pure_birth_projection(
-                ising_dual(4, 0.5), lambda lab: sum(1 for s in lab if s == 1)
-            )
-
-    def test_level_skip_rejected(self):
-        poset = sd.chain_poset(3)
-        P = np.array([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-        d = sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0], absorbing_index=2)
-        with pytest.raises(NotPureBirth):
-            sd.pure_birth_projection(d, lambda lab: lab)
-
-    def test_levels_must_be_contiguous(self):
-        d = cube_dual(2, 1)
-        with pytest.raises(BadParameters):
-            sd.pure_birth_projection(d, lambda lab: 2 * sum(lab))
-
-
 class TestTriangularSpectrum:
     def test_ising_multiplicities(self):
         report = sd.spectrum_from_triangular(ising_dual(3, 0.0))
@@ -185,6 +160,56 @@ class TestTriangularSpectrum:
     def test_lattice_dual_not_triangular(self):
         with pytest.raises(NotTriangular):
             sd.spectrum_from_triangular(lattice_dual(2))
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_ising_duals_read_their_diagonal_exactly(self, N):
+        assert reads_its_diagonal(ising_dual(N, 0.0))
+        assert reads_its_diagonal(sd.ising_circle_dual(N, 0.0))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 4))
+    def test_cube_duals_read_their_diagonal_exactly(self, n, k):
+        closed = cube_closed_dual(n, k)
+        assert reads_its_diagonal(closed)
+        assert reads_its_diagonal(cube_dual(n, k))
+        assert reads_its_diagonal(sd.restrict_to_reachable(closed))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("N", [4, 6, 8, 10])
+    def test_level_blocks_match_numeric_at_positive_beta(self, N, beta):
+        numeric = sd.spectrum_numeric(ising(N, beta), group_tol=0.0).expanded()
+        for dual in (ising_dual(N, beta), sd.ising_circle_dual(N, beta)):
+            blocks = sd.spectrum_from_triangular(dual, group_tol=1e-12).expanded()
+            assert len(blocks) == len(numeric)
+            assert np.abs(np.sort(blocks) - np.sort(numeric)).max() <= 1e-9
+
+    def test_levels_are_longest_chains_below(self):
+        P = np.eye(5)
+        assert _levels(unranked_dual(P).poset).tolist() == [0, 1, 2, 1, 3]
+
+    def test_move_to_a_lower_level_raises_even_upward_by_index(self):
+        P = np.eye(5)
+        P[2] = [0.0, 0.0, 0.5, 0.5, 0.0]  # b -> c: upper triangular, one level down
+        with pytest.raises(NotTriangular):
+            sd.spectrum_from_triangular(unranked_dual(P))
+
+    def test_complex_level_block_raises(self):
+        # 0 < {a, b, c} < 1, and the dual rotates a -> b -> c -> a
+        poset = sd.build_poset(
+            ["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+        )
+        P = np.array(
+            [
+                [0.25, 0.25, 0.25, 0.25, 0.0],
+                [0.0, 0.0, 0.5, 0.0, 0.5],
+                [0.0, 0.0, 0.0, 0.5, 0.5],
+                [0.0, 0.5, 0.0, 0.0, 0.5],
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        d = sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0, 0], absorbing_index=4)
+        with pytest.raises(NotReversible):
+            sd.spectrum_from_triangular(d)
 
 
 class TestBounds:

@@ -260,6 +260,21 @@ class TestAnalysisCommands:
         assert payload["numeric"]["multiplicities"] == [1, 3, 3, 1]
         assert payload["triangular_dual"]["multiplicities"] == [1, 3, 3, 1]
 
+    def test_eigen_with_dual_at_positive_beta(self, tmp_path, capsys):
+        chain_path = gen_model(
+            tmp_path, capsys, "--type", "ising-circle", "--N", "6", "--beta", "0.5"
+        )
+        dual_path = tmp_path / "dual.json"
+        run(capsys, "dual", "--chain", str(chain_path), "-o", str(dual_path))
+        code, out, err = run(
+            capsys, "eigen", "--chain", str(chain_path), "--dual", str(dual_path)
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        numeric, blocks = payload["numeric"], payload["triangular_dual"]
+        assert blocks["multiplicities"] == numeric["multiplicities"]
+        assert np.abs(np.subtract(blocks["values"], numeric["values"])).max() <= 1e-9
+
     def test_separation_csv(self, cube_file, tmp_path, capsys):
         csv_path = tmp_path / "sep.csv"
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,13 +351,27 @@ class TestLatticeClosedDual:
         generic = sd.build_dual(sd.lattice_walk(spec))
         assert np.abs(closed.P_star - generic.P_star).max() <= 1e-10
 
-    @pytest.mark.parametrize("lambda1", [0.24999999, np.nextafter(0.25, 0.0)])
+    @pytest.mark.parametrize(
+        "lambda1", [0.24999999, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), 0.25000001]
+    )
     def test_rates_near_balance_match_generic(self, lambda1):
         # 1 - rho^x by subtraction cancels here: 2.9e-10 off build_dual at 0.24999999
         spec = sd.LatticeSpec(N=5, lambda1=lambda1, lambda2=0.2, mu1=0.25, mu2=0.25)
         closed = sd.lattice_walk_dual(spec)
         generic = sd.build_dual(sd.lattice_walk(spec))
         assert np.abs(closed.P_star - generic.P_star).max() <= 1e-12
+
+    def test_strongly_skewed_rates_stay_finite(self):
+        # rho1 = 3e8: rho1^40 overflows unless the weights are taken over rho1^N
+        spec = sd.LatticeSpec(N=40, lambda1=0.3, lambda2=0.2, mu1=1e-9, mu2=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = sd.lattice_walk(spec)
+            closed = sd.lattice_walk_dual(spec)
+        for a in (chain.P, chain.pi, closed.P_star):
+            assert np.isfinite(a).all()
+        assert chain.pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(closed.P_star.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_requires_distinct_rates(self):
         with pytest.raises(BadParameters):

@@ -254,7 +254,8 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     Moves right/left with probability lambda1/mu1, up/down with lambda2/mu2
     where feasible; the remaining mass stays put.  The stationary law is
     proportional to rho1^x rho2^y, normalized by direct summation so
-    rho = 1 needs no special casing.
+    rho = 1 needs no special casing.  Raises BadParameters when the rates are
+    so skewed that some weight underflows to 0 relative to the largest.
     """
     N = spec.N
     poset = _model_poset([N + 1, N + 1], cap)
@@ -269,7 +270,12 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
         for lam, mu in rates
     )
     weights = np.outer(w2, w1).ravel()
-    return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=weights / weights.sum())
+    pi = weights / weights.sum()
+    if not pi.all():
+        raise BadParameters(
+            f"stationary weights underflow to 0: rho1 = {spec.rho1:.6g}, rho2 = {spec.rho2:.6g}"
+        )
+    return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=pi)
 
 
 def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain:

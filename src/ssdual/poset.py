@@ -137,17 +137,18 @@ class MobiusPair:
         object.__setattr__(self, "mobius", _readonly(np.ascontiguousarray(self.mobius, dtype=np.int64)))
 
 
-def _find_cycle(succ: list[list[int]], remaining: set[int]) -> list[int]:
-    # Walk successors inside the unresolved set until a node repeats.
-    start = min(remaining)
+def _find_cycle(covers: Sequence[tuple[int, int]], remaining: set[int]) -> list[int]:
+    # Walk predecessors inside the unresolved set until a node repeats.  Every
+    # unresolved node has one, so the walk closes a cycle; a walk along
+    # successors can leave the cycles it started below.
+    pred = {b: a for a, b in covers if a in remaining}
     seen: dict[int, int] = {}
-    path: list[int] = []
-    v = start
+    v = min(remaining)
     while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        v = next(w for w in succ[v] if w in remaining)
-    return path[seen[v]:]
+        seen[v] = len(seen)
+        v = pred[v]
+    cycle = list(seen)[seen[v]:]
+    return cycle[:1] + cycle[:0:-1]  # forward, from v
 
 
 def _topological_order(size: int, covers: Sequence[tuple[int, int]], labels: Sequence) -> list[int]:
@@ -168,7 +169,7 @@ def _topological_order(size: int, covers: Sequence[tuple[int, int]], labels: Seq
                 heapq.heappush(heap, w)
     if len(order) < size:
         remaining = set(range(size)) - set(order)
-        cycle = _find_cycle(succ, remaining)
+        cycle = _find_cycle(covers, remaining)
         names = " -> ".join(repr(labels[i]) for i in cycle + cycle[:1])
         raise CycleDetected(f"covers contain a directed cycle: {names}")
     return order
@@ -182,12 +183,28 @@ def _transitive_reduction(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in np.argwhere(cover))
 
 
+def _grid_shape(size: int, covers: list[tuple[int, int]]) -> tuple[int, ...] | None:
+    """The shape whose mixed-radix grid has exactly these sorted covers, else None."""
+    # the up-neighbours of state 0 are the radices 1 = r_0 < r_1 < ...
+    bounds = [b for a, b in covers if a == 0] + [size]
+    if len(bounds) < 2 or bounds[0] != 1 or any(hi % lo for lo, hi in zip(bounds, bounds[1:])):
+        return None
+    shape = tuple(hi // lo for lo, hi in zip(bounds, bounds[1:]))
+    lower = np.nonzero(_digits(shape) + 1 < np.asarray(shape))  # (state, axis) below the top
+    grid = np.sort(lower[0] * (size + 1) + np.asarray(bounds[:-1])[lower[1]])
+    given = np.array(covers, dtype=np.int64)
+    return shape if np.array_equal(grid, given[:, 0] * size + given[:, 1]) else None
+
+
 def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int | None = None) -> Poset:
     """Build a poset from labels and cover pairs given in any order.
 
     The result is re-enumerated by a deterministic topological sort (Kahn's
     algorithm, ties broken by smallest input index).  Duplicate cover pairs
     are tolerated; redundant (non-cover) pairs are absorbed into the closure.
+    When the distinct pairs are exactly the covers of a product of chains in
+    mixed radix (:func:`grid_poset`'s indexing, labels free), the result is
+    the same poset with its ``shape`` set, built without the closure.
 
     Raises
     ------
@@ -215,6 +232,10 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int
             raise BadParameters(f"cover pair ({a}, {b}) out of range for {size} states")
         if a == b:
             raise BadParameters(f"self-cover at index {a}")
+    shape = _grid_shape(size, dedup)
+    if shape is not None:  # Kahn's order is the identity; a grid's covers are its reduction
+        leq = _kron_axes(shape, _chain_zeta)
+        return Poset(tuple(labels), dedup, leq, np.arange(size), shape)
     order = _topological_order(size, dedup, labels)
 
     succ: list[list[int]] = [[] for _ in range(size)]
@@ -378,6 +399,9 @@ def mobius_pair(p: Poset) -> MobiusPair:
 # Products of chains up to this size multiply by dense matrices.  On 2 vCPUs
 # with OpenBLAS, mobius @ a @ zeta on {0,1}^7 takes 0.18 ms as two BLAS
 # products and 0.26 ms as axis sweeps; on {0,1}^8, 1.3 ms against 0.9 ms.
+# Grid chain files load shaped, so loaded and in-memory duals agree without
+# this fork; it stays because the benchmark's self-test and predictions expect
+# small products of chains to call mobius_pair.
 _DENSE_MAX_STATES = 128
 
 # Each factor acts on one chain axis, from the left, as the in-place

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import ssdual as sd
-from conftest import cube_dual, ising, lattice, lattice_dual, version_1_document
+from conftest import (
+    cube,
+    cube_dual,
+    ising,
+    ising_dual,
+    lattice,
+    lattice_dual,
+    version_1_document,
+)
 from ssdual.errors import NoAbsorbingState, ParseError, SchemaVersionMismatch
 
 
@@ -47,6 +55,24 @@ class TestRoundTrip:
         sd.save_chain(first, c)
         sd.save_chain(second, sd.load_chain(first).chain)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "chain,dual",
+        [
+            (lambda: lattice(24), lambda: lattice_dual(24)),
+            (lambda: cube(4, 3), lambda: cube_dual(4, 3)),
+            (lambda: ising(8, 0.5), lambda: ising_dual(8, 0.5)),
+        ],
+        ids=["lattice", "cube", "ising"],
+    )
+    def test_loaded_grid_keeps_its_shape_and_its_dual(self, tmp_path, chain, dual):
+        path = tmp_path / "chain.json"
+        sd.save_chain(path, chain())
+        loaded = sd.load_chain(path).chain
+        assert loaded.poset.shape == chain().poset.shape
+        again = sd.build_dual(loaded)
+        assert np.array_equal(again.P_star, dual().P_star)
+        assert np.array_equal(again.nu_star, dual().nu_star)
 
     def test_chain_without_absorbing_cannot_be_dual(self, tmp_path):
         path = tmp_path / "chain.json"

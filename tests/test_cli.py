@@ -94,6 +94,14 @@ class TestModelGen:
         assert code == 1
         assert "cap" in err
 
+    def test_underflowing_lattice_is_input_error(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "model", "gen", "--type", "lattice", "--N", "40", "--lambda1", "0.3",
+            "--mu1", "1e-9", "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "underflow" in err
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_bad_cap_setting_is_input_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("SSD_MAX_STATES", value)
@@ -227,6 +235,17 @@ class TestDualVerify:
         assert json.loads(out)["sharpness_max_dev"] > 0.5
         code, _, err = run(capsys, "absorb", "--dual", str(dual_path))
         assert code == 4 and "solve failed" in err
+
+    def test_lattice_dual_file_equals_the_in_memory_dual(self, tmp_path, capsys):
+        # the loaded lattice keeps its grid shape, so the CLI takes the same path
+        path = gen_model(tmp_path, capsys, "--type", "lattice", "--N", "24")
+        dual_path = tmp_path / "dual.json"
+        assert run(capsys, "dual", "--chain", str(path), "-o", str(dual_path))[0] == 0
+        expected = tmp_path / "expected.json"
+        meta = {"dual_of": str(path), "source_meta": sd.load_chain(path).meta}
+        chain = sd.lattice_walk(sd.LatticeSpec(24, 0.2, 0.2, 0.25, 0.25))  # the default rates
+        sd.save_chain(expected, sd.build_dual(chain), meta=meta)
+        assert dual_path.read_bytes() == expected.read_bytes()
 
     def test_version_1_chain_file_gives_version_2_dual(self, tmp_path, capsys):
         # the migration path: any command that writes a file writes version 2
@@ -434,6 +453,19 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    def test_cycle_above_the_first_state_is_input_error(self, tmp_path, capsys):
+        # 'a' lies below the cycle 'b' <-> 'c' without being on it
+        path = tmp_path / "cycle.json"
+        doc = {
+            "version": 2, "labels": ["a", "b", "c"], "covers": [[1, 2], [2, 1], [1, 0]],
+            "P_indptr": [0, 1, 2, 3], "P_indices": [0, 1, 2], "P_data": [1.0, 1.0, 1.0],
+            "nu": [1.0, 0.0, 0.0], "absorbing_index": 2, "meta": {},
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "absorb", "--dual", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'b' -> 'c' -> 'b'" in err
+
     def test_memory_error_is_numerical_failure(self, cube_file, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -506,4 +538,50 @@ class TestCorruptedFiles:
             if code not in (1, 2, 3, 4) or not err.startswith("error:") or "Traceback" in err:
                 failures.append(f"{name}: exit {code}, stderr {err!r}")
         assert len(cases) > 60
+        assert failures == []
+
+
+MUTANT_VALUES = (None, True, -1, 1.5, 1e308, "x", [], {}, [0, 0])
+
+
+def mutants(doc):
+    """(name, document) pairs: each top-level field, and the middle entry of each list, replaced."""
+    for key, value in doc.items():
+        for bad in MUTANT_VALUES:
+            yield f"{key} = {bad!r}", {**doc, key: bad}
+            if isinstance(value, list) and value:
+                mid = len(value) // 2
+                entries = [*value[:mid], bad, *value[mid + 1:]]
+                yield f"{key}[{mid}] = {bad!r}", {**doc, key: entries}
+
+
+class TestExitCodeAudit:
+    """No mutant of a valid lattice chain or dual file escapes main with an exception."""
+
+    def test_every_mutant_exits_with_a_documented_code(self, tmp_path, capsys):
+        chain_path, dual_path = tmp_path / "chain.json", tmp_path / "dual.json"
+        chain = sd.lattice_walk(sd.LatticeSpec(3, 0.2, 0.2, 0.25, 0.25))
+        sd.save_chain(chain_path, chain)
+        sd.save_chain(dual_path, sd.build_dual(chain))
+        mutant_path = tmp_path / "mutant.json"
+        failures, runs = [], 0
+        for original in (chain_path, dual_path):
+            verify = [
+                "verify", "--chain", str(mutant_path if original == chain_path else chain_path),
+                "--dual", str(mutant_path if original == dual_path else dual_path), "--horizon", "10",
+            ]
+            absorb = ["absorb", "--dual", str(mutant_path), "--horizon", "10"]
+            for name, bad in mutants(json.loads(original.read_text())):
+                mutant_path.write_text(json.dumps(bad))
+                for argv in (verify, absorb):
+                    runs += 1
+                    label = f"{original.name} {name} {argv[0]}"
+                    try:
+                        code, _, err = run(capsys, *argv)
+                    except Exception as exc:  # escaped main: a traceback for the user
+                        failures.append(f"{label}: {exc!r}")
+                        continue
+                    if code not in range(5) or (code and not err.startswith("error:")):
+                        failures.append(f"{label}: exit {code}, stderr {err!r}")
+        assert runs > 500
         assert failures == []

@@ -362,8 +362,8 @@ class TestLatticeClosedDual:
         assert np.abs(closed.P_star - generic.P_star).max() <= 1e-12
 
     def test_strongly_skewed_rates_stay_finite(self):
-        # rho1 = 3e8: rho1^40 overflows unless the weights are taken over rho1^N
-        spec = sd.LatticeSpec(N=40, lambda1=0.3, lambda2=0.2, mu1=1e-9, mu2=0.25)
+        # rho1 = 6e7: rho1^40 overflows unless the weights are taken over rho1^N
+        spec = sd.LatticeSpec(N=40, lambda1=0.3, lambda2=0.2, mu1=5e-9, mu2=0.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chain = sd.lattice_walk(spec)
@@ -371,6 +371,14 @@ class TestLatticeClosedDual:
         for a in (chain.P, chain.pi, closed.P_star):
             assert np.isfinite(a).all()
         assert chain.pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(closed.P_star.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_underflowing_stationary_weights_are_rejected(self):
+        # rho1 = 3e8: 114 of the 1681 stationary weights underflow to 0
+        spec = sd.LatticeSpec(N=40, lambda1=0.3, lambda2=0.2, mu1=1e-9, mu2=0.25)
+        with pytest.raises(BadParameters, match="rho1 = 3e\\+08"):
+            sd.lattice_walk(spec)
+        closed = sd.lattice_walk_dual(spec)  # its rates are ratios of sums, not weights
         assert np.abs(closed.P_star.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_requires_distinct_rates(self):

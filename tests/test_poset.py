@@ -105,6 +105,11 @@ class TestBuildPoset:
         with pytest.raises(CycleDetected, match="'b'"):
             sd.build_poset(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
 
+    def test_cycle_above_the_first_state_is_named(self):
+        # 'a' is unresolved only because it lies above the cycle 'b' <-> 'c'
+        with pytest.raises(CycleDetected, match="'b' -> 'c' -> 'b'"):
+            sd.build_poset(["a", "b", "c"], [(1, 2), (2, 1), (1, 0)])
+
     def test_deterministic_tiebreak_by_input_index(self):
         p = sd.build_poset(["a", "b", "c"], [(2, 1)])
         assert p.labels == ("a", "c", "b")
@@ -142,6 +147,56 @@ class TestBuildPoset:
         assert np.array_equal(p.leq, expected[np.ix_(remap, remap)])
 
 
+def _same_poset(p, q):
+    assert p.labels == q.labels and p.covers == q.covers
+    assert np.array_equal(p.leq, q.leq) and np.array_equal(p.enumeration, q.enumeration)
+
+
+class TestGridRecognition:
+    """build_poset keeps the shape of covers that are exactly a grid's, in mixed radix."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sd.chain_poset(5),
+            lambda: sd.grid_poset([25, 25]),
+            lambda: sd.grid_poset([4] * 4),
+            lambda: sd.product_poset(sd.grid_poset([2, 3]), sd.chain_poset(4)),
+            lambda: sd.ising_circle(4, 0.5).poset,  # spin labels
+        ],
+        ids=["chain", "square", "cube", "product", "ising"],
+    )
+    def test_grid_covers_give_the_shape_of_the_slow_path_poset(self, make, monkeypatch):
+        grid = make()
+        fast = sd.build_poset(list(grid.labels), grid.covers)
+        assert fast.shape == grid.shape
+        monkeypatch.setattr(poset_module, "_grid_shape", lambda size, covers: None)
+        slow = sd.build_poset(list(grid.labels), grid.covers)
+        assert slow.shape is None
+        _same_poset(fast, slow)
+        _same_poset(fast, grid)
+
+    def test_missing_cover_falls_back(self):
+        covers = sd.grid_poset([3, 3]).covers
+        assert sd.build_poset(range(9), covers[:4] + covers[5:]).shape is None
+
+    def test_redundant_pair_falls_back(self):
+        p = sd.build_poset(range(3), [(0, 1), (1, 2), (0, 2)])
+        assert p.shape is None and p.covers == sd.chain_poset(3).covers
+
+    def test_relabelled_grid_falls_back(self):
+        grid = sd.grid_poset([3, 3])
+        perm = [0, 1, 2, 3, 5, 4, 6, 7, 8]  # swap the states (1, 1) and (2, 1)
+        p = sd.build_poset(range(9), [(perm[a], perm[b]) for a, b in grid.covers])
+        assert p.shape is None
+        assert p.enumeration.tolist() == perm and np.array_equal(p.leq, grid.leq)
+
+    def test_size_not_a_product_of_the_radices_falls_back(self):
+        # the covers of the 2 x 3 grid plus an isolated seventh state
+        p = sd.build_poset(range(7), sd.grid_poset([2, 3]).covers)
+        assert p.shape is None and p.size == 7
+
+
 class TestMobius:
     def test_two_chain(self):
         pair = sd.mobius_pair(sd.chain_poset(2))
@@ -157,11 +212,11 @@ class TestMobius:
         assert np.array_equal(pair.mobius, np.where(p.leq, signs, 0))
 
     def test_boolean_lattice_from_covers_runs_float_certificate(self, monkeypatch):
-        # the same order rebuilt from its covers has no shape, so its 2048-state
-        # mu is the certified float inverse, not the Python-integer fallback
+        # the same order without its shape: its 2048-state mu is the
+        # certified float inverse, not the Python-integer fallback
         monkeypatch.setattr(poset_module, "_exact_mobius", None)
         grid = sd.grid_poset([2] * 11)
-        p = sd.build_poset(list(range(grid.size)), grid.covers)
+        p = sd.Poset(range(grid.size), grid.covers, grid.leq, grid.enumeration)
         assert p.shape is None and np.array_equal(p.leq, grid.leq)
         ranks = np.array([sum(lab) for lab in grid.labels])
         signs = 1 - 2 * ((ranks[None, :] - ranks[:, None]) % 2)
@@ -315,8 +370,8 @@ def shaped_posets(draw):
 
 
 def unshaped(p):
-    """The same order rebuilt from its covers, without a shape."""
-    q = sd.build_poset(list(range(p.size)), p.covers)
+    """The same order without a shape."""
+    q = sd.Poset(range(p.size), p.covers, p.leq, p.enumeration)
     assert q.shape is None and np.array_equal(q.enumeration, np.arange(p.size))
     return q
 
@@ -327,7 +382,8 @@ class TestShapedCalculus:
         assert sd.grid_poset([2, 3]).shape == (2, 3)
         assert sd.product_poset(sd.grid_poset([2, 3]), sd.chain_poset(4)).shape == (2, 3, 4)
         assert sd.ising_circle(3, 0.5).poset.shape == (2, 2, 2)
-        assert sd.product_poset(sd.build_poset([0, 1], [(0, 1)]), sd.chain_poset(2)).shape is None
+        vee = sd.build_poset([0, 1, 2], [(0, 1), (0, 2)])
+        assert sd.product_poset(vee, sd.chain_poset(2)).shape is None
 
     def test_shape_must_match_size(self):
         p = sd.grid_poset([2, 2])

@@ -23,6 +23,7 @@ ROW_SUM_TOL = 1e-12  # row sums of a chain that validate() calls healthy
 STATIONARY_TOL = 1e-10  # |pi P - pi| of a stationary distribution
 DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
 TRIANGULAR_TOL = 1e-12  # moves to a lower level that a level-block spectrum ignores
+REVERSIBLE_TOL = 1e-9  # detailed-balance flux that spectrum_numeric accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,32 +110,25 @@ class SpectrumReport:
         return np.repeat(self.values, self.multiplicities)
 
 
-def _reachable_from(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Mask of the states reachable along ``adj`` from the boolean mask ``start``."""
-    seen = start.copy()
-    frontier = np.nonzero(seen)[0]
-    while frontier.size:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = np.nonzero(nxt)[0]
-    return seen
-
-
-def _strongly_connected(P: np.ndarray) -> bool:
-    adj = P > 0.0
-    first = np.arange(len(P)) == 0
-    return bool(_reachable_from(adj, first).all() and _reachable_from(adj.T, first).all())
-
-
-def _period(P: np.ndarray) -> int:
-    # gcd of (depth[u] + 1 - depth[v]) over edges of an irreducible chain
-    adj = P > 0.0
-    depth = np.full(len(P), -1, dtype=np.int64)
-    frontier, level = np.array([0]), 0
+def _depths(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Breadth-first steps along ``adj`` from the boolean mask ``start``; -1 where unreached."""
+    depth = np.full(len(start), -1, dtype=np.int64)
+    frontier, level = np.nonzero(start)[0], 0
     while frontier.size:
         depth[frontier] = level
         frontier = np.nonzero(adj[frontier].any(axis=0) & (depth < 0))[0]
         level += 1
+    return depth
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    first = np.arange(len(adj)) == 0
+    return bool((_depths(adj, first) >= 0).all() and (_depths(adj.T, first) >= 0).all())
+
+
+def _period(adj: np.ndarray) -> int:
+    # gcd of (depth[u] + 1 - depth[v]) over edges of an irreducible chain
+    depth = _depths(adj, np.arange(len(adj)) == 0)
     u, v = np.nonzero(adj)
     return int(np.gcd.reduce(depth[u] + 1 - depth[v])) or 1
 
@@ -144,8 +138,9 @@ def validate(c: ChainSpec) -> ValidationReport:
     row_dev = float(np.max(np.abs(c.P.sum(axis=1) - 1.0)))
     min_entry = float(c.P.min())
     nu_dev = float(abs(c.nu.sum() - 1.0))
-    irreducible = _strongly_connected(c.P)
-    aperiodic = (_period(c.P) == 1) if irreducible else None
+    adj = c.P > 0.0
+    irreducible = _strongly_connected(adj)
+    aperiodic = (_period(adj) == 1) if irreducible else None
     stat_dev = stat_min = None
     if c.pi is not None:
         stat_dev = float(np.max(np.abs(c.pi @ c.P - c.pi)))
@@ -167,7 +162,7 @@ def stationary(c: ChainSpec) -> np.ndarray:
     Solves pi (P - I) = 0 with sum(pi) = 1; the residual is checked against
     1e-10 in the sup norm.
     """
-    if not _strongly_connected(c.P):
+    if not _strongly_connected(c.P > 0.0):
         raise NotIrreducible("chain is not irreducible; stationary distribution not unique")
     m = c.size
     A = c.P.T - np.eye(m)
@@ -244,9 +239,7 @@ def evolve(c: ChainSpec, n: int) -> np.ndarray:
     return v
 
 
-def spectrum_numeric(
-    c: ChainSpec, *, reversible_tol: float = 1e-9, group_tol: float = 1e-7
-) -> SpectrumReport:
+def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport:
     """Eigenvalues of a reversible kernel via symmetric similarity.
 
     The kernel is conjugated by diag(sqrt(pi)) into a symmetric matrix and
@@ -255,7 +248,7 @@ def spectrum_numeric(
     """
     if c.pi is None:
         raise MissingStationary("numeric spectrum needs the stationary distribution")
-    if not is_reversible(c, reversible_tol):
+    if not is_reversible(c, REVERSIBLE_TOL):
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
     root = np.sqrt(c.pi)
     sym = root[:, None] * c.P

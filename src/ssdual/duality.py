@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _reachable_from, time_reversal
+from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _depths, time_reversal
 from .errors import (
     DimensionMismatch,
     MissingStationary,
@@ -267,15 +267,15 @@ def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
     return float(np.max(np.abs(sep.values - _survival(d, horizon))))
 
 
-def restrict_to_reachable(d: DualChain, *, atol: float = 0.0) -> DualChain:
+def restrict_to_reachable(d: DualChain) -> DualChain:
     """Dual chain restricted to states reachable from its initial distribution.
 
-    Transitions with probability <= atol (by default, exact zeros) are
-    treated as absent when deciding reachability.  The induced sub-poset
-    keeps the consistent enumeration; its ``enumeration`` field records the
-    parent indices.
+    A state is reachable when a path of positive transitions leads to it from
+    a state of positive initial mass; only exact zeros count as absent.  The
+    induced sub-poset keeps the consistent enumeration; its ``enumeration``
+    field records the parent indices.
     """
-    keep = np.nonzero(_reachable_from(d.P_star > atol, d.nu_star > atol))[0]
+    keep = np.nonzero(_depths(d.P_star > 0.0, d.nu_star > 0.0) >= 0)[0]
     if int(d.absorbing_index) not in keep:
         raise NoAbsorbingState("absorbing state unreachable from the initial distribution")
     sub_leq = d.poset.leq[np.ix_(keep, keep)]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _reachable_from
+from .chain import ChainSpec, _depths
 from .duality import DualChain, down_set_masses
 from .errors import BadParameters, TooLarge
 from .poset import Poset, _check_cap, _digits, grid_poset
@@ -32,8 +32,8 @@ class IsingSpec:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise BadParameters("graph needs at least one vertex")
-        if self.beta < 0.0:
-            raise BadParameters("beta must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise BadParameters("beta must be finite and nonnegative")
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -60,8 +60,8 @@ class LatticeSpec:
         if self.N < 1:
             raise BadParameters("lattice side N must be >= 1")
         rates = (self.lambda1, self.lambda2, self.mu1, self.mu2)
-        if any(r <= 0.0 for r in rates):
-            raise BadParameters("move probabilities must be positive")
+        if not all(math.isfinite(r) and r > 0.0 for r in rates):
+            raise BadParameters("move probabilities must be finite and positive")
         if sum(rates) > 1.0 + 1e-12:
             raise BadParameters("move probabilities must sum to at most 1")
 
@@ -86,9 +86,9 @@ class CubeSpec:
             raise BadParameters("cube needs n >= 1 and k >= 1")
 
 
-def _model_poset(shape: list[int], cap: int | None) -> Poset:
-    _check_cap(math.prod(shape), cap, TooLarge)
-    return grid_poset(shape, cap=cap)
+def _model_poset(shape: list[int]) -> Poset:
+    _check_cap(math.prod(shape), TooLarge)
+    return grid_poset(shape)
 
 
 def _start_at_bottom(size: int) -> np.ndarray:
@@ -97,8 +97,8 @@ def _start_at_bottom(size: int) -> np.ndarray:
     return nu
 
 
-def _spin_poset(n: int, cap: int | None) -> Poset:
-    grid = _model_poset([2] * n, cap)
+def _spin_poset(n: int) -> Poset:
+    grid = _model_poset([2] * n)
     labels = tuple(map(tuple, _spins(n).tolist()))
     return replace(grid, labels=labels)
 
@@ -138,9 +138,9 @@ def _ising_stationary(spec: IsingSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _ising_chain(spec: IsingSpec, cap: int | None) -> ChainSpec:
+def _ising_chain(spec: IsingSpec) -> ChainSpec:
     n = spec.n_vertices
-    poset = _spin_poset(n, cap)
+    poset = _spin_poset(n)
     up, down = _flip_probabilities(spec)
     states = np.arange(poset.size)
     bits = 1 << np.arange(n)
@@ -160,24 +160,23 @@ def _circle_spec(N: int, beta: float) -> IsingSpec:
     return IsingSpec(n_vertices=N, edges=edges, beta=beta)
 
 
-def ising_circle(N: int, beta: float, *, cap: int | None = None) -> ChainSpec:
+def ising_circle(N: int, beta: float) -> ChainSpec:
     """Gibbs sampler for the Ising model on a circle of N >= 3 vertices."""
-    return _ising_chain(_circle_spec(N, beta), cap)
+    return _ising_chain(_circle_spec(N, beta))
 
 
-def ising_gibbs_graph(
-    n_vertices: int, edges: Sequence[tuple[int, int]], beta: float, *, cap: int | None = None
-) -> ChainSpec:
+def ising_gibbs_graph(n_vertices: int, edges: Sequence[tuple[int, int]], beta: float) -> ChainSpec:
     """Gibbs sampler for the Ising model on an arbitrary simple graph."""
     spec = IsingSpec(
         n_vertices=n_vertices, edges=tuple((int(u), int(v)) for u, v in edges), beta=beta
     )
-    if not _reachable_from(_adjacency(spec) > 0, np.arange(n_vertices) == 0).all():
+    chain = _ising_chain(spec)  # checks the cap before the n x n adjacency below
+    if not (_depths(_adjacency(spec) > 0, np.arange(n_vertices) == 0) >= 0).all():
         warnings.warn("Ising graph is disconnected", stacklevel=2)
-    return _ising_chain(spec, cap)
+    return chain
 
 
-def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualChain:
+def ising_circle_dual(N: int, beta: float) -> DualChain:
     """Closed-form sharp dual of the circle Gibbs sampler.
 
     With H the down-set mass and f(x, i) the probability that vertex i is
@@ -197,7 +196,7 @@ def ising_circle_dual(N: int, beta: float, *, cap: int | None = None) -> DualCha
     2, so the closed form holds on the circle only.
     """
     spec = _circle_spec(N, beta)
-    poset = _spin_poset(N, cap)
+    poset = _spin_poset(N)
     size = poset.size
     up, down = _flip_probabilities(spec)
     H = down_set_masses(poset, _ising_stationary(spec))
@@ -248,7 +247,7 @@ def _steps(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.diag(up, 1) + np.diag(down, -1)
 
 
-def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
+def lattice_walk(spec: LatticeSpec) -> ChainSpec:
     """Weighted nearest-neighbour walk on the square lattice {0..N}^2.
 
     Moves right/left with probability lambda1/mu1, up/down with lambda2/mu2
@@ -258,7 +257,7 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     so skewed that some weight underflows to 0 relative to the largest.
     """
     N = spec.N
-    poset = _model_poset([N + 1, N + 1], cap)
+    poset = _model_poset([N + 1, N + 1])
     rates = ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2))
     P = _product_walk(poset, [_steps(np.full(N, lam), np.full(N, mu)) for lam, mu in rates])
     # hold 1 - the whole row's sum, which keeps lattice files bit for bit
@@ -278,7 +277,7 @@ def lattice_walk(spec: LatticeSpec, *, cap: int | None = None) -> ChainSpec:
     return ChainSpec(poset=poset, P=P, nu=_start_at_bottom(poset.size), pi=pi)
 
 
-def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain:
+def lattice_walk_dual(spec: LatticeSpec) -> DualChain:
     """Closed-form sharp dual of the lattice walk, absorbing at (N, N).
 
     Requires lambda1 != mu1 and lambda2 != mu2.  The link of the product is
@@ -294,7 +293,7 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     if spec.lambda1 == spec.mu1 or spec.lambda2 == spec.mu2:
         raise BadParameters("closed-form dual requires lambda_i != mu_i")
     N = spec.N
-    poset = _model_poset([N + 1, N + 1], cap)
+    poset = _model_poset([N + 1, N + 1])
     moves = []
     for lam, mu in ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2)):
         lo, hi = min(lam, mu), max(lam, mu)
@@ -308,10 +307,10 @@ def lattice_walk_dual(spec: LatticeSpec, *, cap: int | None = None) -> DualChain
     )
 
 
-def kary_cube(spec: CubeSpec, *, cap: int | None = None) -> ChainSpec:
+def kary_cube(spec: CubeSpec) -> ChainSpec:
     """Lazy uniform single-coordinate resampling on {0..k}^n."""
     n, k = spec.n, spec.k
-    poset = _model_poset([k + 1] * n, cap)
+    poset = _model_poset([k + 1] * n)
     # each coordinate moves to each other value in 1 of 2nk equally likely outcomes
     P = _product_walk(poset, [1.0 - np.eye(k + 1)] * n, total=2 * n * k)
     return ChainSpec(
@@ -319,7 +318,7 @@ def kary_cube(spec: CubeSpec, *, cap: int | None = None) -> ChainSpec:
     )
 
 
-def kary_cube_dual(spec: CubeSpec, *, cap: int | None = None) -> DualChain:
+def kary_cube_dual(spec: CubeSpec) -> DualChain:
     """Closed-form sharp dual of the cube chain, at every state.
 
     From state s, each coordinate below k jumps to k with probability
@@ -330,7 +329,7 @@ def kary_cube_dual(spec: CubeSpec, *, cap: int | None = None) -> DualChain:
     ((k-1)/2k) I + ((k+1)/2k) 1 delta_k^T.
     """
     n, k = spec.n, spec.k
-    poset = _model_poset([k + 1] * n, cap)
+    poset = _model_poset([k + 1] * n)
     jump = np.zeros((k + 1, k + 1))
     jump[:k, k] = k + 1
     P = _product_walk(poset, [jump] * n, total=2 * n * k)

@@ -23,17 +23,23 @@ DEFAULT_MAX_STATES = 16384
 
 
 def max_states() -> int:
-    """Current state-count cap; override with the SSD_MAX_STATES env var."""
+    """Current state-count cap: the SSD_MAX_STATES env var, or DEFAULT_MAX_STATES.
+
+    Every poset constructor and model builder checks it, for library calls
+    and the command line alike; there is no per-call override.
+    """
     raw = os.environ.get("SSD_MAX_STATES") or str(DEFAULT_MAX_STATES)
     if not raw.isdecimal() or int(raw) < 1:
         raise BadParameters(f"SSD_MAX_STATES must be a positive integer, got {raw!r}")
     return int(raw)
 
 
-def _check_cap(size: int, cap: int | None, exc=SizeOverflow) -> None:
-    limit = max_states() if cap is None else cap
+def _check_cap(size: int, exc=SizeOverflow) -> None:
+    limit = max_states()
     if size > limit:
-        raise exc(f"state space of size {size} exceeds cap {limit}")
+        # str() refuses integers of more than 4300 digits, such as 2**20000
+        shown = size if size < 10**30 else f"at least 2**{size.bit_length() - 1}"
+        raise exc(f"state space of size {shown} exceeds cap {limit}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -112,14 +118,6 @@ class Poset:
             raise NoUniqueMax("poset has no unique maximal state")
         return self.size - 1
 
-    def down_set(self, i: int) -> np.ndarray:
-        """Indices of states below-or-equal state ``i``."""
-        return np.nonzero(self.leq[:, i])[0]
-
-    def up_set(self, i: int) -> np.ndarray:
-        """Indices of states above-or-equal state ``i``."""
-        return np.nonzero(self.leq[i])[0]
-
     @cached_property
     def _mobius_pair(self) -> "MobiusPair":
         return _compute_mobius_pair(self)
@@ -196,7 +194,7 @@ def _grid_shape(size: int, covers: list[tuple[int, int]]) -> tuple[int, ...] | N
     return shape if np.array_equal(grid, given[:, 0] * size + given[:, 1]) else None
 
 
-def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int | None = None) -> Poset:
+def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from labels and cover pairs given in any order.
 
     The result is re-enumerated by a deterministic topological sort (Kahn's
@@ -217,7 +215,7 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]], *, cap: int
     size = len(labels)
     if size == 0:
         raise BadParameters("a poset needs at least one state")
-    _check_cap(size, cap)
+    _check_cap(size)
     seen: set = set()
     for lab in labels:
         try:
@@ -261,6 +259,7 @@ def chain_poset(length: int) -> Poset:
     """Linear order 0 < 1 < ... < length-1."""
     if length < 1:
         raise BadParameters("chain length must be positive")
+    _check_cap(length)
     leq = _chain_zeta(length)
     covers = tuple((i, i + 1) for i in range(length - 1))
     labels = tuple(range(length))
@@ -273,7 +272,7 @@ def _digits(shape: Sequence[int]) -> np.ndarray:
     return np.arange(math.prod(shape))[:, None] // radices % np.asarray(shape)
 
 
-def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
+def grid_poset(shape: Sequence[int]) -> Poset:
     """Coordinate-wise order on the product of chains {0..s_i - 1}.
 
     States are indexed in mixed radix with coordinate 0 least significant,
@@ -283,7 +282,7 @@ def grid_poset(shape: Sequence[int], *, cap: int | None = None) -> Poset:
     if not shape or any(s < 1 for s in shape):
         raise BadParameters(f"invalid grid shape {shape}")
     size = math.prod(shape)
-    _check_cap(size, cap)
+    _check_cap(size)
     leq = _kron_axes(shape, _chain_zeta)
     labels = tuple(map(tuple, _digits(shape).tolist()))
     radices = [math.prod(shape[:axis]) for axis in range(len(shape))]
@@ -309,7 +308,7 @@ def _kron_axes(shape: Sequence[int], axis_matrix) -> np.ndarray:
     return out
 
 
-def product_poset(p: Poset, q: Poset, *, cap: int | None = None) -> Poset:
+def product_poset(p: Poset, q: Poset) -> Poset:
     """Coordinate-wise product; labels are (p_label, q_label) pairs.
 
     The product index is ``i + p.size * j`` (p varies fastest), which keeps
@@ -317,7 +316,7 @@ def product_poset(p: Poset, q: Poset, *, cap: int | None = None) -> Poset:
     one, with the axes of ``p`` first.
     """
     size = p.size * q.size
-    _check_cap(size, cap)
+    _check_cap(size)
     leq = np.kron(q.leq, p.leq)
     labels = tuple((la, lb) for lb in q.labels for la in p.labels)
     covers = []

@@ -102,6 +102,14 @@ class TestModelGen:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "underflow" in err
 
+    def test_infinite_beta_is_input_error(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "model", "gen", "--type", "ising-circle", "--N", "4", "--beta", "inf",
+            "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "beta" in err
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_bad_cap_setting_is_input_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("SSD_MAX_STATES", value)

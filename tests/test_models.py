@@ -49,11 +49,12 @@ class TestIsingChain:
         for i in range(4):
             assert c.P[15, 15 ^ (1 << i)] == pytest.approx(1 / (1 + np.exp(32.0)) / 4, rel=1e-14)
 
-    def test_state_cap(self):
-        with pytest.raises(TooLarge):
-            sd.ising_circle(5, 0.1, cap=16)
-        with pytest.raises(TooLarge):
-            sd.ising_circle_dual(5, 0.1, cap=16)
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_is_rejected(self, beta):
+        with pytest.raises(BadParameters, match="beta"):
+            sd.ising_circle(4, beta)
+        with pytest.raises(BadParameters, match="beta"):
+            sd.ising_circle_dual(4, beta)  # NaN reached the dual's row-sum check
 
 
 class TestIsingGraph:
@@ -97,6 +98,16 @@ class TestIsingGraph:
     def test_disconnected_graph_warns(self):
         with pytest.warns(UserWarning, match="disconnected"):
             sd.ising_gibbs_graph(4, [(0, 1)], 0.2)
+
+    def test_cap_comes_before_per_vertex_work(self, monkeypatch):
+        # 2**20000 has more digits than str() converts, and the n x n
+        # adjacency of 20000 vertices would take 3.2 GB
+        monkeypatch.setattr("ssdual.models._adjacency", lambda spec: pytest.fail("adjacency built"))
+        ring = [(i, (i + 1) % 20000) for i in range(20000)]
+        with pytest.raises(TooLarge, match=r"at least 2\*\*20000 exceeds cap"):
+            sd.ising_gibbs_graph(20000, ring, 0.5)
+        with pytest.raises(TooLarge, match=r"at least 2\*\*20000 exceeds cap"):
+            sd.ising_circle(20000, 0.5)
 
     def test_rejects_multigraph(self):
         with pytest.raises(BadParameters):
@@ -381,6 +392,11 @@ class TestLatticeClosedDual:
         closed = sd.lattice_walk_dual(spec)  # its rates are ratios of sums, not weights
         assert np.abs(closed.P_star.sum(axis=1) - 1.0).max() <= 1e-12
 
+    def test_nan_rate_is_rejected(self):
+        # min and max drop a NaN, so the dual of mu2 = NaN came out as mu2 = lambda2
+        with pytest.raises(BadParameters, match="finite"):
+            sd.lattice_walk_dual(sd.LatticeSpec(3, 0.2, 0.2, 0.25, math.nan))
+
     def test_requires_distinct_rates(self):
         with pytest.raises(BadParameters):
             sd.lattice_walk_dual(sd.LatticeSpec(N=1, lambda1=0.2, lambda2=0.2, mu1=0.2, mu2=0.25))
@@ -417,12 +433,6 @@ class TestCubeChain:
     def test_holds_exactly_half(self, n, k):
         c = sd.kary_cube(sd.CubeSpec(n=n, k=k))
         assert (np.diag(c.P) == 0.5).all()
-
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            sd.kary_cube(sd.CubeSpec(n=3, k=3), cap=60)
-        with pytest.raises(TooLarge):
-            sd.kary_cube_dual(sd.CubeSpec(n=3, k=3), cap=60)
 
 
 class TestCubeClosedDual:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
-from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow
+from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow, TooLarge
 from ssdual.poset import _axis_apply, _mobius_apply
 
 
@@ -119,16 +119,6 @@ class TestBuildPoset:
         p = sd.build_poset(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
         assert p.covers == ((0, 1), (1, 2))
 
-    def test_cap_enforced(self):
-        with pytest.raises(SizeOverflow):
-            sd.build_poset(list(range(4)), [], cap=3)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SSD_MAX_STATES", "3")
-        assert sd.max_states() == 3
-        with pytest.raises(SizeOverflow):
-            sd.grid_poset([2, 2])
-
     def test_max_index_requires_unique_max(self):
         p = sd.build_poset(["a", "b"], [])
         with pytest.raises(NoUniqueMax):
@@ -145,6 +135,38 @@ class TestBuildPoset:
         expected = closure_from_covers(size, covers)
         remap = p.enumeration
         assert np.array_equal(p.leq, expected[np.ix_(remap, remap)])
+
+
+_LATTICE_9 = sd.LatticeSpec(2, 0.2, 0.2, 0.25, 0.25)
+
+
+@pytest.mark.parametrize(
+    "build_too_many,error",
+    [
+        pytest.param(lambda: sd.build_poset(list(range(5)), []), SizeOverflow, id="build_poset"),
+        pytest.param(lambda: sd.chain_poset(5), SizeOverflow, id="chain_poset"),
+        pytest.param(lambda: sd.grid_poset([5]), SizeOverflow, id="grid_poset"),
+        pytest.param(
+            lambda: sd.product_poset(sd.chain_poset(2), sd.chain_poset(3)), SizeOverflow,
+            id="product_poset",
+        ),
+        pytest.param(lambda: sd.ising_circle(3, 0.1), TooLarge, id="ising_circle"),
+        pytest.param(
+            lambda: sd.ising_gibbs_graph(3, [(0, 1), (1, 2)], 0.1), TooLarge, id="ising_gibbs_graph"
+        ),
+        pytest.param(lambda: sd.ising_circle_dual(3, 0.1), TooLarge, id="ising_circle_dual"),
+        pytest.param(lambda: sd.lattice_walk(_LATTICE_9), TooLarge, id="lattice_walk"),
+        pytest.param(lambda: sd.lattice_walk_dual(_LATTICE_9), TooLarge, id="lattice_walk_dual"),
+        pytest.param(lambda: sd.kary_cube(sd.CubeSpec(1, 4)), TooLarge, id="kary_cube"),
+        pytest.param(lambda: sd.kary_cube_dual(sd.CubeSpec(1, 4)), TooLarge, id="kary_cube_dual"),
+    ],
+)
+def test_state_cap_bounds_every_builder(monkeypatch, build_too_many, error):
+    monkeypatch.setenv("SSD_MAX_STATES", "4")
+    assert sd.max_states() == 4
+    with pytest.raises(error, match="exceeds cap 4") as raised:
+        build_too_many()
+    assert type(raised.value) is error
 
 
 def _same_poset(p, q):
@@ -326,10 +348,6 @@ class TestProductPoset:
             for j in range(prod.size):
                 c, d = j % left.size, j // left.size
                 assert mu[i, j] == mu_left[a, c] * mu_right[b, d]
-
-    def test_cap(self):
-        with pytest.raises(SizeOverflow):
-            sd.product_poset(sd.chain_poset(100), sd.chain_poset(200), cap=1000)
 
 
 class TestGridPoset:

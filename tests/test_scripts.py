@@ -8,6 +8,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 @pytest.mark.parametrize(
     "script,args,header",
     [
@@ -16,14 +24,16 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs_and_prints_its_header(script, args, header):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    result = run_python(str(ROOT / "scripts" / script), *args)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(header)
+
+
+def test_readme_library_example_prints_the_cube_moments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    result = run_python("-c", example)
+    assert result.returncode == 0, result.stderr
+    mean, variance = map(float, result.stdout.splitlines()[-1].split())
+    assert abs(mean - 22 / 3) <= 1e-12
+    assert abs(variance - 130 / 9) <= 1e-9

@@ -181,12 +181,16 @@ def spectrum_from_triangular(d: DualChain, *, group_tol: float = 1e-9) -> Spectr
     return SpectrumReport(values=values, multiplicities=counts, source="triangular-dual")
 
 
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c > 0.0):
+        raise BadParameters(f"need a finite c > 0, got {c!r}")
+
+
 def coupon_collector_bound(N: int, c: float) -> tuple[int, float]:
     """Steps and tail bound (ceil(N ln N + c N), exp(-c))."""
     if N < 2:
         raise BadParameters("need N >= 2")
-    if c <= 0.0:
-        raise BadParameters("need c > 0")
+    _check_c(c)
     steps = math.ceil(N * math.log(N) + c * N)
     return steps, math.exp(-c)
 
@@ -200,8 +204,7 @@ def chebyshev_bound(n: int, k: int, c: float) -> tuple[int, float]:
         raise BadParameters("need n >= 2")
     if k < 1:
         raise BadParameters("need k >= 1")
-    if c <= 0.0:
-        raise BadParameters("need c > 0")
+    _check_c(c)
     scale = 2.0 * k / (k + 1.0)
     steps = math.ceil(scale * (n + 1) * math.log(n) + c * scale * (math.pi / math.sqrt(6.0)) * n)
     return steps, 1.0 / (c * c)
@@ -225,6 +228,8 @@ def simulate_sst(
         raise BadParameters("need at least one trajectory")
     if seed < 0:
         raise BadParameters("seed must be nonnegative")
+    if horizon is not None and horizon < 0:
+        raise BadParameters("horizon must be nonnegative")
     cum_rows = np.cumsum(d.P_star, axis=1)
     cum_rows[:, -1] = 1.0
     cum_start = np.cumsum(d.nu_star)

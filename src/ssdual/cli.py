@@ -151,6 +151,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    duality._check_tol(args.tol)
     chain = _loaded_with_pi(args.chain)
     dual = chainfile.load_chain(args.dual).dual()
     link = duality.build_link(chain.poset, chain.pi)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _depths, time_reversal
 from .errors import (
+    BadParameters,
     DimensionMismatch,
     MissingStationary,
     MonotonicityViolated,
@@ -92,6 +93,12 @@ class DualChain:
         return self.poset.size
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance: a finite nonnegative number."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise BadParameters(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def check_mobius_monotone(
     P: np.ndarray, p: Poset, direction: str = "down", tol: float = DEFAULT_TOL
 ) -> MonotonicityReport:
@@ -100,6 +107,7 @@ def check_mobius_monotone(
     direction="down" tests ``mobius @ P @ zeta``; direction="up" tests the
     transform conjugated by the transposed zeta matrix.
     """
+    _check_tol(tol)
     P = np.asarray(P, dtype=float)
     if P.shape != (p.size, p.size):
         raise DimensionMismatch(f"kernel shape {P.shape} does not match poset size {p.size}")
@@ -118,6 +126,7 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
     The condition is nonnegativity of the Mobius-inverted up-set values,
     i.e. of ``mobius @ g``.
     """
+    _check_tol(tol)
     if c.pi is None:
         raise MissingStationary("g-monotonicity check needs the stationary distribution")
     if c.pi.min() <= 0.0:
@@ -197,6 +206,7 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     (deviation beyond 1e-10 aborts) and renormalized.  Only negative entries
     of the initial distribution are clamped.
     """
+    _check_tol(tol)
     if c.pi is None:
         raise MissingStationary("dual construction needs the stationary distribution")
     p = c.poset

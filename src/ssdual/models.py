@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,8 +99,9 @@ def _start_at_bottom(size: int) -> np.ndarray:
 
 def _spin_poset(n: int) -> Poset:
     grid = _model_poset([2] * n)
-    labels = tuple(map(tuple, _spins(n).tolist()))
-    return replace(grid, labels=labels)
+    covers, enumeration, shape = grid.covers, grid.enumeration, grid.shape
+    del grid  # its order is freed before the relabelled poset builds its own
+    return Poset(map(tuple, _spins(n).tolist()), covers, None, enumeration, shape)
 
 
 def _spins(n: int) -> np.ndarray:

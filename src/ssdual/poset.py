@@ -59,6 +59,7 @@ class Poset:
         Transitive reduction of the order, as (lower, upper) internal indices.
     leq : ndarray of bool, shape (M, M)
         ``leq[i, j]`` iff state i is below-or-equal state j; upper triangular.
+        Given as ``None`` with a ``shape``, it is built from the shape.
     enumeration : ndarray of int
         ``enumeration[t]`` is the constructor-input position of internal
         state ``t``; the identity permutation for generated posets.
@@ -72,22 +73,27 @@ class Poset:
 
     labels: tuple
     covers: tuple[tuple[int, int], ...]
-    leq: np.ndarray
+    leq: np.ndarray | None
     enumeration: np.ndarray
     shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
-        object.__setattr__(self, "leq", _readonly(np.ascontiguousarray(self.leq, dtype=bool)))
+        leq = self.leq
         if self.shape is not None:
             shape = tuple(int(s) for s in self.shape)
             if math.prod(shape) != len(self.labels):
                 raise BadParameters(f"shape {shape} does not match {len(self.labels)} states")
-            # the shape decides the Mobius function, so it must describe leq
-            if not np.array_equal(self.leq, _kron_axes(shape, _chain_zeta)):
+            # the shape decides the Mobius function, so it decides the order
+            order = _kron_axes(shape, lambda s: np.triu(np.ones((s, s), dtype=bool)))
+            if leq is not None and not np.array_equal(leq, order):
                 raise BadParameters(f"order is not the product of chains of shape {shape}")
+            leq = order
             object.__setattr__(self, "shape", shape)
+        elif leq is None:
+            raise BadParameters("a poset without a shape needs its order leq")
+        object.__setattr__(self, "leq", _readonly(np.ascontiguousarray(leq, dtype=bool)))
         object.__setattr__(
             self, "enumeration", _readonly(np.ascontiguousarray(self.enumeration, dtype=np.int64))
         )
@@ -125,13 +131,12 @@ class Poset:
 
 @dataclass(frozen=True, eq=False)
 class MobiusPair:
-    """Zeta matrix of a poset together with its exact integer inverse."""
+    """Zeta, the poset's own read-only boolean ``leq``, with its exact int64 inverse."""
 
     zeta: np.ndarray
     mobius: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", _readonly(np.ascontiguousarray(self.zeta, dtype=np.int64)))
         object.__setattr__(self, "mobius", _readonly(np.ascontiguousarray(self.mobius, dtype=np.int64)))
 
 
@@ -188,10 +193,25 @@ def _grid_shape(size: int, covers: list[tuple[int, int]]) -> tuple[int, ...] | N
     if len(bounds) < 2 or bounds[0] != 1 or any(hi % lo for lo, hi in zip(bounds, bounds[1:])):
         return None
     shape = tuple(hi // lo for lo, hi in zip(bounds, bounds[1:]))
-    lower = np.nonzero(_digits(shape) + 1 < np.asarray(shape))  # (state, axis) below the top
-    grid = np.sort(lower[0] * (size + 1) + np.asarray(bounds[:-1])[lower[1]])
     given = np.array(covers, dtype=np.int64)
-    return shape if np.array_equal(grid, given[:, 0] * size + given[:, 1]) else None
+    return shape if np.array_equal(_grid_codes(shape), given[:, 0] * size + given[:, 1]) else None
+
+
+def _grid_codes(shape: tuple[int, ...]) -> np.ndarray:
+    """Sorted codes ``a * M + b`` of the covers (a, b) of the product of chains ``shape``."""
+    radices = np.cumprod((1, *shape[:-1]))
+    lower = np.nonzero(_digits(shape) + 1 < np.asarray(shape))  # (state, axis) below the top
+    return np.sort(lower[0] * (math.prod(shape) + 1) + radices[lower[1]])
+
+
+def _grid(shape: tuple[int, ...], labels: Iterable | None = None) -> Poset:
+    """The product of chains ``shape``, labelled by its coordinates unless ``labels`` are given."""
+    size = math.prod(shape)
+    _check_cap(size)
+    if labels is None:
+        labels = map(tuple, _digits(shape).tolist())
+    lower, upper = np.divmod(_grid_codes(shape), size)
+    return Poset(labels, zip(lower.tolist(), upper.tolist()), None, np.arange(size), shape)
 
 
 def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
@@ -232,8 +252,7 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
             raise BadParameters(f"self-cover at index {a}")
     shape = _grid_shape(size, dedup)
     if shape is not None:  # Kahn's order is the identity; a grid's covers are its reduction
-        leq = _kron_axes(shape, _chain_zeta)
-        return Poset(tuple(labels), dedup, leq, np.arange(size), shape)
+        return _grid(shape, labels)
     order = _topological_order(size, dedup, labels)
 
     succ: list[list[int]] = [[] for _ in range(size)]
@@ -259,11 +278,7 @@ def chain_poset(length: int) -> Poset:
     """Linear order 0 < 1 < ... < length-1."""
     if length < 1:
         raise BadParameters("chain length must be positive")
-    _check_cap(length)
-    leq = _chain_zeta(length)
-    covers = tuple((i, i + 1) for i in range(length - 1))
-    labels = tuple(range(length))
-    return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(length), shape=(length,))
+    return _grid((length,), range(length))
 
 
 def _digits(shape: Sequence[int]) -> np.ndarray:
@@ -281,23 +296,7 @@ def grid_poset(shape: Sequence[int]) -> Poset:
     shape = tuple(int(s) for s in shape)
     if not shape or any(s < 1 for s in shape):
         raise BadParameters(f"invalid grid shape {shape}")
-    size = math.prod(shape)
-    _check_cap(size)
-    leq = _kron_axes(shape, _chain_zeta)
-    labels = tuple(map(tuple, _digits(shape).tolist()))
-    radices = [math.prod(shape[:axis]) for axis in range(len(shape))]
-    # a loop over the labels: a nonzero() table would keep M * d more ints alive
-    covers = sorted(
-        (i, i + radices[axis])
-        for i, lab in enumerate(labels)
-        for axis, s in enumerate(shape)
-        if lab[axis] + 1 < s
-    )
-    return Poset(labels=labels, covers=covers, leq=leq, enumeration=np.arange(size), shape=shape)
-
-
-def _chain_zeta(length: int) -> np.ndarray:
-    return np.triu(np.ones((length, length), dtype=bool))
+    return _grid(shape)
 
 
 def _kron_axes(shape: Sequence[int], axis_matrix) -> np.ndarray:

@@ -256,6 +256,13 @@ class TestBounds:
         with pytest.raises(BadParameters):
             sd.chebyshev_bound(2, 1, 0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(BadParameters, match="finite c > 0"):
+            sd.coupon_collector_bound(10, c)
+        with pytest.raises(BadParameters, match="finite c > 0"):
+            sd.chebyshev_bound(10, 1, c)
+
 
 class TestSimulation:
     def test_cube_moments_within_monte_carlo_error(self):
@@ -271,6 +278,10 @@ class TestSimulation:
         exact = sd.absorption_survival(d, 40)
         se = np.sqrt(exact.survival * (1 - exact.survival) / 20_000)
         assert (np.abs(emp.survival - exact.survival) <= 3 * se + 1e-12).all()
+
+    def test_negative_horizon_is_rejected(self):
+        with pytest.raises(BadParameters, match="horizon"):
+            sd.simulate_sst(cube_dual(2, 1), 10, seed=0, horizon=-3)
 
     def test_started_absorbed_is_zero(self):
         base = cube_dual(2, 1)

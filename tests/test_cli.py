@@ -483,6 +483,31 @@ class TestErrorPaths:
         assert code == 4
         assert err.startswith("error:") and "MemoryError" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--type", "ising-circle", "--N", "10", "--c", "nan"], "finite c > 0"),
+            (["bounds", "--type", "ising-circle", "--N", "10", "--c", "inf"], "finite c > 0"),
+            (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c=-inf"], "finite c > 0"),
+            (["simulate", "--dual", "{dual}", "--samples", "5", "--seed", "1", "--horizon", "-3"],
+             "horizon"),
+            (["verify", "--chain", "{chain}", "--dual", "{dual}", "--tol", "nan"], "tol"),
+            (["verify", "--chain", "{chain}", "--dual", "{dual}", "--tol", "-1"], "tol"),
+            (["check", "--chain", "{chain}", "--tol", "nan"], "tol"),
+            (["dual", "--chain", "{chain}", "--tol", "nan", "-o", "{out}"], "tol"),
+            (["dual", "--chain", "{chain}", "--tol", "-1", "-o", "{out}"], "tol"),
+            (["dual", "--chain", "{chain}", "--tol", "inf", "-o", "{out}"], "tol"),
+        ],
+    )
+    def test_bad_number_is_input_error(self, cube_file, tmp_path, capsys, argv, message):
+        dual_path = tmp_path / "dual.json"
+        run(capsys, "dual", "--chain", str(cube_file), "-o", str(dual_path))
+        out_path = tmp_path / "out.json"
+        paths = {"chain": cube_file, "dual": dual_path, "out": out_path}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
 from oracles import down_set_sums
 from ssdual.errors import (
+    BadParameters,
     DimensionMismatch,
     MissingStationary,
     MonotonicityViolated,
@@ -370,6 +373,85 @@ class TestLazyMixtures:
         d = sd.build_dual(mixed)
         link = sd.build_link(mixed.poset, mixed.pi)
         assert sd.verify_intertwining(mixed, d, link) <= 1e-10
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_non_finite_or_negative_tol_is_rejected(self, tol):
+        c = ising(3, 0.5)
+        with pytest.raises(BadParameters, match="tol"):
+            sd.build_dual(c, tol=tol)
+        with pytest.raises(BadParameters, match="tol"):
+            sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down", tol)
+        with pytest.raises(BadParameters, match="tol"):
+            sd.check_g_monotone(c, tol)
+
+    def test_zero_tol_is_allowed(self):
+        assert sd.check_g_monotone(ising(3, 0.5), 0.0).passed
+
+
+def _set_pair(draw, births, deaths, excess):
+    """Set p_x + q_{x+1} = 1 + excess at a drawn x, keeping each row's mass <= 1."""
+    x = draw(st.integers(0, len(births) - 1))
+    up = draw(st.floats(0.3, 0.7))
+    births[x], deaths[x] = up, 1.0 + excess - up  # deaths[x] is q_{x+1}
+    if x > 0:
+        deaths[x - 1] = min(deaths[x - 1], 1.0 - up)
+    if x + 1 < len(births):
+        births[x + 1] = min(births[x + 1], up - excess)
+
+
+@st.composite
+def birth_death_products(draw, violate=False):
+    """Random-coordinate updates of 1-3 birth-death chains of 2-4 states each.
+
+    Axis chains with p_x + q_{x+1} <= 1 are monotone, and so is their product:
+    mu P zeta is the mean of the axis transforms, each acting on its own
+    coordinate.  An axis transform is negative only on its diagonal, at
+    1 - p_x - q_{x+1}, where the other axes add their own diagonals.  So with
+    ``violate`` one axis gets p_x + q_{x+1} >= 1 + 1e-3 and every other axis
+    a tight pair p_y + q_{y+1} = 1, which leaves the excess uncovered.
+    """
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    prob = st.floats(0.05, 0.5)
+    axes = [([draw(prob) for _ in range(s - 1)], [draw(prob) for _ in range(s - 1)]) for s in shape]
+    if violate:
+        bad = draw(st.integers(0, len(shape) - 1))
+        for axis, (births, deaths) in enumerate(axes):
+            _set_pair(draw, births, deaths, draw(st.floats(1e-3, 0.2)) if axis == bad else 0.0)
+    P = np.zeros((math.prod(shape),) * 2)
+    for axis, (births, deaths) in enumerate(axes):
+        B = np.diag(births, 1) + np.diag(deaths, -1)
+        B += np.diag(1.0 - B.sum(axis=1))
+        before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+        P += np.kron(np.eye(after), np.kron(B, np.eye(before))) / len(shape)
+    nu = np.zeros(len(P))
+    nu[0] = 1.0
+    return sd.with_stationary(sd.ChainSpec(poset=sd.grid_poset(shape), P=P, nu=nu))
+
+
+class TestMonotonicityProperties:
+    @given(birth_death_products())
+    @settings(max_examples=30, deadline=None)
+    def test_monotone_products_have_sharp_duals(self, c):
+        d = sd.build_dual(c)
+        kernel, initial = sd.intertwining_residuals(c, d, sd.build_link(c.poset, c.pi))
+        assert kernel <= 1e-10 and initial <= 1e-10
+        assert sd.verify_sharpness(c, d, 60) <= 1e-10
+
+    @given(birth_death_products(violate=True))
+    @settings(max_examples=30, deadline=None)
+    def test_violations_are_witnessed_by_the_most_negative_entry(self, c):
+        with pytest.raises(MonotonicityViolated) as info:
+            sd.build_dual(c)
+        report = info.value.report
+        p = c.poset
+        flat = sd.Poset(range(p.size), p.covers, p.leq, p.enumeration)
+        mobius = sd.mobius_pair(flat).mobius
+        dense = mobius @ sd.time_reversal(c) @ flat.leq
+        assert not report.passed and report.min_entry < -0.9e-3 / len(p.shape)
+        assert report.min_entry == pytest.approx(dense.min(), abs=1e-12)
+        assert dense[report.witness] <= dense.min() + 1e-12
 
 
 class TestTriangularSpectraCrossCheck:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
+import ssdual.models as models_module
 import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow, TooLarge
@@ -421,6 +423,44 @@ class TestShapedCalculus:
         with pytest.raises(BadParameters, match="product of chains"):
             dataclasses.replace(grid, leq=sd.chain_poset(4).leq)
         assert dataclasses.replace(grid, labels="abcd").shape == (2, 2)
+
+    def test_shape_alone_gives_the_order(self):
+        for p in (sd.chain_poset(3), sd.grid_poset([3, 1, 2]), sd.grid_poset([2, 2, 2])):
+            q = sd.Poset(p.labels, p.covers, None, p.enumeration, p.shape)
+            assert np.array_equal(q.leq, p.leq) and q.leq.dtype == bool
+            assert not q.leq.flags.writeable
+        with pytest.raises(BadParameters, match="needs its order"):
+            sd.Poset(labels=range(2), covers=[(0, 1)], leq=None, enumeration=np.arange(2))
+
+    @pytest.mark.parametrize(
+        "builder", ["binary-grid", "quaternary-grid", "build-on-grid-covers", "spin-poset"]
+    )
+    def test_order_is_built_once(self, builder):
+        # 4096 states: one boolean order is 16 MiB; building it twice, or
+        # checking a built order against a second one, costs at least 2x
+        grid = sd.grid_poset((2,) * 12) if builder == "build-on-grid-covers" else None
+        build = {
+            "binary-grid": lambda: sd.grid_poset((2,) * 12),
+            "quaternary-grid": lambda: sd.grid_poset((4,) * 6),
+            "build-on-grid-covers": lambda: sd.build_poset(grid.labels, grid.covers),
+            "spin-poset": lambda: models_module._spin_poset(12),
+        }[builder]
+        tracemalloc.start()
+        try:
+            p = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.size == 4096 and p.shape is not None
+        assert peak < 2 * p.leq.nbytes
+
+    def test_zeta_is_the_order_itself(self):
+        grid = sd.grid_poset([3, 2])
+        for p in (grid, unshaped(grid), _random_poset(np.random.default_rng(5), 9)):
+            pair = sd.mobius_pair(p)
+            assert np.shares_memory(pair.zeta, p.leq)
+            assert pair.zeta.dtype == bool and pair.mobius.dtype == np.int64
+            assert np.array_equal(pair.zeta @ pair.mobius, np.eye(p.size, dtype=np.int64))
 
     def test_restriction_drops_shape(self):
         sub = sd.restrict_to_reachable(sd.kary_cube_dual(sd.CubeSpec(2, 2)))

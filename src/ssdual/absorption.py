@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import TRIANGULAR_TOL, ChainSpec, SpectrumReport, _propagate, group_with_tolerance
+from .chain import TRIANGULAR_TOL, ChainSpec, SpectrumReport, group_with_tolerance
+from .chain import _nonzeros, _propagate
 from .duality import DualChain
 from .errors import (
     BadParameters,
@@ -19,7 +20,7 @@ from .errors import (
     NotTriangular,
     SingularSystem,
 )
-from .poset import Poset, _readonly
+from .poset import Poset, _digits, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,33 +69,47 @@ def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
     return SeparationCurve(values=sep, tv=tv)
 
 
-def _transient_parts(d: DualChain) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.arange(d.size) != d.absorbing_index
-    return d.P_star[np.ix_(keep, keep)], d.nu_star[keep]
+def _transient_parts(d: DualChain) -> tuple[tuple, np.ndarray]:
+    """The (rows, cols, vals) of the transient block Q's nonzeros, and the start, in Q's indices."""
+    a = d.absorbing_index
+    rows, cols, vals = _nonzeros(d.P_star)
+    keep = (rows != a) & (cols != a)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return (rows - (rows > a), cols - (cols > a), vals), np.delete(d.nu_star, a)
 
 
-def _survival(d: DualChain, horizon: int) -> np.ndarray:
+def _survival(d: DualChain, horizon: int, parts: tuple | None = None) -> np.ndarray:
     """P(T > n) for n = 0..horizon: the mass left in transient states."""
-    Q, start = _transient_parts(d)
+    Q, start = parts or _transient_parts(d)
     masses = _propagate(start, Q, horizon)
     return np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
 
 
-def _absorption_moments(d: DualChain) -> tuple[float, float]:
-    system, start = _transient_parts(d)  # Q, as a fresh copy
-    m = system.shape[0]
-    if m == 0:
-        return 0.0, 0.0
-    # I - Q in place, the same floats as np.eye(m) - Q
-    np.subtract(0.0, system, out=system)
-    system.flat[:: m + 1] += 1.0
+def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of T, solved one level block b at a time from the top down.
+
+    ``(I - Q_bb) steps_b = 1 + Q_b,above steps`` and ``(I - Q_bb) second_b = 2 steps_b - 1
+    + Q_b,above second``.  A Q that moves down a level is one block, the dense ``I - Q``.
+    """
+    rows, cols, vals = Q
+    level = np.delete(_levels(d.poset), d.absorbing_index)
+    level *= bool((level[cols] >= level[rows]).all())  # else one block: the dense I - Q
+    steps, second = np.zeros(len(start)), np.zeros(len(start))
     try:
-        steps = np.linalg.solve(system, np.ones(m))
-        # (I - Q) steps = 1, so the second moment's 1 + 2 Q steps is 2 steps - 1
-        second = np.linalg.solve(system, 2.0 * steps - 1.0)
+        for k in range(int(level.max(initial=0)), -1, -1):
+            b = np.nonzero(level == k)[0]
+            on = level[rows] == k
+            r, c, v = np.searchsorted(b, rows[on]), cols[on], vals[on]
+            inside = level[c] == k
+            system = np.eye(len(b))
+            system[r[inside], np.searchsorted(b, c[inside])] -= v[inside]
+            # steps[b] and second[b] are still zero: these products see only Q_b,above
+            steps[b] = np.linalg.solve(system, 1.0 + np.bincount(r, v * steps[c], len(b)))
+            rhs = 2.0 * steps[b] - 1.0 + np.bincount(r, v * second[c], len(b))
+            second[b] = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix solve failed: {exc}") from exc
-    if not np.all(np.isfinite(steps)) or steps.min() < 0.0:
+    if not np.all(np.isfinite(steps)) or steps.min(initial=0.0) < 0.0:
         raise NoAbsorbingState("some transient state never reaches the absorbing state")
     mean = float(start @ steps)
     variance = float(start @ second) - mean * mean
@@ -109,16 +124,17 @@ def default_horizon(mean: float) -> int:
 def absorption_survival(d: DualChain, horizon: int | None = None) -> AbsorptionLaw:
     """Exact absorption law from powers of the transient block.
 
-    The survival values are the mass still in transient states after n
-    steps; the mean and variance come from fundamental-matrix solves and are
-    horizon-independent.
+    The survival is the mass left in transient states after n steps.  The
+    horizon-free mean and variance solve ``I - Q`` by level-block
+    back-substitution if the dual never moves down a level, densely otherwise.
     """
-    mean, variance = _absorption_moments(d)
+    parts = _transient_parts(d)
+    mean, variance = _absorption_moments(d, *parts)
     if horizon is None:
         horizon = default_horizon(mean)
     if horizon < 0:
         raise BadParameters("horizon must be nonnegative")
-    return AbsorptionLaw(survival=_survival(d, horizon), mean=mean, variance=variance)
+    return AbsorptionLaw(survival=_survival(d, horizon, parts), mean=mean, variance=variance)
 
 
 def geometric_sum_law(
@@ -141,8 +157,7 @@ def geometric_sum_law(
     steps = np.arange(horizon + 1, dtype=float)
     for p in ps:
         geo = np.zeros(horizon + 1)
-        if horizon >= 1:
-            geo[1:] = p * (1.0 - p) ** (steps[1:] - 1.0)
+        geo[1:] = p * (1.0 - p) ** (steps[1:] - 1.0)
         pmf = np.convolve(pmf, geo)[: horizon + 1]
     survival = np.clip(1.0 - np.cumsum(pmf), 0.0, 1.0)
     mean = sum(1.0 / p for p in ps)
@@ -151,7 +166,9 @@ def geometric_sum_law(
 
 
 def _levels(p: Poset) -> np.ndarray:
-    """Length of the longest chain below each state; covers go up in index."""
+    """Length of the longest chain below each state (on a product of chains, the digit sum)."""
+    if p.shape is not None:
+        return _digits(p.shape).sum(axis=1)
     level = [0] * p.size
     for lower, upper in sorted(p.covers):
         level[upper] = max(level[upper], level[lower] + 1)
@@ -186,13 +203,18 @@ def _check_c(c: float) -> None:
         raise BadParameters(f"need a finite c > 0, got {c!r}")
 
 
+def _finite(steps: float, bound: float) -> tuple[int, float]:
+    if not (math.isfinite(steps) and math.isfinite(bound)):
+        raise BadParameters(f"c gives {steps!r} steps and a bound {bound!r}; both must be finite")
+    return math.ceil(steps), bound
+
+
 def coupon_collector_bound(N: int, c: float) -> tuple[int, float]:
     """Steps and tail bound (ceil(N ln N + c N), exp(-c))."""
     if N < 2:
         raise BadParameters("need N >= 2")
     _check_c(c)
-    steps = math.ceil(N * math.log(N) + c * N)
-    return steps, math.exp(-c)
+    return _finite(N * math.log(N) + c * N, math.exp(-c))
 
 
 def chebyshev_bound(n: int, k: int, c: float) -> tuple[int, float]:
@@ -206,8 +228,8 @@ def chebyshev_bound(n: int, k: int, c: float) -> tuple[int, float]:
         raise BadParameters("need k >= 1")
     _check_c(c)
     scale = 2.0 * k / (k + 1.0)
-    steps = math.ceil(scale * (n + 1) * math.log(n) + c * scale * (math.pi / math.sqrt(6.0)) * n)
-    return steps, 1.0 / (c * c)
+    steps = scale * (n + 1) * math.log(n) + c * scale * (math.pi / math.sqrt(6.0)) * n
+    return _finite(steps, 1.0 / (c * c) if c * c else math.inf)
 
 
 def simulate_sst(
@@ -236,7 +258,7 @@ def simulate_sst(
     cum_start[-1] = 1.0
     absorbing = int(d.absorbing_index)
     if horizon is None:
-        exact_mean, _ = _absorption_moments(d)
+        exact_mean, _ = _absorption_moments(d, *_transient_parts(d))
         horizon = default_horizon(exact_mean)
     times = np.empty(samples, dtype=np.int64)
     for i in range(samples):

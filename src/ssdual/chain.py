@@ -206,21 +206,22 @@ def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(flux, out=flux)) <= tol)
 
 
-def _propagate(v: np.ndarray, P: np.ndarray, n: int):
+def _propagate(v: np.ndarray, P: np.ndarray | tuple, n: int):
     """Yield v, vP, ..., vP^n; the first is a copy of ``v``.
 
-    A kernel with at most one nonzero in 32 entries (``32 * nnz <= M**2``)
-    steps through its (rows, cols, vals) triple, taken once per call, as a
-    weighted ``np.bincount`` in O(nnz); denser (or all-zero) kernels step by
-    ``v @ P``.  The switch sits near the density where the two cost the same
-    on 256 to 2048 states.  Both sum the same products, in another order.
+    ``P`` is a dense kernel or its nonzeros' (rows, cols, vals) triple.  One
+    with at most one nonzero in 32 entries (``32 * nnz <= M**2``) steps by a
+    weighted ``np.bincount`` over that triple in O(nnz); denser (or all-zero)
+    ones step by ``v @ P``.  The switch sits near the density where the two
+    cost the same on 256 to 2048 states.  Both sum the same products, in another order.
     """
     v = v.copy()
     yield v
     m = len(v)
-    if 0 < 32 * np.count_nonzero(P) <= m * m:
-        rows, cols = np.nonzero(P)
-        vals = P[rows, cols]
+    if isinstance(P, tuple) and not 0 < 32 * len(P[2]) <= m * m:  # a dense triple
+        P = np.bincount(P[0] * m + P[1], P[2], m * m).reshape(m, m)
+    if isinstance(P, tuple) or 0 < 32 * np.count_nonzero(P) <= m * m:
+        rows, cols, vals = P if isinstance(P, tuple) else _nonzeros(P)
         for _ in range(n):
             v = np.bincount(cols, weights=vals * v[rows], minlength=m)
             yield v
@@ -228,6 +229,13 @@ def _propagate(v: np.ndarray, P: np.ndarray, n: int):
     for _ in range(n):
         v = v @ P
         yield v
+
+
+def _nonzeros(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, cols, vals) triple of the nonzeros of ``P``, in row-major order."""
+    flat = np.flatnonzero(P)  # faster than a 2-D np.nonzero
+    rows, cols = np.divmod(flat, P.shape[1])
+    return rows, cols, P.ravel()[flat]
 
 
 def evolve(c: ChainSpec, n: int) -> np.ndarray:

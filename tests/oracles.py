@@ -57,3 +57,14 @@ def down_set_sums(leq, weights):
 def separation_by_matrix_power(P, nu, pi, n):
     dist = nu @ np.linalg.matrix_power(P, n)
     return float(np.max(1.0 - dist / pi))
+
+
+def dense_absorption_moments(P_star, nu_star, absorbing):
+    """Mean and variance of the absorption time from two dense solves of I - Q."""
+    Q = np.delete(np.delete(P_star, absorbing, axis=0), absorbing, axis=1)
+    system = np.eye(len(Q)) - Q
+    steps = np.linalg.solve(system, np.ones(len(Q)))
+    second = np.linalg.solve(system, 2.0 * steps - 1.0)  # (I - Q) E T^2 = 1 + 2 Q E T
+    start = np.delete(nu_star, absorbing)
+    mean = float(start @ steps)
+    return mean, float(start @ second) - mean * mean

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ssdual as sd
 from conftest import cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice, lattice_dual
-from oracles import separation_by_matrix_power
+from oracles import dense_absorption_moments, separation_by_matrix_power
 from ssdual.errors import (
     BadParameters,
     BadProbability,
     MaxStepsExceeded,
     NotReversible,
     NotTriangular,
+    SingularSystem,
 )
 from ssdual.absorption import _levels
 from ssdual.chain import group_with_tolerance
@@ -98,6 +100,124 @@ class TestAbsorptionSurvival:
         law = sd.absorption_survival(ising_dual(4, 0.5))
         assert law.horizon == max(4 * math.ceil(law.mean), 50)
         assert law.survival[-1] <= 2e-2
+
+
+def cover_walk(p):
+    """_levels of an unshaped copy of ``p``: the walk over its covers."""
+    return _levels(sd.Poset(p.labels, p.covers, p.leq, p.enumeration))
+
+
+def never_moves_down(d):
+    level = _levels(d.poset)
+    rows, cols = np.nonzero(d.P_star)
+    return bool((level[cols] >= level[rows]).all())
+
+
+def assert_moments_match_dense(d):
+    law = sd.absorption_survival(d, 0)
+    mean, variance = dense_absorption_moments(d.P_star, d.nu_star, d.absorbing_index)
+    assert abs(law.mean - mean) <= 1e-12 * abs(mean)
+    assert abs(law.variance - variance) <= 1e-12 * abs(variance)
+
+
+def swapping_dual(down):
+    """A dual whose states a and b swap forever, so I - Q is singular.
+
+    With ``down`` the poset is the chain 0 < a < b < 1 and b -> a moves down
+    a level; otherwise it is 0 < {a, b} < 1 and the swap stays in level 1.
+    """
+    if down:
+        poset = sd.chain_poset(4)
+    else:
+        poset = sd.build_poset(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    P = np.array(
+        [
+            [0.0, 0.5, 0.25, 0.25],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+
+
+class TestLevelRule:
+    @pytest.mark.parametrize("shape", [(1,), (3, 1, 2), (2,) * 10, (25, 25)], ids=str)
+    def test_digit_sum_is_the_cover_walk_on_grids(self, shape):
+        p = sd.grid_poset(shape)
+        assert np.array_equal(_levels(p), cover_walk(p))
+        assert np.array_equal(_levels(p), np.asarray(p.labels).reshape(p.size, -1).sum(axis=1))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            lambda: sd.ising_circle(6, 0.5),
+            lambda: sd.kary_cube(sd.CubeSpec(3, 2)),
+            lambda: sd.lattice_walk(sd.LatticeSpec(5, 0.2, 0.2, 0.25, 0.25)),
+        ],
+        ids=["ising", "cube", "lattice"],
+    )
+    def test_digit_sum_is_the_cover_walk_on_loaded_models(self, tmp_path, model):
+        sd.save_chain(tmp_path / "chain.json", model())
+        p = sd.load_chain(tmp_path / "chain.json").chain.poset
+        assert p.shape is not None
+        assert np.array_equal(_levels(p), cover_walk(p))
+
+    def test_restricted_dual_takes_the_cover_walk(self):
+        sub = sd.restrict_to_reachable(cube_closed_dual(3, 2))
+        assert sub.poset.shape is None
+        # longest chain below each state of the sub-poset, from its order alone
+        strict = sub.poset.leq & ~np.eye(sub.size, dtype=bool)
+        level = np.zeros(sub.size, dtype=np.int64)
+        for j in range(sub.size):
+            level[j] = max((level[i] + 1 for i in np.nonzero(strict[:, j])[0]), default=0)
+        assert np.array_equal(_levels(sub.poset), level)
+
+
+class TestBlockMoments:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_ising_duals_match_the_dense_solve(self, N, beta):
+        for d in (ising_dual(N, beta), sd.ising_circle_dual(N, beta)):
+            assert never_moves_down(d)
+            assert_moments_match_dense(d)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_cube_duals_match_the_dense_solve(self, n, k):
+        closed = cube_closed_dual(n, k)
+        for d in (cube_dual(n, k), closed, sd.restrict_to_reachable(closed)):
+            assert never_moves_down(d)
+            assert_moments_match_dense(d)
+
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_lattice_duals_keep_the_dense_solve_exactly(self, N):
+        spec = sd.LatticeSpec(N, 0.15, 0.3, 0.25, 0.2)
+        for d in (lattice_dual(N), sd.lattice_walk_dual(spec)):
+            assert not never_moves_down(d)
+            law = sd.absorption_survival(d, 0)
+            dense = dense_absorption_moments(d.P_star, d.nu_star, d.absorbing_index)
+            assert (law.mean, law.variance) == dense
+
+    @pytest.mark.parametrize("down", [False, True], ids=["level-block", "dense"])
+    def test_a_closed_transient_class_is_singular(self, down):
+        d = swapping_dual(down)
+        assert never_moves_down(d) != down
+        with pytest.raises(SingularSystem):
+            sd.absorption_survival(d)
+        with pytest.raises(SingularSystem):
+            sd.simulate_sst(d, 10, seed=0)
+
+    def test_no_dense_transient_block(self):
+        # 1024 states: one dense I - Q is 8 MiB; the level blocks stay far below
+        d = sd.ising_circle_dual(10, 0.5)
+        tracemalloc.start()
+        try:
+            sd.absorption_survival(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.size**2 * 8 / 4
 
 
 class TestGeometricSumLaw:
@@ -255,6 +375,19 @@ class TestBounds:
             sd.chebyshev_bound(2, 0, 1.0)
         with pytest.raises(BadParameters):
             sd.chebyshev_bound(2, 1, 0.0)
+
+    @pytest.mark.parametrize("c", [1e-160, 1e-200, 5e-324])
+    def test_bound_must_be_finite(self, c):
+        # 1 / c**2 overflows, or c**2 underflows to zero
+        with pytest.raises(BadParameters, match="finite"):
+            sd.chebyshev_bound(3, 2, c)
+        assert sd.coupon_collector_bound(10, c) == (24, 1.0)
+
+    def test_step_count_must_be_finite(self):
+        with pytest.raises(BadParameters, match="finite"):
+            sd.coupon_collector_bound(10, 1e308)
+        with pytest.raises(BadParameters, match="finite"):
+            sd.chebyshev_bound(3, 2, 1e308)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.0])
     def test_c_must_be_finite_and_positive(self, c):

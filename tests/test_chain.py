@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 from conftest import cube, ising, ising_dual, lattice, lattice_dual
 from oracles import separation_by_matrix_power
-from ssdual.chain import _propagate
+from ssdual.chain import _nonzeros, _propagate
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -251,6 +251,19 @@ class TestPropagate:
         Q *= 0.9 / np.maximum(Q.sum(axis=1, keepdims=True), 1.0)
         assert 32 * np.count_nonzero(Q) <= Q.size
         assert_propagation_parity(np.full(m, 1.0 / m), Q)
+
+    @pytest.mark.parametrize(
+        "model", [("ising", 4, 0.5), ("ising", 10, 0.5), ("lattice", 24)], ids=str
+    )
+    def test_a_triple_steps_exactly_as_its_kernel(self, model):
+        # the 16-state kernels step densely, the larger ones through the bincount
+        c, d = model_and_dual(*model)
+        for v, P in ((c.nu, c.P), (d.nu_star, d.P_star)):
+            triple = _nonzeros(P)
+            assert np.array_equal(P[triple[0], triple[1]], triple[2])
+            assert np.count_nonzero(P) == len(triple[2])
+            for a, b in zip(_propagate(v, triple, 40), _propagate(v, P, 40)):
+                assert np.array_equal(a, b)
 
     def test_all_zero_and_empty_kernels(self):
         assert_propagation_parity(np.array([0.25, 0.75]), np.zeros((2, 2)), 3)

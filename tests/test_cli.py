@@ -489,6 +489,9 @@ class TestErrorPaths:
             (["bounds", "--type", "ising-circle", "--N", "10", "--c", "nan"], "finite c > 0"),
             (["bounds", "--type", "ising-circle", "--N", "10", "--c", "inf"], "finite c > 0"),
             (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c=-inf"], "finite c > 0"),
+            (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "1e-200"], "finite"),
+            (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "1e-160"], "finite"),
+            (["bounds", "--type", "ising-circle", "--N", "10", "--c", "1e308"], "finite"),
             (["simulate", "--dual", "{dual}", "--samples", "5", "--seed", "1", "--horizon", "-3"],
              "horizon"),
             (["verify", "--chain", "{chain}", "--dual", "{dual}", "--tol", "nan"], "tol"),
@@ -507,6 +510,16 @@ class TestErrorPaths:
         code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 1 and out == "" and not out_path.exists()
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+    def test_singular_transient_block_is_numerical_failure(self, tmp_path, capsys):
+        # a and b swap forever, so the dual never absorbs from them
+        poset = sd.build_poset(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        P = [[0.0, 0.5, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0, 0, 0, 1.0]]
+        dual = sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+        sd.save_chain(tmp_path / "dual.json", dual)
+        code, out, err = run(capsys, "absorb", "--dual", str(tmp_path / "dual.json"))
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "solve failed" in err and err.count("\n") == 1
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -20,7 +20,7 @@ from .errors import (
     NotTriangular,
     SingularSystem,
 )
-from .poset import Poset, _digits, _readonly
+from .poset import _levels, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,16 +163,6 @@ def geometric_sum_law(
     mean = sum(1.0 / p for p in ps)
     variance = sum((1.0 - p) / (p * p) for p in ps)
     return AbsorptionLaw(survival=survival, mean=mean, variance=variance)
-
-
-def _levels(p: Poset) -> np.ndarray:
-    """Length of the longest chain below each state (on a product of chains, the digit sum)."""
-    if p.shape is not None:
-        return _digits(p.shape).sum(axis=1)
-    level = [0] * p.size
-    for lower, upper in sorted(p.covers):
-        level[upper] = max(level[upper], level[lower] + 1)
-    return np.asarray(level, dtype=np.int64)
 
 
 def spectrum_from_triangular(d: DualChain, *, group_tol: float = 1e-9) -> SpectrumReport:

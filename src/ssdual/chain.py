@@ -201,9 +201,14 @@ def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
     """Detailed balance check: max |pi(x)P(x,y) - pi(y)P(y,x)| <= tol."""
     if c.pi is None:
         raise MissingStationary("reversibility check needs the stationary distribution")
-    flux = c.pi[:, None] * c.P
-    flux = flux - flux.T
-    return bool(np.max(np.abs(flux, out=flux)) <= tol)
+    # the lower triangle a slab of rows at a time: two 64 x M slabs, not an M x M flux
+    worst = 0.0
+    for lo in range(0, c.size, 64):
+        rows, cols = slice(lo, lo + 64), slice(0, lo + 64)
+        flux = c.pi[rows, None] * c.P[rows, cols]
+        flux -= c.pi[cols] * c.P[cols, rows].T
+        worst = np.maximum(worst, np.abs(flux, out=flux).max())
+    return bool(worst <= tol)
 
 
 def _propagate(v: np.ndarray, P: np.ndarray | tuple, n: int):

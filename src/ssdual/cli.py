@@ -180,14 +180,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    chain = _loaded_with_pi(args.chain)
-    numeric = spectrum_numeric(chain)
-    payload = {
-        "numeric": {
+    if not (args.chain or args.dual):
+        raise SSDError("eigen needs --chain, --dual or both")
+    payload = {}
+    if args.chain:
+        numeric = spectrum_numeric(_loaded_with_pi(args.chain))
+        payload["numeric"] = {
             "values": numeric.values.tolist(),
             "multiplicities": numeric.multiplicities.tolist(),
         }
-    }
     if args.dual:
         dual = chainfile.load_chain(args.dual).dual()
         tri = absorption.spectrum_from_triangular(dual)
@@ -319,9 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     eigen = sub.add_parser(
-        "eigen", help="numeric spectrum; with --dual, also the dual's from its level blocks"
+        "eigen", help="numeric spectrum of --chain and the dual's from its level blocks (--dual)"
     )
-    eigen.add_argument("--chain", required=True)
+    eigen.add_argument("--chain")
     eigen.add_argument("--dual")
     eigen.set_defaults(func=cmd_eigen)
 

@@ -22,7 +22,7 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _mobius_apply, _readonly, _transitive_reduction
+from .poset import Poset, _induced, _mobius_apply, _readonly
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
 
 
@@ -78,7 +78,7 @@ class DualChain:
             raise NotRowStochastic("dual kernel and initial distribution must be finite")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > ROW_TOL or P.min() < 0.0:
-            raise NotRowStochastic("dual kernel is not row stochastic within 1e-10")
+            raise NotRowStochastic(f"dual kernel is not row stochastic within {ROW_TOL:g}")
         unit = np.zeros(m)
         unit[self.absorbing_index] = 1.0
         if np.max(np.abs(P[self.absorbing_index] - unit)) > ROW_TOL:
@@ -288,13 +288,7 @@ def restrict_to_reachable(d: DualChain) -> DualChain:
     keep = np.nonzero(_depths(d.P_star > 0.0, d.nu_star > 0.0) >= 0)[0]
     if int(d.absorbing_index) not in keep:
         raise NoAbsorbingState("absorbing state unreachable from the initial distribution")
-    sub_leq = d.poset.leq[np.ix_(keep, keep)]
-    sub = Poset(
-        labels=tuple(d.poset.labels[i] for i in keep),
-        covers=_transitive_reduction(sub_leq),
-        leq=sub_leq,
-        enumeration=keep,
-    )
+    sub = _induced(d.poset.labels, d.poset.leq, keep)
     P_sub = d.P_star[np.ix_(keep, keep)]
     nu_sub = d.nu_star[keep]
     new_absorbing = int(np.nonzero(keep == int(d.absorbing_index))[0][0])

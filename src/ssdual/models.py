@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _depths
+from .chain import ROW_SUM_TOL, ChainSpec, _depths
 from .duality import DualChain, down_set_masses
 from .errors import BadParameters, TooLarge
 from .poset import Poset, _check_cap, _digits, grid_poset
@@ -62,7 +62,7 @@ class LatticeSpec:
         rates = (self.lambda1, self.lambda2, self.mu1, self.mu2)
         if not all(math.isfinite(r) and r > 0.0 for r in rates):
             raise BadParameters("move probabilities must be finite and positive")
-        if sum(rates) > 1.0 + 1e-12:
+        if sum(rates) > 1.0 + ROW_SUM_TOL:
             raise BadParameters("move probabilities must sum to at most 1")
 
     @property

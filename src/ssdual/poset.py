@@ -264,14 +264,13 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
         for w in succ[v]:
             row |= reach[w]
 
-    order_arr = np.asarray(order)
-    leq = reach[np.ix_(order_arr, order_arr)]
-    return Poset(
-        labels=tuple(labels[i] for i in order),
-        covers=_transitive_reduction(leq),
-        leq=leq,
-        enumeration=order_arr,
-    )
+    return _induced(labels, reach, np.asarray(order))
+
+
+def _induced(labels: Sequence, leq: np.ndarray, index: np.ndarray) -> Poset:
+    """The order ``leq`` on the states ``index``, in that order, which must be consistent."""
+    sub = leq[np.ix_(index, index)]
+    return Poset([labels[i] for i in index.tolist()], _transitive_reduction(sub), sub, index)
 
 
 def chain_poset(length: int) -> Poset:
@@ -285,6 +284,16 @@ def _digits(shape: Sequence[int]) -> np.ndarray:
     """``digits[state, axis]``: the mixed-radix coordinates, coordinate 0 least significant."""
     radices = np.cumprod((1, *shape[:-1]))
     return np.arange(math.prod(shape))[:, None] // radices % np.asarray(shape)
+
+
+def _levels(p: Poset) -> np.ndarray:
+    """Length of the longest chain below each state (on a product of chains, the digit sum)."""
+    if p.shape is not None:
+        return _digits(p.shape).sum(axis=1)
+    level = [0] * p.size
+    for lower, upper in sorted(p.covers):
+        level[upper] = max(level[upper], level[lower] + 1)
+    return np.asarray(level, dtype=np.int64)
 
 
 def grid_poset(shape: Sequence[int]) -> Poset:
@@ -312,22 +321,16 @@ def product_poset(p: Poset, q: Poset) -> Poset:
 
     The product index is ``i + p.size * j`` (p varies fastest), which keeps
     the enumeration consistent.  The product of two products of chains is
-    one, with the axes of ``p`` first.
+    one, with the axes of ``p`` first, built from the joined shape.
     """
+    labels = ((la, lb) for lb in q.labels for la in p.labels)
+    if p.shape is not None and q.shape is not None:
+        return _grid(p.shape + q.shape, labels)
     size = p.size * q.size
     _check_cap(size)
-    leq = np.kron(q.leq, p.leq)
-    labels = tuple((la, lb) for lb in q.labels for la in p.labels)
-    covers = []
-    for j in range(q.size):
-        base = j * p.size
-        covers.extend((base + a, base + b) for a, b in p.covers)
-    for a, b in q.covers:
-        covers.extend((a * p.size + i, b * p.size + i) for i in range(p.size))
-    shape = None if p.shape is None or q.shape is None else p.shape + q.shape
-    return Poset(
-        labels=labels, covers=tuple(sorted(covers)), leq=leq, enumeration=np.arange(size), shape=shape
-    )
+    covers = [(j * p.size + a, j * p.size + b) for j in range(q.size) for a, b in p.covers]
+    covers += [(a * p.size + i, b * p.size + i) for a, b in q.covers for i in range(p.size)]
+    return Poset(labels, sorted(covers), np.kron(q.leq, p.leq), np.arange(size))
 
 
 def _exact_mobius(leq: np.ndarray) -> np.ndarray:

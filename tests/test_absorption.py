@@ -10,13 +10,14 @@ from oracles import dense_absorption_moments, separation_by_matrix_power
 from ssdual.errors import (
     BadParameters,
     BadProbability,
+    DimensionMismatch,
     MaxStepsExceeded,
     NotReversible,
     NotTriangular,
     SingularSystem,
 )
-from ssdual.absorption import _levels
 from ssdual.chain import group_with_tolerance
+from ssdual.poset import _levels
 
 
 def reads_its_diagonal(d):
@@ -100,6 +101,21 @@ class TestAbsorptionSurvival:
         law = sd.absorption_survival(ising_dual(4, 0.5))
         assert law.horizon == max(4 * math.ceil(law.mean), 50)
         assert law.survival[-1] <= 2e-2
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: sd.separation_curve(cube(2, 1), -1), BadParameters),
+        (lambda: sd.absorption_survival(cube_dual(2, 1), -1), BadParameters),
+        (lambda: sd.geometric_sum_law([0.5], -1), BadParameters),
+        (lambda: sd.evolve(cube(2, 1), -1), DimensionMismatch),
+    ],
+    ids=["separation_curve", "absorption_survival", "geometric_sum_law", "evolve"],
+)
+def test_negative_horizon_is_rejected(call, error):
+    with pytest.raises(error, match="nonnegative"):
+        call()
 
 
 def cover_walk(p):
@@ -371,6 +387,8 @@ class TestBounds:
     def test_parameter_validation(self):
         with pytest.raises(BadParameters):
             sd.coupon_collector_bound(1, 1.0)
+        with pytest.raises(BadParameters):
+            sd.chebyshev_bound(1, 1, 1.0)
         with pytest.raises(BadParameters):
             sd.chebyshev_bound(2, 0, 1.0)
         with pytest.raises(BadParameters):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ class TestReversibility:
 
     def test_symmetric_kernel_reversible(self):
         assert sd.is_reversible(cube(2, 2), 1e-12)
+
+    def test_holds_no_kernel_sized_array(self):
+        c = ising(10, 0.5)
+        tracemalloc.start()
+        try:
+            assert sd.is_reversible(c, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c.P.nbytes / 4
 
 
 class TestEvolve:

@@ -500,6 +500,24 @@ class TestReenumeration:
         assert loaded.chain.pi.tolist() == [1.0, 0.0, 0.0]
         assert loaded.absorbing_index == 0
 
+    @pytest.mark.parametrize(
+        "labels,expected",
+        [
+            ([np.int64(3), np.int64(7)], (3, 7)),
+            ([np.float64(0.5), np.float64(1.5)], (0.5, 1.5)),
+            ([(np.int64(0), np.float64(0.5)), (np.int64(1), np.float64(0.5))], ((0, 0.5), (1, 0.5))),
+        ],
+        ids=["int64", "float64", "tuple"],
+    )
+    def test_numpy_scalar_labels_load_as_python_numbers(self, tmp_path, labels, expected):
+        path = tmp_path / "numpy.json"
+        poset = sd.build_poset(labels, [(0, 1)])
+        sd.save_chain(path, sd.ChainSpec(poset=poset, P=[[0.5, 0.5], [0.5, 0.5]], nu=[1.0, 0.0]))
+        loaded = sd.load_chain(path).chain.poset.labels
+        assert loaded == expected
+        flat = [v for lab in loaded for v in (lab if isinstance(lab, tuple) else (lab,))]
+        assert all(type(v) in (int, float) for v in flat)
+
     def test_tuple_labels_survive(self, tmp_path):
         path = tmp_path / "tuples.json"
         c = lattice(1)

@@ -110,6 +110,21 @@ class TestModelGen:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "beta" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "gen", "--type", "ising-circle", "-o", "{out}"],
+            ["model", "gen", "--type", "lattice", "-o", "{out}"],
+            ["bounds", "--type", "ising-circle", "--c", "2"],
+        ],
+        ids=["gen-ising-circle", "gen-lattice", "bounds-ising-circle"],
+    )
+    def test_missing_N_is_input_error(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, *(arg.format(out=out_path) for arg in argv))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error: --N is required") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_bad_cap_setting_is_input_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("SSD_MAX_STATES", value)
@@ -302,6 +317,29 @@ class TestAnalysisCommands:
         assert blocks["multiplicities"] == numeric["multiplicities"]
         assert np.abs(np.subtract(blocks["values"], numeric["values"])).max() <= 1e-9
 
+    def test_eigen_with_dual_alone_skips_the_numeric_spectrum(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        dual_path = tmp_path / "dual.json"
+        sd.save_chain(dual_path, sd.ising_circle_dual(4, 0.5))
+
+        def dense_eigensolve(chain):
+            raise AssertionError("spectrum_numeric called")
+
+        monkeypatch.setattr("ssdual.cli.spectrum_numeric", dense_eigensolve)
+        code, out, err = run(capsys, "eigen", "--dual", str(dual_path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert list(payload) == ["triangular_dual"]
+        expected = sd.spectrum_from_triangular(sd.load_chain(dual_path).dual())
+        assert payload["triangular_dual"]["values"] == expected.values.tolist()
+        assert payload["triangular_dual"]["multiplicities"] == expected.multiplicities.tolist()
+
+    def test_eigen_without_chain_or_dual_is_input_error(self, capsys):
+        code, out, err = run(capsys, "eigen")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_separation_csv(self, cube_file, tmp_path, capsys):
         csv_path = tmp_path / "sep.csv"
         code, out, _ = run(
@@ -320,6 +358,16 @@ class TestAnalysisCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["mean"] == pytest.approx(4.0, abs=1e-10)
+
+    def test_absorb_csv_is_the_survival(self, cube_file, tmp_path, capsys):
+        dual_path, csv_path = tmp_path / "dual.json", tmp_path / "survival.csv"
+        run(capsys, "dual", "--chain", str(cube_file), "-o", str(dual_path))
+        code, out, _ = run(capsys, "absorb", "--dual", str(dual_path), "-o", str(csv_path))
+        assert code == 0 and json.loads(out)["written"] == str(csv_path)
+        law = sd.absorption_survival(sd.load_chain(dual_path).dual())
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "n,survival"
+        assert lines[1:] == [f"{n},{s!r}" for n, s in enumerate(law.survival.tolist())]
 
     def test_absorb_admits_negative_debris_in_a_dual_file(self, tmp_path, capsys):
         # load_chain admits kernel and nu entries down to -DEBRIS_TOL; the

@@ -328,6 +328,17 @@ class TestProductPoset:
         assert q.has_unique_min and q.has_unique_max
         assert q.labels[0] == ((0, 0), 0) and q.labels[-1] == ((2, 2), 2)
 
+    @pytest.mark.parametrize(
+        "left,right", [((2,) * 6, (2,) * 6), ((3, 1), (4,)), ((1,), (2, 3))], ids=str
+    )
+    def test_product_of_grids_is_the_joined_grid(self, left, right):
+        p, q = sd.grid_poset(left), sd.grid_poset(right)
+        prod, grid = sd.product_poset(p, q), sd.grid_poset(left + right)
+        assert prod.shape == grid.shape == left + right
+        assert prod.covers == grid.covers and np.array_equal(prod.leq, grid.leq)
+        assert np.array_equal(prod.enumeration, grid.enumeration)
+        assert prod.labels == tuple((a, b) for b in q.labels for a in p.labels)
+
     def test_mobius_is_product(self):
         p = sd.build_poset(list("abcd"), [(0, 1), (0, 2), (1, 3), (2, 3)])
         q = sd.chain_poset(3)
@@ -433,7 +444,8 @@ class TestShapedCalculus:
             sd.Poset(labels=range(2), covers=[(0, 1)], leq=None, enumeration=np.arange(2))
 
     @pytest.mark.parametrize(
-        "builder", ["binary-grid", "quaternary-grid", "build-on-grid-covers", "spin-poset"]
+        "builder",
+        ["binary-grid", "quaternary-grid", "build-on-grid-covers", "spin-poset", "product"],
     )
     def test_order_is_built_once(self, builder):
         # 4096 states: one boolean order is 16 MiB; building it twice, or
@@ -444,6 +456,7 @@ class TestShapedCalculus:
             "quaternary-grid": lambda: sd.grid_poset((4,) * 6),
             "build-on-grid-covers": lambda: sd.build_poset(grid.labels, grid.covers),
             "spin-poset": lambda: models_module._spin_poset(12),
+            "product": lambda: sd.product_poset(sd.grid_poset((2,) * 6), sd.grid_poset((2,) * 6)),
         }[builder]
         tracemalloc.start()
         try:

@@ -21,6 +21,7 @@ def run_python(*args):
     [
         ("cube_mixing_report.py", ["--n", "3", "--k", "2"], "cube n=3 k=2: 27 states"),
         ("ising_temperature_sweep.py", ["--N", "4", "--betas", "0", "0.5"], "N=4, coupon step"),
+        ("cube_mixing_report.py", ["--samples", "2000"], "cube n=3 k=2: 27 states"),
     ],
 )
 def test_script_runs_and_prints_its_header(script, args, header):

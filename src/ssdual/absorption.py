@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import TRIANGULAR_TOL, ChainSpec, SpectrumReport, group_with_tolerance
+from .chain import ChainSpec, SpectrumReport, group_with_tolerance
 from .chain import _nonzeros, _propagate
 from .duality import DualChain
 from .errors import (
@@ -174,7 +174,7 @@ def spectrum_from_triangular(d: DualChain, *, group_tol: float = 1e-9) -> Spectr
     imaginary part above ``group_tol`` is an error, never dropped.
     """
     level = _levels(d.poset)
-    rows, cols = np.nonzero(d.P_star > TRIANGULAR_TOL)
+    rows, cols = np.nonzero(d.P_star)
     down = level[cols] < level[rows]
     if down.any():
         worst = float(d.P_star[rows[down], cols[down]].max())

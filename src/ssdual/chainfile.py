@@ -64,8 +64,8 @@ class LoadedChain:
     def dual(self) -> DualChain:
         if self.absorbing_index is None:
             raise NoAbsorbingState("chain file has no absorbing_index field")
-        # load_chain admits entries down to -DEBRIS_TOL; like build_dual,
-        # treat those as rounding debris, since DualChain rejects negatives.
+        # load_chain admits entries down to -DEBRIS_TOL as rounding debris;
+        # build_dual writes exact zeros there, and DualChain rejects negatives.
         return DualChain(
             poset=self.chain.poset,
             P_star=np.maximum(self.chain.P, 0.0),

@@ -32,6 +32,8 @@ class MonotonicityReport:
 
     ``transformed`` is the checked array itself (a matrix for kernels, a
     vector for functions); ``witness`` indexes its most negative entry.
+    ``zero`` masks the entries the rule of :func:`_certify` decides are exact
+    zeros; ``zeroed`` counts the nonzero ones among them.
     """
 
     direction: str
@@ -40,9 +42,15 @@ class MonotonicityReport:
     passed: bool
     witness: tuple[int, ...]
     tol: float
+    zero: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "transformed", _readonly(np.asarray(self.transformed, dtype=float)))
+        object.__setattr__(self, "zero", _readonly(np.asarray(self.zero, dtype=bool)))
+
+    @property
+    def zeroed(self) -> int:
+        return int(np.count_nonzero(self.transformed[self.zero]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +113,8 @@ def check_mobius_monotone(
     """Check entrywise nonnegativity of the Mobius-transformed kernel.
 
     direction="down" tests ``mobius @ P @ zeta``; direction="up" tests the
-    transform conjugated by the transposed zeta matrix.
+    transform conjugated by the transposed zeta matrix.  Each entry is decided
+    against its own rounding bound (:func:`_certify`); ``tol`` is slack beyond it.
     """
     _check_tol(tol)
     P = np.asarray(P, dtype=float)
@@ -114,38 +123,54 @@ def check_mobius_monotone(
     if direction not in ("down", "up"):
         raise DimensionMismatch(f"unknown direction {direction!r}")
     if direction == "down":
-        transformed = _mobius_apply(p, P, "mobius", "zeta")
-    else:
-        transformed = _mobius_apply(p, P, "mobius.T", "zeta.T")
-    return _report(direction, transformed, tol)
+        return _certify(p, P, direction, "mobius", "zeta", tol)
+    return _certify(p, P, direction, "mobius.T", "zeta.T", tol)
 
 
 def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityReport:
     """Check down-monotonicity of the density g = nu / pi.
 
     The condition is nonnegativity of the Mobius-inverted up-set values,
-    i.e. of ``mobius @ g``.
+    i.e. of ``mobius @ g``, each entry decided as in :func:`check_mobius_monotone`.
     """
     _check_tol(tol)
     if c.pi is None:
         raise MissingStationary("g-monotonicity check needs the stationary distribution")
     if c.pi.min() <= 0.0:
         raise MissingStationary("stationary distribution must be strictly positive")
-    g = c.nu / c.pi
-    return _report("down", _mobius_apply(c.poset, g, left="mobius"), tol)
+    return _certify(c.poset, c.nu / c.pi, "down", "mobius", None, tol)
 
 
-def _report(direction: str, transformed: np.ndarray, tol: float) -> MonotonicityReport:
-    """Report on ``transformed``, witnessed by its most negative entry."""
+def _certify(
+    p: Poset, a: np.ndarray, direction: str, left: str, right: str | None, tol: float
+) -> MonotonicityReport:
+    """Decide each entry of ``left @ a @ right`` by the one rule for rounding debris.
+
+    The products err by at most M * eps times ``|left| @ a @ right`` for a
+    nonnegative ``a`` (axis-wise sums err less), and kernel rows that sum to
+    1 only within rho (pi stationary up to a relative defect) move the entries
+    by about rho times it; rho is 0 for a vector.  With bound = (M * eps + rho)
+    times ``|left| @ a @ right``, an entry in [-(bound + tol), bound] is an
+    exact zero and one below it a violation.  The bound is relative, so a
+    genuine small transition (a rate of 1e-13, say) is kept.
+    """
+    transformed = _mobius_apply(p, a, left, right)
+    # argmin copies an F-ordered array: take it before the bound exists
     idx = np.unravel_index(np.argmin(transformed), transformed.shape)
-    min_entry = float(transformed[idx])
+    rho = float(np.max(np.abs(a.sum(axis=1) - 1.0))) if a.ndim == 2 else 0.0
+    bound = _mobius_apply(p, a, f"|{left}|", right)
+    np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
+    bound *= p.size * np.finfo(float).eps + rho
+    zero = transformed <= bound
+    bound += transformed  # each entry's margin over -bound, without a second mask
     return MonotonicityReport(
         direction=direction,
         transformed=transformed,
-        min_entry=min_entry,
-        passed=min_entry >= -tol,
+        min_entry=float(transformed[idx]),
+        passed=bool(bound.min() >= -tol),
         witness=tuple(int(i) for i in idx),
         tol=tol,
+        zero=zero,
     )
 
 
@@ -164,29 +189,6 @@ def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
     return LinkKernel(matrix=matrix, down_mass=H)
 
 
-def _clamp_small_negatives(a: np.ndarray, tol: float, what: str) -> None:
-    """Zero the entries of ``a`` in [-tol, 0), in place."""
-    low = float(a.min())
-    if low < -tol:
-        raise MonotonicityViolated(f"{what} has entry {low:.3e} below -{tol:.1e}")
-    np.maximum(a, 0.0, out=a)
-
-
-def _within_error_bound(transformed: np.ndarray, R: np.ndarray, p: Poset) -> np.ndarray:
-    """Mask of the entries of ``mobius @ R @ zeta`` within their error bound.
-
-    The two products err by at most M * eps times ``|mobius| @ R @ zeta``
-    (as length-M dense products; axis-wise sums err less), and a pi that is
-    stationary for P only up to a relative defect (the rows of the reversal
-    R sum to 1 within rho) moves the entries by about rho times it.  The
-    bound is freed on return, before the caller builds the dual kernel.
-    """
-    rho = float(np.max(np.abs(R.sum(axis=1) - 1.0)))
-    bound = _mobius_apply(p, R, "|mobius|", "zeta")
-    bound *= len(R) * np.finfo(float).eps + rho
-    return transformed <= bound
-
-
 def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     """Construct the strong stationary dual of a Mobius-monotone chain.
 
@@ -195,16 +197,13 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     and the density nu/pi down-Mobius monotone at ``tol``.
 
     The dual kernel is the transformed time reversal rescaled by down-set
-    mass ratios.  Its entries in [-tol, 0), and its positive entries that lie
-    within their own error bound, are rounding debris and become exact
-    zeros, so the kernel keeps the sparsity of the closed-form duals.  The
-    bound is (M * eps + rho) times the same rescaling of
-    ``|mobius| @ reversed_kernel @ zeta``, where rho is the largest deviation
-    of the reversal's row sums from 1; it is relative, so a genuine small
-    transition (a rate of 1e-13, say) is kept.  Each row moves by at most
-    the sum of its dropped entries' bounds.  Rows are then checked
-    (deviation beyond 1e-10 aborts) and renormalized.  Only negative entries
-    of the initial distribution are clamped.
+    mass ratios, and the dual initial distribution the transformed density
+    rescaled by down-set masses.  The entries the checks decide are exact
+    zeros (those within their rounding bound, or below zero by at most
+    bound + ``tol``; see :func:`_certify`) become exact zeros, so the kernel
+    keeps the sparsity of the closed-form duals and each row moves by at most
+    the sum of its dropped entries' bounds and ``tol``.  Rows are then
+    checked (deviation beyond 1e-10 aborts) and renormalized.
     """
     _check_tol(tol)
     if c.pi is None:
@@ -212,8 +211,7 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     p = c.poset
     if not p.has_unique_max:
         raise NoUniqueMax("dual construction requires a unique maximal state")
-    reversed_kernel = time_reversal(c)
-    mono = check_mobius_monotone(reversed_kernel, p, "down", tol)
+    mono = check_mobius_monotone(time_reversal(c), p, "down", tol)
     if not mono.passed:
         i, j = mono.witness
         raise MonotonicityViolated(
@@ -231,13 +229,9 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
         )
 
     H = down_set_masses(p, c.pi)
-    transformed = mono.transformed  # mobius @ reversed_kernel @ zeta
-    debris = _within_error_bound(transformed, reversed_kernel, p)
-    del reversed_kernel
-    P_star = (transformed * H[:, None]).T
+    P_star = (mono.transformed * H[:, None]).T
     P_star /= H[:, None]
-    _clamp_small_negatives(P_star, tol, "dual kernel")
-    P_star[debris.T] = 0.0
+    P_star[mono.zero.T] = 0.0
     rows = P_star.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_TOL:
         raise NotRowStochastic(
@@ -246,7 +240,7 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     P_star /= rows[:, None]
 
     nu_star = H * gmono.transformed
-    _clamp_small_negatives(nu_star, tol, "dual initial distribution")
+    nu_star[gmono.zero] = 0.0
     total = nu_star.sum()
     if abs(total - 1.0) > ROW_TOL:
         raise NotRowStochastic(f"dual initial distribution sums to {float(total)!r}")

@@ -416,16 +416,15 @@ _AXIS_STEPS = {  # name: (sign, offset, cumulative)
     "mobius": (-1, 1, False),
     "mobius.T": (-1, -1, False),
     "|mobius|": (1, 1, False),
+    "|mobius.T|": (1, -1, False),
 }
 
 
 def _dense_factor(p: Poset, name: str) -> np.ndarray:
-    if name == "zeta":
-        return p.leq
-    if name == "zeta.T":
-        return p.leq.T
-    mobius = mobius_pair(p).mobius
-    return {"mobius": mobius, "mobius.T": mobius.T, "|mobius|": np.abs(mobius)}[name]
+    base = name.strip("|")
+    factor = p.leq if base.startswith("zeta") else mobius_pair(p).mobius
+    factor = factor if base == name else np.abs(factor)
+    return factor.T if base.endswith(".T") else factor
 
 
 def _axis_sweep(view: np.ndarray, sign: int, offset: int, cumulative: bool) -> None:

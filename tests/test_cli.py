@@ -179,6 +179,14 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["direction"] == "up"
 
+    @pytest.mark.parametrize("argv", [["check"], ["dual", "-o", "{out}"]], ids=["check", "dual"])
+    def test_zero_tol_passes_on_a_model(self, tmp_path, capsys, argv):
+        # the rounding bound, not --tol, absorbs the debris of the transform
+        path = gen_model(tmp_path, capsys, "--type", "ising-circle", "--N", "6", "--beta", "0.5")
+        argv = [arg.format(out=tmp_path / "dual.json") for arg in argv]
+        code, _, err = run(capsys, *argv, "--chain", str(path), "--tol", "0")
+        assert code == 0, err
+
 
 class TestDualVerify:
     def test_build_verify_roundtrip(self, cube_file, tmp_path, capsys):

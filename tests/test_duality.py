@@ -386,8 +386,42 @@ class TestToleranceRule:
         with pytest.raises(BadParameters, match="tol"):
             sd.check_g_monotone(c, tol)
 
-    def test_zero_tol_is_allowed(self):
-        assert sd.check_g_monotone(ising(3, 0.5), 0.0).passed
+    @pytest.mark.parametrize(
+        "model,args",
+        [pytest.param(ising, (N, beta), id=f"ising-{N}-{beta}")
+         for N in (3, 4, 5, 6, 8) for beta in (0.0, 0.5, 1.0, 2.0)]
+        + [pytest.param(lattice, (N, params), id=f"lattice-{N}-rates{r}")
+           for N in (1, 2, 3, 8) for r, params in enumerate(LATTICE_PARAMS)]
+        + [pytest.param(cube, (n, k), id=f"cube-{n}-{k}") for n in (1, 2, 3) for k in (1, 2, 3)],
+    )
+    def test_zero_tol_is_allowed(self, model, args):
+        # the rounding bound alone absorbs the debris of every model transform
+        c = model(*args)
+        assert sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down", 0.0).passed
+        assert sd.check_g_monotone(c, 0.0).passed
+        sd.build_dual(c, tol=0.0)
+
+    def test_zero_tol_up_direction_and_negative_controls(self):
+        c = cube(2, 1)
+        assert sd.check_mobius_monotone(c.P, c.poset, "up", 0.0).passed
+        flip = flip_chain()
+        assert not sd.check_mobius_monotone(flip.P, flip.poset, "down", 0.0).passed
+        top = sd.ChainSpec(poset=c.poset, P=c.P, nu=[0, 0, 0, 1], pi=c.pi)
+        assert not sd.check_g_monotone(top, 0.0).passed
+        with pytest.raises(MonotonicityViolated, match="initial density"):
+            sd.build_dual(top, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "model,args",
+        [pytest.param(ising, (10, 0.5), id="ising-10-0.5"),
+         pytest.param(lattice, (24,), id="lattice-24")],
+    )
+    def test_zeroed_counts_the_entries_the_dual_drops(self, model, args):
+        c = model(*args)
+        report = sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down")
+        d = sd.build_dual(c)
+        assert report.zeroed > 0
+        assert report.zeroed == np.count_nonzero(report.transformed) - np.count_nonzero(d.P_star)
 
 
 def _set_pair(draw, births, deaths, excess):
@@ -435,6 +469,7 @@ class TestMonotonicityProperties:
     @settings(max_examples=30, deadline=None)
     def test_monotone_products_have_sharp_duals(self, c):
         d = sd.build_dual(c)
+        assert sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down").passed
         kernel, initial = sd.intertwining_residuals(c, d, sd.build_link(c.poset, c.pi))
         assert kernel <= 1e-10 and initial <= 1e-10
         assert sd.verify_sharpness(c, d, 60) <= 1e-10
@@ -445,6 +480,8 @@ class TestMonotonicityProperties:
         with pytest.raises(MonotonicityViolated) as info:
             sd.build_dual(c)
         report = info.value.report
+        assert report.transformed.ndim == 2  # the kernel check, not the density's
+        assert not sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down").passed
         p = c.poset
         flat = sd.Poset(range(p.size), p.covers, p.leq, p.enumeration)
         mobius = sd.mobius_pair(flat).mobius

@@ -196,19 +196,24 @@ def _kernel(path, doc: dict, version: int, rank: np.ndarray) -> np.ndarray:
     return P
 
 
+def _read_json(path):
+    """The JSON document in ``path``, or a ParseError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_chain(path) -> LoadedChain:
     """Read a chain file of version 1 or 2.
 
     Validates shapes, finiteness, stochasticity, acyclicity and distinct
     labels; ``nu`` and ``pi`` must be distributions and ``pi`` stationary.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     version = _require(doc, "version")

@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Output: a successful command prints one JSON object, with sorted keys, on
+stdout; ``-o`` writes a CSV whose first column is the step ``n``.  An error
+prints one ``error:`` line on stderr and nothing on stdout.  ``check`` and
+``verify`` print their payload even when the check fails, and exit 2 or 3;
+``check`` also writes a ``monotonicity failure:`` line per failed check.
+
 Exit codes: 0 success, 1 input or validation error, 2 monotonicity failure,
 3 verification-residual failure, 4 internal numerical failure.
 """
@@ -23,22 +29,20 @@ from .errors import (
 OK, INPUT_ERROR, MONOTONICITY_FAILURE, RESIDUAL_FAILURE, NUMERICAL_FAILURE = 0, 1, 2, 3, 4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+def _write_csv(path, **columns) -> None:
+    """Write ``columns`` to ``path`` after a step column ``n``; without a path, nothing."""
+    if not path:
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_cell(col[i]) for col in columns) + "\n")
+        fh.write(",".join(["n", *columns]) + "\n")
+        for n, row in enumerate(zip(*columns.values())):
+            fh.write(",".join([str(n), *(repr(float(v)) for v in row)]) + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _require(args, *names: str) -> None:
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join(f"--{name}" for name in names)
+        raise SSDError(f"{flags} {'is' if len(names) == 1 else 'are'} required for {args.type}")
 
 
 def _loaded_with_pi(path: str):
@@ -46,11 +50,7 @@ def _loaded_with_pi(path: str):
 
 
 def _load_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise SSDError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    doc = chainfile._read_json(path)
     n = doc.get("n") if isinstance(doc, dict) else None
     edges = doc.get("edges") if isinstance(doc, dict) else None
     # bool subclasses int, but JSON true/false is not a vertex
@@ -61,96 +61,64 @@ def _load_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
     return n, [tuple(e) for e in edges]
 
 
-def cmd_model_gen(args) -> int:
+def cmd_model_gen(args) -> tuple[int, dict]:
     if args.type == "ising-circle":
-        if args.N is None:
-            raise SSDError("--N is required for ising-circle")
+        _require(args, "N")
         chain = models.ising_circle(args.N, args.beta)
         params = {"N": args.N, "beta": args.beta}
     elif args.type == "ising-graph":
-        if args.edges is None:
-            raise SSDError("--edges is required for ising-graph")
+        _require(args, "edges")
         chain = models.ising_gibbs_graph(*_load_edges(args.edges), args.beta)
         params = {"edges_file": args.edges, "beta": args.beta}
     elif args.type == "lattice":
-        if args.N is None:
-            raise SSDError("--N is required for lattice")
-        spec = models.LatticeSpec(
-            N=args.N, lambda1=args.lambda1, lambda2=args.lambda2, mu1=args.mu1, mu2=args.mu2
-        )
-        chain = models.lattice_walk(spec)
-        params = {
-            "N": args.N,
-            "lambda1": args.lambda1,
-            "lambda2": args.lambda2,
-            "mu1": args.mu1,
-            "mu2": args.mu2,
-        }
-    elif args.type == "cube":
-        if args.n is None or args.k is None:
-            raise SSDError("--n and --k are required for cube")
+        _require(args, "N")
+        params = {key: getattr(args, key) for key in ("N", "lambda1", "lambda2", "mu1", "mu2")}
+        chain = models.lattice_walk(models.LatticeSpec(**params))
+    else:
+        _require(args, "n", "k")
         chain = models.kary_cube(models.CubeSpec(n=args.n, k=args.k))
         params = {"n": args.n, "k": args.k}
-    else:  # pragma: no cover - argparse restricts choices
-        raise SSDError(f"unknown model type {args.type}")
     chainfile.save_chain(args.output, chain, meta={"model": args.type, "params": params})
-    _emit({"written": args.output, "states": chain.size, "model": args.type})
-    return OK
+    return OK, {"written": args.output, "states": chain.size, "model": args.type}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict]:
     chain = _loaded_with_pi(args.chain)
-    reversed_kernel = time_reversal(chain)
+    labels = chain.poset.labels
     kernel_report = duality.check_mobius_monotone(
-        reversed_kernel, chain.poset, args.direction, args.tol
+        time_reversal(chain), chain.poset, args.direction, args.tol
     )
     g_report = duality.check_g_monotone(chain, args.tol)
+    checked = ((kernel_report, "time-reversed kernel"), (g_report, "initial density nu/pi"))
+    for report, what in checked:
+        if not report.passed:
+            failure = duality._failure(report, chain.poset, what)
+            print(f"monotonicity failure: {failure}", file=sys.stderr)
     i, j = kernel_report.witness
     payload = {
         "direction": args.direction,
         "kernel_min_entry": kernel_report.min_entry,
         "kernel_passed": kernel_report.passed,
-        "kernel_witness": [repr(chain.poset.labels[i]), repr(chain.poset.labels[j])],
+        "kernel_witness": [repr(labels[i]), repr(labels[j])],
         "g_min_entry": g_report.min_entry,
         "g_passed": g_report.passed,
-        "g_witness": repr(chain.poset.labels[g_report.witness[0]]),
+        "g_witness": repr(labels[g_report.witness[0]]),
         "tol": args.tol,
     }
-    _emit(payload)
-    if not kernel_report.passed:
-        print(
-            f"monotonicity failure: transformed kernel entry {kernel_report.min_entry:.6g} "
-            f"at states ({chain.poset.labels[i]!r}, {chain.poset.labels[j]!r})",
-            file=sys.stderr,
-        )
-    if not g_report.passed:
-        k = g_report.witness[0]
-        print(
-            f"monotonicity failure: initial density entry {g_report.min_entry:.6g} "
-            f"at state {chain.poset.labels[k]!r}",
-            file=sys.stderr,
-        )
-    return OK if (kernel_report.passed and g_report.passed) else MONOTONICITY_FAILURE
+    return (OK if kernel_report.passed and g_report.passed else MONOTONICITY_FAILURE), payload
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> tuple[int, dict]:
     loaded = chainfile.load_chain(args.chain)
-    chain = with_stationary(loaded.chain)
-    dual = duality.build_dual(chain, tol=args.tol)
+    dual = duality.build_dual(with_stationary(loaded.chain), tol=args.tol)
     chainfile.save_chain(
         args.output, dual, meta={"dual_of": args.chain, "source_meta": loaded.meta}
     )
-    _emit(
-        {
-            "written": args.output,
-            "states": dual.size,
-            "absorbing_state": repr(dual.poset.labels[dual.absorbing_index]),
-        }
-    )
-    return OK
+    absorbing = repr(dual.poset.labels[dual.absorbing_index])
+    return OK, {"written": args.output, "states": dual.size, "absorbing_state": absorbing}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     duality._check_tol(args.tol)
     chain = _loaded_with_pi(args.chain)
     dual = chainfile.load_chain(args.dual).dual()
@@ -160,121 +128,76 @@ def cmd_verify(args) -> int:
     survival = absorption._survival(dual, args.horizon)
     sharpness = float(np.max(np.abs(sep.values - survival)))
     passed = max(kernel_res, initial_res, sharpness) <= args.tol
-    if args.output:
-        _write_csv(
-            args.output,
-            ["n", "separation", "tv", "survival"],
-            [np.arange(args.horizon + 1), sep.values, sep.tv, survival],
-        )
-    _emit(
-        {
-            "intertwining_kernel": kernel_res,
-            "intertwining_initial": initial_res,
-            "sharpness_max_dev": sharpness,
-            "horizon": args.horizon,
-            "tol": args.tol,
-            "passed": passed,
-        }
-    )
-    return OK if passed else RESIDUAL_FAILURE
+    _write_csv(args.output, separation=sep.values, tv=sep.tv, survival=survival)
+    payload = {
+        "intertwining_kernel": kernel_res,
+        "intertwining_initial": initial_res,
+        "sharpness_max_dev": sharpness,
+        "horizon": args.horizon,
+        "tol": args.tol,
+        "passed": passed,
+    }
+    return (OK if passed else RESIDUAL_FAILURE), payload
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args) -> tuple[int, dict]:
     if not (args.chain or args.dual):
         raise SSDError("eigen needs --chain, --dual or both")
-    payload = {}
+    spectra = {}
     if args.chain:
-        numeric = spectrum_numeric(_loaded_with_pi(args.chain))
-        payload["numeric"] = {
-            "values": numeric.values.tolist(),
-            "multiplicities": numeric.multiplicities.tolist(),
-        }
+        spectra["numeric"] = spectrum_numeric(_loaded_with_pi(args.chain))
     if args.dual:
         dual = chainfile.load_chain(args.dual).dual()
-        tri = absorption.spectrum_from_triangular(dual)
-        payload["triangular_dual"] = {
-            "values": tri.values.tolist(),
-            "multiplicities": tri.multiplicities.tolist(),
-        }
-    _emit(payload)
-    return OK
+        spectra["triangular_dual"] = absorption.spectrum_from_triangular(dual)
+    return OK, {
+        key: {"values": s.values.tolist(), "multiplicities": s.multiplicities.tolist()}
+        for key, s in spectra.items()
+    }
 
 
-def cmd_separation(args) -> int:
-    chain = _loaded_with_pi(args.chain)
-    sep = absorption.separation_curve(chain, args.horizon)
-    if args.output:
-        _write_csv(
-            args.output,
-            ["n", "separation", "tv"],
-            [np.arange(args.horizon + 1), sep.values, sep.tv],
-        )
-    _emit(
-        {
-            "horizon": args.horizon,
-            "separation_final": float(sep.values[-1]),
-            "tv_final": float(sep.tv[-1]),
-            "written": args.output,
-        }
-    )
-    return OK
+def cmd_separation(args) -> tuple[int, dict]:
+    sep = absorption.separation_curve(_loaded_with_pi(args.chain), args.horizon)
+    _write_csv(args.output, separation=sep.values, tv=sep.tv)
+    return OK, {
+        "horizon": args.horizon,
+        "separation_final": float(sep.values[-1]),
+        "tv_final": float(sep.tv[-1]),
+        "written": args.output,
+    }
 
 
-def cmd_absorb(args) -> int:
-    dual = chainfile.load_chain(args.dual).dual()
-    law = absorption.absorption_survival(dual, args.horizon)
-    if args.output:
-        _write_csv(
-            args.output,
-            ["n", "survival"],
-            [np.arange(law.horizon + 1), law.survival],
-        )
-    _emit(
-        {
-            "mean": law.mean,
-            "variance": law.variance,
-            "horizon": law.horizon,
-            "written": args.output,
-        }
-    )
-    return OK
+def cmd_absorb(args) -> tuple[int, dict]:
+    law = absorption.absorption_survival(chainfile.load_chain(args.dual).dual(), args.horizon)
+    _write_csv(args.output, survival=law.survival)
+    return OK, {
+        "mean": law.mean,
+        "variance": law.variance,
+        "horizon": law.horizon,
+        "written": args.output,
+    }
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, dict]:
     if args.type == "ising-circle":
-        if args.N is None:
-            raise SSDError("--N is required for ising-circle bounds")
+        _require(args, "N")
         steps, bound = absorption.coupon_collector_bound(args.N, args.c)
-    elif args.type == "cube":
-        if args.n is None or args.k is None:
-            raise SSDError("--n and --k are required for cube bounds")
-        steps, bound = absorption.chebyshev_bound(args.n, args.k, args.c)
     else:
-        raise SSDError(f"no closed-form bound for model type {args.type!r}")
-    _emit({"type": args.type, "steps": steps, "bound": bound, "c": args.c})
-    return OK
+        _require(args, "n", "k")
+        steps, bound = absorption.chebyshev_bound(args.n, args.k, args.c)
+    return OK, {"type": args.type, "steps": steps, "bound": bound, "c": args.c}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     dual = chainfile.load_chain(args.dual).dual()
     law = absorption.simulate_sst(dual, args.samples, args.seed, horizon=args.horizon)
-    if args.output:
-        _write_csv(
-            args.output,
-            ["n", "survival"],
-            [np.arange(law.horizon + 1), law.survival],
-        )
-    _emit(
-        {
-            "mean": law.mean,
-            "variance": law.variance,
-            "samples": args.samples,
-            "seed": args.seed,
-            "written": args.output,
-        }
-    )
-    return OK
-
+    _write_csv(args.output, survival=law.survival)
+    return OK, {
+        "mean": law.mean,
+        "variance": law.variance,
+        "samples": args.samples,
+        "seed": args.seed,
+        "written": args.output,
+    }
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -363,14 +286,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return OK if not exc.code else INPUT_ERROR
     try:
-        return args.func(args)
+        code, payload = args.func(args)
+        print(json.dumps(payload, sort_keys=True))
+        return code
     except MonotonicityViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MONOTONICITY_FAILURE
     except (NotRowStochastic, SingularSystem, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return NUMERICAL_FAILURE
-    except (SSDError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SSDError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -174,6 +174,13 @@ def _certify(
     )
 
 
+def _failure(report: MonotonicityReport, p: Poset, what: str) -> str:
+    """The one wording of a failed check: ``what`` and its most negative entry."""
+    at = ", ".join(repr(p.labels[i]) for i in report.witness)
+    entry = f"entry {report.min_entry:.3e} at ({at})"
+    return f"{what} is not {report.direction}-Mobius monotone: {entry}"
+
+
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
     """Cumulative stationary mass of each down-set."""
     return _mobius_apply(p, pi, right="zeta")
@@ -213,20 +220,10 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
         raise NoUniqueMax("dual construction requires a unique maximal state")
     mono = check_mobius_monotone(time_reversal(c), p, "down", tol)
     if not mono.passed:
-        i, j = mono.witness
-        raise MonotonicityViolated(
-            "time-reversed kernel is not down-Mobius monotone: "
-            f"entry {mono.min_entry:.3e} at ({p.labels[i]!r}, {p.labels[j]!r})",
-            report=mono,
-        )
+        raise MonotonicityViolated(_failure(mono, p, "time-reversed kernel"), report=mono)
     gmono = check_g_monotone(c, tol)
     if not gmono.passed:
-        (i,) = gmono.witness
-        raise MonotonicityViolated(
-            "initial density nu/pi is not down-Mobius monotone: "
-            f"entry {gmono.min_entry:.3e} at {p.labels[i]!r}",
-            report=gmono,
-        )
+        raise MonotonicityViolated(_failure(gmono, p, "initial density nu/pi"), report=gmono)
 
     H = down_set_masses(p, c.pi)
     P_star = (mono.transformed * H[:, None]).T

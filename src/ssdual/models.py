@@ -86,9 +86,10 @@ class CubeSpec:
             raise BadParameters("cube needs n >= 1 and k >= 1")
 
 
-def _model_poset(shape: list[int]) -> Poset:
-    _check_cap(math.prod(shape), TooLarge)
-    return grid_poset(shape)
+def _model_poset(side: int, axes: int) -> Poset:
+    """The product of ``axes`` chains of ``side`` states, the cap checked before it exists."""
+    _check_cap((side,), TooLarge, axes)
+    return grid_poset([side] * axes)
 
 
 def _start_at_bottom(size: int) -> np.ndarray:
@@ -98,7 +99,7 @@ def _start_at_bottom(size: int) -> np.ndarray:
 
 
 def _spin_poset(n: int) -> Poset:
-    grid = _model_poset([2] * n)
+    grid = _model_poset(2, n)
     covers, enumeration, shape = grid.covers, grid.enumeration, grid.shape
     del grid  # its order is freed before the relabelled poset builds its own
     return Poset(map(tuple, _spins(n).tolist()), covers, None, enumeration, shape)
@@ -157,6 +158,7 @@ def _ising_chain(spec: IsingSpec) -> ChainSpec:
 def _circle_spec(N: int, beta: float) -> IsingSpec:
     if N < 3:
         raise BadParameters("a circle needs at least 3 vertices")
+    _check_cap((2,), TooLarge, N)  # before the N edges
     edges = tuple((i, (i + 1) % N) for i in range(N))
     return IsingSpec(n_vertices=N, edges=edges, beta=beta)
 
@@ -168,6 +170,7 @@ def ising_circle(N: int, beta: float) -> ChainSpec:
 
 def ising_gibbs_graph(n_vertices: int, edges: Sequence[tuple[int, int]], beta: float) -> ChainSpec:
     """Gibbs sampler for the Ising model on an arbitrary simple graph."""
+    _check_cap((2,), TooLarge, n_vertices)  # before the per-edge checks
     spec = IsingSpec(
         n_vertices=n_vertices, edges=tuple((int(u), int(v)) for u, v in edges), beta=beta
     )
@@ -258,7 +261,7 @@ def lattice_walk(spec: LatticeSpec) -> ChainSpec:
     so skewed that some weight underflows to 0 relative to the largest.
     """
     N = spec.N
-    poset = _model_poset([N + 1, N + 1])
+    poset = _model_poset(N + 1, 2)
     rates = ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2))
     P = _product_walk(poset, [_steps(np.full(N, lam), np.full(N, mu)) for lam, mu in rates])
     # hold 1 - the whole row's sum, which keeps lattice files bit for bit
@@ -294,7 +297,7 @@ def lattice_walk_dual(spec: LatticeSpec) -> DualChain:
     if spec.lambda1 == spec.mu1 or spec.lambda2 == spec.mu2:
         raise BadParameters("closed-form dual requires lambda_i != mu_i")
     N = spec.N
-    poset = _model_poset([N + 1, N + 1])
+    poset = _model_poset(N + 1, 2)
     moves = []
     for lam, mu in ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2)):
         lo, hi = min(lam, mu), max(lam, mu)
@@ -311,7 +314,7 @@ def lattice_walk_dual(spec: LatticeSpec) -> DualChain:
 def kary_cube(spec: CubeSpec) -> ChainSpec:
     """Lazy uniform single-coordinate resampling on {0..k}^n."""
     n, k = spec.n, spec.k
-    poset = _model_poset([k + 1] * n)
+    poset = _model_poset(k + 1, n)
     # each coordinate moves to each other value in 1 of 2nk equally likely outcomes
     P = _product_walk(poset, [1.0 - np.eye(k + 1)] * n, total=2 * n * k)
     return ChainSpec(
@@ -330,7 +333,7 @@ def kary_cube_dual(spec: CubeSpec) -> DualChain:
     ((k-1)/2k) I + ((k+1)/2k) 1 delta_k^T.
     """
     n, k = spec.n, spec.k
-    poset = _model_poset([k + 1] * n)
+    poset = _model_poset(k + 1, n)
     jump = np.zeros((k + 1, k + 1))
     jump[:k, k] = k + 1
     P = _product_walk(poset, [jump] * n, total=2 * n * k)

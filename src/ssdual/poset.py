@@ -34,12 +34,26 @@ def max_states() -> int:
     return int(raw)
 
 
-def _check_cap(size: int, exc=SizeOverflow) -> None:
+def _check_cap(shape: Sequence[int], exc=SizeOverflow, repeat: int = 1) -> int:
+    """The size of the product of ``shape`` repeated ``repeat`` times, refused above the cap.
+
+    The factors are multiplied in one at a time, and only while the product
+    is small: ``_check_cap((2,), repeat=10**6)`` refuses at once, without a
+    list of a million factors or their product.  Past 10**30 the message
+    gives a power of two below the size.
+    """
     limit = max_states()
+    stop = max(limit, 10**30)  # str() refuses integers of more than 4300 digits
+    size = 1
+    for _ in range(repeat):
+        for s in shape:
+            size *= s
+            if size > stop:
+                bits = repeat * sum(f.bit_length() - 1 for f in shape)
+                raise exc(f"state space of size at least 2**{bits} exceeds cap {limit}")
     if size > limit:
-        # str() refuses integers of more than 4300 digits, such as 2**20000
-        shown = size if size < 10**30 else f"at least 2**{size.bit_length() - 1}"
-        raise exc(f"state space of size {shown} exceeds cap {limit}")
+        raise exc(f"state space of size {size} exceeds cap {limit}")
+    return size
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -206,8 +220,7 @@ def _grid_codes(shape: tuple[int, ...]) -> np.ndarray:
 
 def _grid(shape: tuple[int, ...], labels: Iterable | None = None) -> Poset:
     """The product of chains ``shape``, labelled by its coordinates unless ``labels`` are given."""
-    size = math.prod(shape)
-    _check_cap(size)
+    size = _check_cap(shape)
     if labels is None:
         labels = map(tuple, _digits(shape).tolist())
     lower, upper = np.divmod(_grid_codes(shape), size)
@@ -235,7 +248,7 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
     size = len(labels)
     if size == 0:
         raise BadParameters("a poset needs at least one state")
-    _check_cap(size)
+    _check_cap((size,))
     seen: set = set()
     for lab in labels:
         try:
@@ -326,8 +339,7 @@ def product_poset(p: Poset, q: Poset) -> Poset:
     labels = ((la, lb) for lb in q.labels for la in p.labels)
     if p.shape is not None and q.shape is not None:
         return _grid(p.shape + q.shape, labels)
-    size = p.size * q.size
-    _check_cap(size)
+    size = _check_cap((p.size, q.size))
     covers = [(j * p.size + a, j * p.size + b) for j in range(q.size) for a, b in p.covers]
     covers += [(a * p.size + i, b * p.size + i) for a, b in q.covers for i in range(p.size)]
     return Poset(labels, sorted(covers), np.kron(q.leq, p.leq), np.arange(size))

@@ -254,7 +254,7 @@ def test_criterion_8_monte_carlo_consistency(tmp_path):
         files = []
         for tag, law in (("a", first), ("b", second)):
             path = tmp_path / f"{name.split()[0]}_{tag}.csv"
-            _write_csv(path, ["n", "survival"], [np.arange(law.horizon + 1), law.survival])
+            _write_csv(path, survival=law.survival)
             files.append(path.read_bytes())
         assert files[0] == files[1]
     ok = worst_excess <= 1e-12

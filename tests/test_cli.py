@@ -6,6 +6,7 @@ import pytest
 import ssdual as sd
 from conftest import version_1_document
 from ssdual.cli import main
+from ssdual.errors import MonotonicityViolated
 
 
 def run(capsys, *argv):
@@ -58,17 +59,22 @@ class TestModelGen:
             {"n": "3", "edges": [[0, 1]]},
             {"n": 3, "edges": 5},
             [[0, 1]],
+            pytest.param('{"n": 3, "edges": [[0, 1], ', id="truncated"),
+            pytest.param("", id="empty"),
+            pytest.param('{"n": 3, "edges": []} []', id="trailing"),
         ],
     )
     def test_malformed_edges_file_is_input_error(self, tmp_path, capsys, doc):
         edges = tmp_path / "edges.json"
-        edges.write_text(json.dumps(doc))
-        code, _, err = run(
+        edges.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(
             capsys, "model", "gen", "--type", "ising-graph", "--edges", str(edges),
             "-o", str(tmp_path / "x.json"),
         )
-        assert code == 1
-        assert err.startswith("error:") and "edges" in err
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {edges}: ") and "edges" in err and err.count("\n") == 1
+        if isinstance(doc, str):
+            assert ": invalid JSON at line 1 column " in err
 
     def test_edges_file_not_utf8_is_input_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.json"
@@ -157,6 +163,10 @@ class TestCheck:
         assert payload["kernel_min_entry"] == -1.0
         assert not payload["kernel_passed"]
         assert "monotonicity failure" in err
+        # check words the failure as the dual construction does
+        with pytest.raises(MonotonicityViolated) as raised:
+            sd.build_dual(sd.with_stationary(sd.load_chain(flip_file).chain))
+        assert err.splitlines()[0] == f"monotonicity failure: {raised.value}"
 
     def test_top_start_fails_g_check(self, tmp_path, capsys):
         c = sd.kary_cube(sd.CubeSpec(2, 1))
@@ -168,6 +178,9 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["kernel_passed"] and not payload["g_passed"]
         assert "initial density" in err
+        with pytest.raises(MonotonicityViolated) as raised:
+            sd.build_dual(sd.with_stationary(sd.load_chain(path).chain))
+        assert err == f"monotonicity failure: {raised.value}\n"
 
     def test_monotone_model_passes(self, cube_file, capsys):
         code, out, _ = run(capsys, "check", "--chain", str(cube_file))
@@ -556,6 +569,8 @@ class TestErrorPaths:
             (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "1e-200"], "finite"),
             (["bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "1e-160"], "finite"),
             (["bounds", "--type", "ising-circle", "--N", "10", "--c", "1e308"], "finite"),
+            (["model", "gen", "--type", "cube", "--n", "1000000", "--k", "1", "-o", "{out}"],
+             "at least 2**1000000 exceeds cap"),
         ],
     )
     def test_bad_number_is_input_error(self, cube_file, tmp_path, capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -101,13 +102,16 @@ class TestIsingGraph:
 
     def test_cap_comes_before_per_vertex_work(self, monkeypatch):
         # 2**20000 has more digits than str() converts, and the n x n
-        # adjacency of 20000 vertices would take 3.2 GB
+        # adjacency of 20000 vertices would take 3.2 GB; at 10**6 vertices,
+        # even multiplying out the 2**n states takes half a minute
         monkeypatch.setattr("ssdual.models._adjacency", lambda spec: pytest.fail("adjacency built"))
-        ring = [(i, (i + 1) % 20000) for i in range(20000)]
-        with pytest.raises(TooLarge, match=r"at least 2\*\*20000 exceeds cap"):
-            sd.ising_gibbs_graph(20000, ring, 0.5)
-        with pytest.raises(TooLarge, match=r"at least 2\*\*20000 exceeds cap"):
-            sd.ising_circle(20000, 0.5)
+        for n in (20000, 10**6):
+            ring = [(i, (i + 1) % n) for i in range(n)]
+            for build in (lambda: sd.ising_gibbs_graph(n, ring, 0.5), lambda: sd.ising_circle(n, 0.5)):
+                begin = time.perf_counter()
+                with pytest.raises(TooLarge, match=rf"at least 2\*\*{n} exceeds cap"):
+                    build()
+                assert time.perf_counter() - begin < 2.0
 
     def test_rejects_multigraph(self):
         with pytest.raises(BadParameters):

@@ -1,9 +1,13 @@
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ssdual.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +42,19 @@ def test_readme_library_example_prints_the_cube_moments():
     mean, variance = map(float, result.stdout.splitlines()[-1].split())
     assert abs(mean - 22 / 3) <= 1e-12
     assert abs(variance - 130 / 9) <= 1e-9
+
+
+def test_readme_commands_each_print_one_json_object(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "ssdual" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = argv[1:]
+        if "--samples" in argv:  # the documented 100000 trajectories take seconds
+            argv[argv.index("--samples") + 1] = "2000"
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv

@@ -193,7 +193,9 @@ def time_reversal(c: ChainSpec) -> np.ndarray:
         raise MissingStationary("time reversal needs the stationary distribution")
     if c.pi.min() <= 0.0:
         raise MissingStationary("stationary distribution must be strictly positive")
-    return c.P.T * c.pi[None, :] / c.pi[:, None]
+    R = c.P.T * c.pi[None, :]
+    R /= c.pi[:, None]
+    return R
 
 
 def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
@@ -254,26 +256,42 @@ def evolve(c: ChainSpec, n: int) -> np.ndarray:
 def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport:
     """Eigenvalues of a reversible kernel via symmetric similarity.
 
-    The kernel is conjugated by diag(sqrt(pi)) into a symmetric matrix and
-    handed to a dense symmetric eigensolver; values are grouped into
-    multiplicities at ``group_tol``.
+    The symmetric part of S = diag(sqrt(pi)) P diag(sqrt(pi))^-1 goes to a dense
+    symmetric eigensolver; values are grouped into multiplicities at ``group_tol``.
+    If M is even and P and pi equal their index reversal J exactly (the antipodal
+    map of a product of chains: Ising's spin flip, the cube's x -> k - x), then
+    S = [[A, B], [JBJ, JAJ]] is orthogonally similar to diag(A + BJ, A - BJ), and
+    those two half-size blocks, built from the top half of P, are solved instead.
     """
     if c.pi is None:
         raise MissingStationary("numeric spectrum needs the stationary distribution")
     if not is_reversible(c, REVERSIBLE_TOL):
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
     root = np.sqrt(c.pi)
-    sym = root[:, None] * c.P
-    sym /= root[None, :]
+    flips = c.size % 2 == 0 and np.array_equal(c.pi, c.pi[::-1])
+    if flips and np.array_equal(c.P, c.P[::-1, ::-1]):
+        h = c.size // 2
+        top = root[:h, None] * c.P[:h]  # the top rows of S: [A | B]
+        top /= root[None, :]
+        a, bj = top[:, :h], top[:, h:][:, ::-1]
+        vals = np.concatenate([_eigvalsh_averaged(a + bj), _eigvalsh_averaged(a - bj)])
+    else:
+        sym = root[:, None] * c.P
+        sym /= root[None, :]
+        vals = _eigvalsh_averaged(sym)
+    values, counts = group_with_tolerance(np.sort(vals)[::-1], group_tol)
+    return SpectrumReport(values=values, multiplicities=counts, source="numeric")
+
+
+def _eigvalsh_averaged(sym: np.ndarray) -> np.ndarray:
+    """Eigenvalues of (sym + sym.T) / 2; ``sym`` is overwritten."""
     # eigvalsh reads the lower triangle only: average it with the upper one a
     # block of rows at a time, without a second M x M array
-    for lo in range(0, c.size, 128):
+    for lo in range(0, len(sym), 128):
         rows, cols = slice(lo, lo + 128), slice(0, lo + 128)
         sym[rows, cols] += sym[cols, rows].T
         sym[rows, cols] *= 0.5
-    vals = np.linalg.eigvalsh(sym)[::-1]
-    values, counts = group_with_tolerance(vals, group_tol)
-    return SpectrumReport(values=values, multiplicities=counts, source="numeric")
+    return np.linalg.eigvalsh(sym)
 
 
 def group_with_tolerance(sorted_desc: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 """Brute-force reference computations, independent of the package internals."""
+import tracemalloc
+
 import numpy as np
 
 
@@ -68,3 +70,21 @@ def dense_absorption_moments(P_star, nu_star, absorbing):
     start = np.delete(nu_star, absorbing)
     mean = float(start @ steps)
     return mean, float(start @ second) - mean * mean
+
+
+def symmetrised_eigenvalues(P, pi):
+    """Eigenvalues of the full symmetrised kernel (S + S.T) / 2, S = D^1/2 P D^-1/2, descending."""
+    root = np.sqrt(pi)
+    S = root[:, None] * P / root[None, :]
+    return np.linalg.eigvalsh((S + S.T) / 2)[::-1]
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), tracemalloc peak of the call in bytes)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

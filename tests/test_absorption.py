@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import ssdual as sd
 from conftest import cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice, lattice_dual
-from oracles import dense_absorption_moments, separation_by_matrix_power
+from oracles import dense_absorption_moments, peak_bytes, separation_by_matrix_power
 from ssdual.errors import (
     BadParameters,
     BadProbability,
@@ -227,12 +226,7 @@ class TestBlockMoments:
     def test_no_dense_transient_block(self):
         # 1024 states: one dense I - Q is 8 MiB; the level blocks stay far below
         d = sd.ising_circle_dual(10, 0.5)
-        tracemalloc.start()
-        try:
-            sd.absorption_survival(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(sd.absorption_survival, d)
         assert peak < d.size**2 * 8 / 4
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 
 import ssdual as sd
 from conftest import cube, ising, ising_dual, lattice, lattice_dual
-from oracles import separation_by_matrix_power
-from ssdual.chain import _nonzeros, _propagate
+from oracles import peak_bytes, separation_by_matrix_power, symmetrised_eigenvalues
+from ssdual.chain import _nonzeros, _propagate, group_with_tolerance
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -156,12 +155,8 @@ class TestReversibility:
 
     def test_holds_no_kernel_sized_array(self):
         c = ising(10, 0.5)
-        tracemalloc.start()
-        try:
-            assert sd.is_reversible(c, 1e-12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        reversible, peak = peak_bytes(sd.is_reversible, c, 1e-12)
+        assert reversible
         assert peak < c.P.nbytes / 4
 
 
@@ -281,6 +276,38 @@ class TestPropagate:
         assert_propagation_parity(np.zeros(0), np.zeros((0, 0)), 3)
 
 
+def reversal_invariant_chain(kind, a, b):
+    """An Ising chain (N, beta) or a k-ary cube (n, k) that equals its index reversal."""
+    if kind == "cube":
+        return cube(a, b)
+    # the circle needs three vertices: two spins share one edge
+    return sd.ising_gibbs_graph(2, [(0, 1)], b) if a == 2 else ising(a, b)
+
+
+SPLIT_CASES = [("ising", N, beta) for N in (2, 3, 4, 6, 8, 10) for beta in (0.0, 0.5, 1.0, 2.0)]
+SPLIT_CASES += [("cube", n, k) for n, k in ((1, 1), (2, 1), (4, 1), (2, 3), (3, 3), (5, 3))]
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The sizes of the matrices passed to np.linalg.eigvalsh, in call order."""
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+def assert_matches_full_spectrum(c, report):
+    values, counts = group_with_tolerance(symmetrised_eigenvalues(c.P, c.pi), 1e-7)
+    assert report.multiplicities.tolist() == counts.tolist()
+    assert np.abs(report.values - values).max() <= 1e-12
+
+
 class TestSpectrumNumeric:
     def test_lazy_unit_square(self):
         report = sd.spectrum_numeric(cube(2, 1))
@@ -306,3 +333,29 @@ class TestSpectrumNumeric:
     def test_rejects_non_reversible(self):
         with pytest.raises(NotReversible):
             sd.spectrum_numeric(biased_cycle(0.9))
+
+    @pytest.mark.parametrize("kind,a,b", SPLIT_CASES)
+    def test_reversal_invariant_chain_splits_in_halves(self, eigvalsh_sizes, kind, a, b):
+        c = reversal_invariant_chain(kind, a, b)
+        report = sd.spectrum_numeric(c)
+        assert eigvalsh_sizes == [c.size // 2] * 2
+        assert_matches_full_spectrum(c, report)
+
+    def test_loaded_ising_chain_splits_in_halves(self, eigvalsh_sizes, tmp_path):
+        sd.save_chain(tmp_path / "ising.json", ising(6, 0.5))
+        c = sd.load_chain(tmp_path / "ising.json").chain
+        report = sd.spectrum_numeric(c)
+        assert eigvalsh_sizes == [32, 32]
+        assert_matches_full_spectrum(c, report)
+
+    @pytest.mark.parametrize("c", [cube(3, 2), lattice(3)], ids=["cube-odd-size", "lattice"])
+    def test_other_chains_take_one_full_eigensolve(self, eigvalsh_sizes, c):
+        report = sd.spectrum_numeric(c)
+        assert eigvalsh_sizes == [c.size]
+        assert_matches_full_spectrum(c, report)
+
+    def test_holds_less_than_one_kernel(self):
+        # the split's two half-size blocks, against the full path's symmetrised copy
+        c = ising(10, 0.5)
+        _, peak = peak_bytes(sd.spectrum_numeric, c)
+        assert peak < c.P.nbytes

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from conftest import (
     lattice_dual,
     version_1_document,
 )
+from oracles import peak_bytes
 from ssdual.errors import NoAbsorbingState, ParseError, SchemaVersionMismatch
 
 
@@ -189,23 +189,13 @@ class TestFormat:
     def test_save_peak_memory_below_kernel_size(self, tmp_path):
         c = lattice(19)
         assert c.size == 400
-        tracemalloc.start()
-        try:
-            sd.save_chain(tmp_path / "lattice.json", c)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(sd.save_chain, tmp_path / "lattice.json", c)
         assert peak < c.P.nbytes
         # fully dense: every entry is stored, still streamed one row at a time
         dense = sd.ChainSpec(
             poset=sd.chain_poset(400), P=np.full((400, 400), 1 / 400), nu=np.full(400, 1 / 400)
         )
-        tracemalloc.start()
-        try:
-            sd.save_chain(tmp_path / "dense.json", dense)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(sd.save_chain, tmp_path / "dense.json", dense)
         assert peak < dense.P.nbytes
         assert np.array_equal(sd.load_chain(tmp_path / "dense.json").chain.P, dense.P)
 

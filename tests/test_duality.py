@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
+import ssdual.duality as duality_module
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
-from oracles import down_set_sums
+from oracles import down_set_sums, peak_bytes
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -62,6 +63,32 @@ class TestKernelMonotonicity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sd.check_mobius_monotone(np.eye(3), sd.chain_poset(2), "down")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            {(1, 3): -1.0, (2, 0): -1.0, (3, 4): -1.0},
+            {(3, 1): np.nan, (2, 4): np.nan, (0, 0): -5.0},
+            {(4, 0): -np.inf, (0, 2): -np.inf, (1, 1): np.nan},
+            {(4, 0): -np.inf, (0, 2): -np.inf, (1, 1): -2.0},
+        ],
+        ids=["ties", "nan", "nan-beside-inf", "inf"],
+    )
+    def test_witness_is_the_first_minimum_in_row_major_order(self, monkeypatch, order, marks):
+        # column-major order would name another entry, except where NaN beats -inf
+        T = np.arange(25.0).reshape(5, 5)
+        for at, value in marks.items():
+            T[at] = value
+
+        def transform(p, a, left=None, right=None):
+            return np.zeros(T.shape) if left.startswith("|") else np.array(T, order=order)
+
+        monkeypatch.setattr(duality_module, "_mobius_apply", transform)
+        report = sd.check_mobius_monotone(np.zeros((5, 5)), sd.chain_poset(5), "down")
+        expected = tuple(int(i) for i in np.unravel_index(np.argmin(T), T.shape))
+        assert report.witness == expected
+        np.testing.assert_equal(report.min_entry, T[expected])
 
 
 class TestInitialDensityMonotonicity:
@@ -124,6 +151,12 @@ class TestLink:
         p = sd.build_poset([0, 1], [])
         with pytest.raises(NoUniqueMax):
             sd.build_link(p, np.array([0.5, 0.5]))
+
+    def test_holds_one_kernel(self):
+        # the link itself, divided in place
+        c = ising(10, 0.5)
+        _, peak = peak_bytes(sd.build_link, c.poset, c.pi)
+        assert peak < 1.25 * c.P.nbytes
 
     def test_link_does_not_build_mobius_pair(self):
         p = sd.grid_poset([3, 3])
@@ -290,6 +323,45 @@ class TestIntertwining:
         )
         link = sd.build_link(c.poset, c.pi)
         assert sd.verify_intertwining(c, tampered, link) >= 0.001
+
+    @pytest.mark.parametrize(
+        "chain,dual",
+        [
+            (ising(10, 0.5), ising_dual(10, 0.5)),
+            (ising(6, 2.0), ising_dual(6, 2.0)),
+            (cube(5, 3), cube_dual(5, 3)),
+            (cube(3, 2), cube_dual(3, 2)),
+            (lattice(24), lattice_dual(24)),
+            (lattice(8, LATTICE_PARAMS[1]), lattice_dual(8, LATTICE_PARAMS[1])),
+            (ising(6, 0.5), sd.restrict_to_reachable(ising_dual(6, 0.5))),
+            (lattice(3), sd.restrict_to_reachable(lattice_dual(3))),
+        ],
+        ids=["ising10", "ising6", "cube53", "cube32", "lattice24", "lattice8", "ising6-restricted",
+             "lattice3-restricted"],
+    )
+    def test_row_slabs_match_dense_products(self, chain, dual):
+        link = sd.build_link(dual.poset, chain.pi)
+        dense = np.max(np.abs(link.matrix @ chain.P - dual.P_star @ link.matrix))
+        assert abs(sd.intertwining_residuals(chain, dual, link)[0] - dense) <= 1e-15
+
+    @pytest.mark.parametrize("row", [0, 136, 137, 1097, 1098])
+    def test_every_slab_is_read(self, row):
+        # 1100 states: slabs of 137 rows, the last of 4; the residual sits in one row
+        m = 1100
+        poset = sd.chain_poset(m)
+        nu = np.full(m, 1.0 / m)
+        c = sd.ChainSpec(poset=poset, P=np.eye(m), nu=nu)
+        P_star = np.eye(m)
+        P_star[row, [row, m - 2 if row == 0 else 0]] = 0.5
+        d = sd.DualChain(poset=poset, P_star=P_star, nu_star=nu, absorbing_index=m - 1)
+        link = sd.LinkKernel(matrix=np.eye(m), down_mass=np.ones(m))
+        assert sd.intertwining_residuals(c, d, link)[0] == 0.5
+
+    def test_holds_no_kernel_sized_product(self):
+        c, d = ising(10, 0.5), ising_dual(10, 0.5)
+        link = sd.build_link(c.poset, c.pi)
+        _, peak = peak_bytes(sd.intertwining_residuals, c, d, link)
+        assert peak < c.P.nbytes / 2
 
     def test_dimension_mismatch(self):
         c = ising(3, 0.0)

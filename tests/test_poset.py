@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 import ssdual.models as models_module
 import ssdual.poset as poset_module
-from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument
+from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument, peak_bytes
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow, TooLarge
 from ssdual.poset import _axis_apply, _mobius_apply
 
@@ -458,12 +457,7 @@ class TestShapedCalculus:
             "spin-poset": lambda: models_module._spin_poset(12),
             "product": lambda: sd.product_poset(sd.grid_poset((2,) * 6), sd.grid_poset((2,) * 6)),
         }[builder]
-        tracemalloc.start()
-        try:
-            p = build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        p, peak = peak_bytes(build)
         assert p.size == 4096 and p.shape is not None
         assert peak < 2 * p.leq.nbytes
 

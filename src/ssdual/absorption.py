@@ -8,13 +8,12 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec, SpectrumReport, group_with_tolerance
-from .chain import _nonzeros, _propagate
+from .chain import _nonzeros, _positive_pi, _propagate
 from .duality import DualChain
 from .errors import (
     BadParameters,
     BadProbability,
     MaxStepsExceeded,
-    MissingStationary,
     NoAbsorbingState,
     NotReversible,
     NotTriangular,
@@ -57,15 +56,14 @@ class AbsorptionLaw:
 
 def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
     """Exact separation and total-variation curves for n = 0..horizon."""
-    if c.pi is None:
-        raise MissingStationary("separation distance needs the stationary distribution")
+    pi = _positive_pi(c.pi, "separation distance")
     if horizon < 0:
         raise BadParameters("horizon must be nonnegative")
     sep = np.empty(horizon + 1)
     tv = np.empty(horizon + 1)
     for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
-        sep[n] = np.max(1.0 - dist / c.pi)
-        tv[n] = 0.5 * np.abs(dist - c.pi).sum()
+        sep[n] = np.max(1.0 - dist / pi)
+        tv[n] = 0.5 * np.abs(dist - pi).sum()
     return SeparationCurve(values=sep, tv=tv)
 
 

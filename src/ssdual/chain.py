@@ -187,14 +187,18 @@ def with_stationary(c: ChainSpec) -> ChainSpec:
     return replace(c, pi=stationary(c))
 
 
+def _positive_pi(pi: Optional[np.ndarray], what: str) -> np.ndarray:
+    """``pi`` as floats for a call that divides by it; MissingStationary unless all of it is > 0."""
+    if pi is None or not np.min(pi) > 0.0:
+        raise MissingStationary(f"{what} needs a strictly positive stationary distribution")
+    return np.asarray(pi, dtype=float)
+
+
 def time_reversal(c: ChainSpec) -> np.ndarray:
     """Time-reversed kernel pi(y) P(y, x) / pi(x)."""
-    if c.pi is None:
-        raise MissingStationary("time reversal needs the stationary distribution")
-    if c.pi.min() <= 0.0:
-        raise MissingStationary("stationary distribution must be strictly positive")
-    R = c.P.T * c.pi[None, :]
-    R /= c.pi[:, None]
+    pi = _positive_pi(c.pi, "time reversal")
+    R = c.P.T * pi[None, :]
+    R /= pi[:, None]
     return R
 
 
@@ -263,11 +267,9 @@ def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport
     S = [[A, B], [JBJ, JAJ]] is orthogonally similar to diag(A + BJ, A - BJ), and
     those two half-size blocks, built from the top half of P, are solved instead.
     """
-    if c.pi is None:
-        raise MissingStationary("numeric spectrum needs the stationary distribution")
+    root = np.sqrt(_positive_pi(c.pi, "numeric spectrum"))
     if not is_reversible(c, REVERSIBLE_TOL):
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
-    root = np.sqrt(c.pi)
     flips = c.size % 2 == 0 and np.array_equal(c.pi, c.pi[::-1])
     if flips and np.array_equal(c.P, c.P[::-1, ::-1]):
         h = c.size // 2

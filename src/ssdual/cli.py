@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Output: a successful command prints one JSON object, with sorted keys, on
-stdout; ``-o`` writes a CSV whose first column is the step ``n``.  An error
-prints one ``error:`` line on stderr and nothing on stdout.  ``check`` and
-``verify`` print their payload even when the check fails, and exit 2 or 3;
-``check`` also writes a ``monotonicity failure:`` line per failed check.
+Output: a successful command prints one strict JSON object (a NaN or inf exits
+4), with sorted keys, on stdout; ``-o`` writes a CSV whose first column is the
+step ``n``.  An error prints one ``error:`` line on stderr and nothing on
+stdout.  ``check`` and ``verify`` print their payload even when the check fails,
+and exit 2 or 3; ``check`` also writes a ``monotonicity failure:`` line per
+failed check.
 
 Exit codes: 0 success, 1 input or validation error, 2 monotonicity failure,
 3 verification-residual failure, 4 internal numerical failure.
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import absorption, chainfile, duality, models
-from .chain import DEFAULT_TOL, spectrum_numeric, time_reversal, with_stationary
+from .chain import DEFAULT_TOL, spectrum_numeric, with_stationary
 from .errors import (
     MonotonicityViolated,
     NotRowStochastic,
@@ -85,15 +86,9 @@ def cmd_model_gen(args) -> tuple[int, dict]:
 def cmd_check(args) -> tuple[int, dict]:
     chain = _loaded_with_pi(args.chain)
     labels = chain.poset.labels
-    kernel_report = duality.check_mobius_monotone(
-        time_reversal(chain), chain.poset, args.direction, args.tol
-    )
-    g_report = duality.check_g_monotone(chain, args.tol)
-    checked = ((kernel_report, "time-reversed kernel"), (g_report, "initial density nu/pi"))
-    for report, what in checked:
-        if not report.passed:
-            failure = duality._failure(report, chain.poset, what)
-            print(f"monotonicity failure: {failure}", file=sys.stderr)
+    (kernel_report, g_report), failures = duality._hypotheses(chain, args.direction, args.tol)
+    for failure in failures:
+        print(f"monotonicity failure: {failure}", file=sys.stderr)
     i, j = kernel_report.witness
     payload = {
         "direction": args.direction,
@@ -127,7 +122,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     sep = absorption.separation_curve(chain, args.horizon)
     survival = absorption._survival(dual, args.horizon)
     sharpness = float(np.max(np.abs(sep.values - survival)))
-    passed = max(kernel_res, initial_res, sharpness) <= args.tol
+    passed = all(res <= args.tol for res in (kernel_res, initial_res, sharpness))  # NaN fails
     _write_csv(args.output, separation=sep.values, tv=sep.tv, survival=survival)
     payload = {
         "intertwining_kernel": kernel_res,
@@ -287,7 +282,11 @@ def main(argv=None) -> int:
         return OK if not exc.code else INPUT_ERROR
     try:
         code, payload = args.func(args)
-        print(json.dumps(payload, sort_keys=True))
+        try:  # strict JSON: a NaN or inf in the payload is a numerical failure
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ArithmeticError(str(exc)) from None
+        print(text)
         return code
     except MonotonicityViolated as exc:
         print(f"error: {exc}", file=sys.stderr)

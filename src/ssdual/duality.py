@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _depths, time_reversal
+from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _depths, _positive_pi, time_reversal
 from .errors import (
     BadParameters,
     DimensionMismatch,
-    MissingStationary,
     MonotonicityViolated,
     NoAbsorbingState,
     NotRowStochastic,
@@ -134,11 +133,8 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
     i.e. of ``mobius @ g``, each entry decided as in :func:`check_mobius_monotone`.
     """
     _check_tol(tol)
-    if c.pi is None:
-        raise MissingStationary("g-monotonicity check needs the stationary distribution")
-    if c.pi.min() <= 0.0:
-        raise MissingStationary("stationary distribution must be strictly positive")
-    return _certify(c.poset, c.nu / c.pi, "down", "mobius", None, tol)
+    g = c.nu / _positive_pi(c.pi, "g-monotonicity check")
+    return _certify(c.poset, g, "down", "mobius", None, tol)
 
 
 def _certify(
@@ -175,11 +171,19 @@ def _certify(
     )
 
 
-def _failure(report: MonotonicityReport, p: Poset, what: str) -> str:
-    """The one wording of a failed check: ``what`` and its most negative entry."""
-    at = ", ".join(repr(p.labels[i]) for i in report.witness)
-    entry = f"entry {report.min_entry:.3e} at ({at})"
-    return f"{what} is not {report.direction}-Mobius monotone: {entry}"
+def _hypotheses(c: ChainSpec, direction: str, tol: float) -> tuple[tuple, list]:
+    """The dual's two Mobius checks, the time reversal's in ``direction`` then nu/pi's
+    down, and a MonotonicityViolated naming the most negative entry of each that fails."""
+    p = c.poset
+    reports = (check_mobius_monotone(time_reversal(c), p, direction, tol), check_g_monotone(c, tol))
+    failures = []
+    for report, what in zip(reports, ("time-reversed kernel", "initial density nu/pi")):
+        if not report.passed:
+            at = ", ".join(repr(p.labels[i]) for i in report.witness)
+            entry = f"entry {report.min_entry:.3e} at ({at})"
+            message = f"{what} is not {report.direction}-Mobius monotone: {entry}"
+            failures.append(MonotonicityViolated(message, report=report))
+    return reports, failures
 
 
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
@@ -191,7 +195,7 @@ def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
     """Truncated-stationary link for a poset with a unique maximal state."""
     if not p.has_unique_max:
         raise NoUniqueMax("link construction requires a unique maximal state")
-    pi = np.asarray(pi, dtype=float)
+    pi = _positive_pi(pi, "link construction")
     H = down_set_masses(p, pi)
     matrix = p.leq.T * pi[None, :]
     matrix /= H[:, None]
@@ -215,19 +219,15 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     checked (deviation beyond 1e-10 aborts) and renormalized.
     """
     _check_tol(tol)
-    if c.pi is None:
-        raise MissingStationary("dual construction needs the stationary distribution")
+    pi = _positive_pi(c.pi, "dual construction")
     p = c.poset
     if not p.has_unique_max:
         raise NoUniqueMax("dual construction requires a unique maximal state")
-    mono = check_mobius_monotone(time_reversal(c), p, "down", tol)
-    if not mono.passed:
-        raise MonotonicityViolated(_failure(mono, p, "time-reversed kernel"), report=mono)
-    gmono = check_g_monotone(c, tol)
-    if not gmono.passed:
-        raise MonotonicityViolated(_failure(gmono, p, "initial density nu/pi"), report=gmono)
+    (mono, gmono), failures = _hypotheses(c, "down", tol)
+    if failures:
+        raise failures[0]
 
-    H = down_set_masses(p, c.pi)
+    H = down_set_masses(p, pi)
     P_star = (mono.transformed * H[:, None]).T
     P_star /= H[:, None]
     P_star[mono.zero.T] = 0.0
@@ -250,20 +250,20 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
 def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tuple[float, float]:
     """(kernel, initial) intertwining residuals in the sup norm; L P - P* L in row slabs."""
-    if d.size != c.size or link.matrix.shape != (c.size, c.size):
-        raise DimensionMismatch("chain, dual and link sizes disagree")
+    if d.poset.labels != c.poset.labels or link.matrix.shape != (c.size, c.size):
+        raise DimensionMismatch("chain, dual and link disagree in size or state order")
     step, kernel = max(128, c.size // 8), 0.0
     for lo in range(0, c.size, step):
         slab = link.matrix[lo:lo + step] @ c.P
         slab -= d.P_star[lo:lo + step] @ link.matrix
-        kernel = max(kernel, float(np.abs(slab, out=slab).max()))
+        kernel = np.maximum(kernel, np.abs(slab, out=slab).max())  # keeps a NaN, unlike max()
     initial = float(np.max(np.abs(c.nu - d.nu_star @ link.matrix)))
-    return kernel, initial
+    return float(kernel), initial
 
 
 def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:
-    """Worst intertwining residual; compare against your tolerance."""
-    return max(intertwining_residuals(c, d, link))
+    """Worst intertwining residual, NaN if either is; compare against your tolerance."""
+    return float(np.max(intertwining_residuals(c, d, link)))
 
 
 def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:

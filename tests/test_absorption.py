@@ -11,6 +11,7 @@ from ssdual.errors import (
     BadProbability,
     DimensionMismatch,
     MaxStepsExceeded,
+    MissingStationary,
     NotReversible,
     NotTriangular,
     SingularSystem,
@@ -41,6 +42,12 @@ def two_state_symmetric():
 
 
 class TestSeparationCurve:
+    def test_zero_in_pi_is_refused(self):
+        # pi = (0, 1) is stationary for this kernel, but the separation divides by it
+        c = sd.ChainSpec(poset=sd.chain_poset(2), P=[[0.5, 0.5], [0, 1]], nu=[0, 1], pi=[0, 1])
+        with pytest.raises(MissingStationary, match="strictly positive"):
+            sd.separation_curve(c, 3)
+
     def test_two_state_mixes_immediately(self):
         sep = sd.separation_curve(two_state_symmetric(), 3)
         assert sep.values[0] == pytest.approx(1.0)

@@ -330,6 +330,13 @@ class TestSpectrumNumeric:
             vals = sd.spectrum_numeric(c).expanded()
             assert vals.min() >= -1.0 - 1e-12 and vals.max() <= 1.0 + 1e-12
 
+    def test_zero_in_pi_is_refused(self):
+        # detailed balance holds (both fluxes are 0), but S divides by sqrt(pi)
+        c = sd.ChainSpec(poset=sd.chain_poset(2), P=[[0.5, 0.5], [0, 1]], nu=[0, 1], pi=[0, 1])
+        assert sd.is_reversible(c)
+        with pytest.raises(MissingStationary, match="strictly positive"):
+            sd.spectrum_numeric(c)
+
     def test_rejects_non_reversible(self):
         with pytest.raises(NotReversible):
             sd.spectrum_numeric(biased_cycle(0.9))

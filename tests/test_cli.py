@@ -5,6 +5,7 @@ import pytest
 
 import ssdual as sd
 from conftest import version_1_document
+from ssdual import cli
 from ssdual.cli import main
 from ssdual.errors import MonotonicityViolated
 
@@ -241,6 +242,39 @@ class TestDualVerify:
         )
         assert code == 3
         assert not json.loads(out)["passed"]
+
+    def test_dual_on_another_state_order_is_input_error(self, tmp_path, capsys):
+        chain_path = gen_model(tmp_path, capsys, "--type", "ising-circle", "--N", "4", "--beta", "0.5")
+        dual = sd.build_dual(sd.load_chain(chain_path).chain)
+        # the same 16 states by level, then by label: another order consistent with the poset
+        labels = dual.poset.labels
+        order = sorted(range(dual.size), key=lambda i: (sum(labels[i]), labels[i]))
+        rank = {old: new for new, old in enumerate(order)}
+        dual_path = tmp_path / "permuted.json"
+        dual_path.write_text(json.dumps({
+            "version": 1,
+            "labels": [list(labels[i]) for i in order],
+            "covers": [[rank[a], rank[b]] for a, b in dual.poset.covers],
+            "P": dual.P_star[np.ix_(order, order)].tolist(),
+            "nu": dual.nu_star[order].tolist(),
+            "absorbing_index": rank[dual.absorbing_index],
+            "meta": {},
+        }))
+        assert sd.load_chain(dual_path).chain.poset.labels != labels
+        code, out, err = run(capsys, "verify", "--chain", str(chain_path), "--dual", str(dual_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "state order" in err and err.count("\n") == 1
+
+    def test_nan_residual_fails_verification(self, cube_file, tmp_path, capsys, monkeypatch):
+        dual_path = tmp_path / "dual.json"
+        run(capsys, "dual", "--chain", str(cube_file), "-o", str(dual_path))
+        monkeypatch.setattr("ssdual.duality.intertwining_residuals", lambda *args: (0.0, np.nan))
+        argv = ["verify", "--chain", str(cube_file), "--dual", str(dual_path)]
+        code, payload = cli.cmd_verify(cli._build_parser().parse_args(argv))
+        assert code == 3 and payload["passed"] is False
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_verify_csv_deterministic(self, cube_file, tmp_path, capsys):
         dual_path = tmp_path / "dual.json"
@@ -592,6 +626,14 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert err.startswith("error:") and "solve failed" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_payload_is_numerical_failure(self, capsys, monkeypatch, value):
+        # strict JSON: no command prints NaN or Infinity
+        monkeypatch.setattr("ssdual.cli.cmd_bounds", lambda args: (0, {"bound": [1.0, value]}))
+        code, out, err = run(capsys, "bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "3")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "JSON" in err and err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -674,6 +716,31 @@ def mutants(doc):
 
 class TestExitCodeAudit:
     """No mutant of a valid lattice chain or dual file escapes main with an exception."""
+
+    # pi = (0, 1) is stationary for this kernel, but every command that divides by it refuses it
+    ZERO_PI = {
+        "version": 1, "labels": [0, 1], "covers": [[0, 1]], "P": [[0.5, 0.5], [0.0, 1.0]],
+        "nu": [0.0, 1.0], "pi": [0.0, 1.0], "absorbing_index": 1, "meta": {},
+    }
+
+    # pyproject turns RuntimeWarning into an error, so a division by zero escapes main here
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["separation", "--chain", "{path}"],
+            ["eigen", "--chain", "{path}"],
+            ["verify", "--chain", "{path}", "--dual", "{path}"],
+            ["check", "--chain", "{path}"],
+            ["dual", "--chain", "{path}", "-o", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_in_pi_is_input_error(self, tmp_path, capsys, argv):
+        path, out_path = tmp_path / "zero.json", tmp_path / "out.json"
+        path.write_text(json.dumps(self.ZERO_PI))
+        code, out, err = run(capsys, *(arg.format(path=path, out=out_path) for arg in argv))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and "strictly positive" in err and err.count("\n") == 1
 
     def test_every_mutant_exits_with_a_documented_code(self, tmp_path, capsys):
         chain_path, dual_path = tmp_path / "chain.json", tmp_path / "dual.json"

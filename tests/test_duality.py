@@ -152,6 +152,10 @@ class TestLink:
         with pytest.raises(NoUniqueMax):
             sd.build_link(p, np.array([0.5, 0.5]))
 
+    def test_zero_in_pi_is_refused(self):
+        with pytest.raises(MissingStationary, match="strictly positive"):
+            sd.build_link(sd.chain_poset(3), np.array([0.5, 0.0, 0.5]))
+
     def test_holds_one_kernel(self):
         # the link itself, divided in place
         c = ising(10, 0.5)
@@ -356,6 +360,44 @@ class TestIntertwining:
         d = sd.DualChain(poset=poset, P_star=P_star, nu_star=nu, absorbing_index=m - 1)
         link = sd.LinkKernel(matrix=np.eye(m), down_mass=np.ones(m))
         assert sd.intertwining_residuals(c, d, link)[0] == 0.5
+
+    @pytest.mark.parametrize("row", [137, 1097])
+    def test_a_nan_in_a_later_slab_is_kept(self, row):
+        # the 1100-state setup above, with a NaN on the link's diagonal in one row
+        m = 1100
+        poset = sd.chain_poset(m)
+        nu = np.full(m, 1.0 / m)
+        c = sd.ChainSpec(poset=poset, P=np.eye(m), nu=nu)
+        d = sd.DualChain(poset=poset, P_star=np.eye(m), nu_star=nu, absorbing_index=m - 1)
+        matrix = np.eye(m)
+        matrix[row, row] = np.nan
+        link = sd.LinkKernel(matrix=matrix, down_mass=np.ones(m))
+        assert math.isnan(sd.intertwining_residuals(c, d, link)[0])
+        assert math.isnan(sd.verify_intertwining(c, d, link))
+
+    def test_worst_residual_keeps_a_nan(self, monkeypatch):
+        c, d = ising(3, 0.5), ising_dual(3, 0.5)
+        link = sd.build_link(c.poset, c.pi)
+        for pair in ((0.0, math.nan), (math.nan, 0.0)):
+            monkeypatch.setattr(duality_module, "intertwining_residuals", lambda *args: pair)
+            assert math.isnan(sd.verify_intertwining(c, d, link))
+
+    def test_states_in_another_order_are_refused(self):
+        c, d = ising(3, 0.5), ising_dual(3, 0.5)
+        # the same states by level: another order consistent with the poset
+        order = np.argsort([sum(label) for label in c.poset.labels], kind="stable")
+        rank = np.argsort(order).tolist()
+        poset = sd.build_poset(
+            [c.poset.labels[i] for i in order], [(rank[a], rank[b]) for a, b in c.poset.covers]
+        )
+        assert sorted(poset.labels) == sorted(c.poset.labels) and poset.labels != c.poset.labels
+        moved = sd.DualChain(
+            poset=poset, P_star=d.P_star[np.ix_(order, order)], nu_star=d.nu_star[order],
+            absorbing_index=rank[d.absorbing_index],
+        )
+        link = sd.build_link(c.poset, c.pi)
+        with pytest.raises(DimensionMismatch, match="state order"):
+            sd.intertwining_residuals(c, moved, link)
 
     def test_holds_no_kernel_sized_product(self):
         c, d = ising(10, 0.5), ising_dual(10, 0.5)

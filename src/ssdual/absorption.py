@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .chain import ChainSpec, SpectrumReport, group_with_tolerance
-from .chain import _nonzeros, _positive_pi, _propagate
+from .chain import _count, _nonzeros, _positive_pi, _propagate
 from .duality import DualChain
 from .errors import (
     BadParameters,
@@ -57,10 +58,8 @@ class AbsorptionLaw:
 def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
     """Exact separation and total-variation curves for n = 0..horizon."""
     pi = _positive_pi(c.pi, "separation distance")
-    if horizon < 0:
-        raise BadParameters("horizon must be nonnegative")
-    sep = np.empty(horizon + 1)
-    tv = np.empty(horizon + 1)
+    horizon = _count(horizon, "horizon")
+    sep, tv = np.empty(horizon + 1), np.empty(horizon + 1)
     for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
         sep[n] = np.max(1.0 - dist / pi)
         tv[n] = 0.5 * np.abs(dist - pi).sum()
@@ -128,10 +127,7 @@ def absorption_survival(d: DualChain, horizon: int | None = None) -> AbsorptionL
     """
     parts = _transient_parts(d)
     mean, variance = _absorption_moments(d, *parts)
-    if horizon is None:
-        horizon = default_horizon(mean)
-    if horizon < 0:
-        raise BadParameters("horizon must be nonnegative")
+    horizon = _count(default_horizon(mean) if horizon is None else horizon, "horizon")
     return AbsorptionLaw(survival=_survival(d, horizon, parts), mean=mean, variance=variance)
 
 
@@ -148,8 +144,7 @@ def geometric_sum_law(
     for p in ps:
         if not 0.0 < p <= 1.0:
             raise BadProbability(f"success probability {p} outside (0, 1]")
-    if horizon < 0:
-        raise BadParameters("horizon must be nonnegative")
+    horizon = _count(horizon, "horizon")
     pmf = np.zeros(horizon + 1)
     pmf[0] = 1.0
     steps = np.arange(horizon + 1, dtype=float)
@@ -199,8 +194,8 @@ def _finite(steps: float, bound: float) -> tuple[int, float]:
 
 def coupon_collector_bound(N: int, c: float) -> tuple[int, float]:
     """Steps and tail bound (ceil(N ln N + c N), exp(-c))."""
-    if N < 2:
-        raise BadParameters("need N >= 2")
+    if not 2 <= N <= sys.float_info.max:  # an int above it does not convert to a float
+        raise BadParameters(f"need 2 <= N <= {sys.float_info.max!r}")
     _check_c(c)
     return _finite(N * math.log(N) + c * N, math.exp(-c))
 
@@ -210,10 +205,10 @@ def chebyshev_bound(n: int, k: int, c: float) -> tuple[int, float]:
 
     Returns (ceil((2k/(k+1)) (n+1) ln n + c (2k/(k+1)) (pi/sqrt 6) n), 1/c^2).
     """
-    if n < 2:
-        raise BadParameters("need n >= 2")
-    if k < 1:
-        raise BadParameters("need k >= 1")
+    if not 2 <= n <= sys.float_info.max:  # an int above it does not convert to a float
+        raise BadParameters(f"need 2 <= n <= {sys.float_info.max!r}")
+    if not 1 <= k <= sys.float_info.max:
+        raise BadParameters(f"need 1 <= k <= {sys.float_info.max!r}")
     _check_c(c)
     scale = 2.0 * k / (k + 1.0)
     steps = scale * (n + 1) * math.log(n) + c * scale * (math.pi / math.sqrt(6.0)) * n
@@ -234,20 +229,16 @@ def simulate_sst(
     result is deterministic for a fixed (seed, samples) regardless of how
     trajectories would be partitioned across workers.
     """
-    if samples < 1:
-        raise BadParameters("need at least one trajectory")
-    if seed < 0:
-        raise BadParameters("seed must be nonnegative")
-    if horizon is not None and horizon < 0:
-        raise BadParameters("horizon must be nonnegative")
+    samples = _count(samples, "sample count", least=1)
+    seed = _count(seed, "seed", end=2**64)  # the Philox key word is a uint64
+    if horizon is None:
+        horizon = default_horizon(_absorption_moments(d, *_transient_parts(d))[0])
+    horizon = _count(horizon, "horizon")
     cum_rows = np.cumsum(d.P_star, axis=1)
     cum_rows[:, -1] = 1.0
     cum_start = np.cumsum(d.nu_star)
     cum_start[-1] = 1.0
     absorbing = int(d.absorbing_index)
-    if horizon is None:
-        exact_mean, _ = _absorption_moments(d, *_transient_parts(d))
-        horizon = default_horizon(exact_mean)
     times = np.empty(samples, dtype=np.int64)
     for i in range(samples):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))

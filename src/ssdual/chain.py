@@ -1,6 +1,7 @@
 """Finite Markov chain kernel: validation, stationarity, reversal, spectra."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,6 +26,28 @@ DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding deb
 REVERSIBLE_TOL = 1e-9  # detailed-balance flux that spectrum_numeric accepts
 
 
+def _store(obj, names: tuple[str, ...], error: type, message: str) -> None:
+    """Freeze the fields ``names`` of ``obj``, a kernel then vectors, as read-only contiguous
+    floats; a field that is None stays None.  Raises DimensionMismatch on a shape other than
+    the poset's and ``error(message)`` on a non-finite entry, which np.min or np.max returns."""
+    m, arrays = obj.poset.size, {}
+    for name in names:
+        if getattr(obj, name) is not None:
+            a = arrays[name] = np.ascontiguousarray(getattr(obj, name), dtype=float)
+            if a.shape != (m,) * (1 + (name == names[0])):
+                raise DimensionMismatch(f"{name} has shape {a.shape} on a poset of {m} states")
+    if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in arrays.values()):
+        raise error(message)
+    for name, a in arrays.items():
+        object.__setattr__(obj, name, _readonly(a))
+
+
+def _defect(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(row sums, max |row sum - 1|, least entry) of a kernel; (sum, |sum - 1|, least) of a vector."""
+    sums = a.sum(axis=-1)
+    return sums, float(np.max(np.abs(sums - 1.0))), float(a.min())
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Transition matrix with initial distribution, aligned to a poset.
@@ -40,22 +63,7 @@ class ChainSpec:
     pi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        m = self.poset.size
-        P = np.ascontiguousarray(self.P, dtype=float)
-        nu = np.ascontiguousarray(self.nu, dtype=float)
-        if P.shape != (m, m):
-            raise DimensionMismatch(f"P has shape {P.shape}, expected ({m}, {m})")
-        if nu.shape != (m,):
-            raise DimensionMismatch(f"nu has shape {nu.shape}, expected ({m},)")
-        object.__setattr__(self, "P", _readonly(P))
-        object.__setattr__(self, "nu", _readonly(nu))
-        if self.pi is not None:
-            pi = np.ascontiguousarray(self.pi, dtype=float)
-            if pi.shape != (m,):
-                raise DimensionMismatch(f"pi has shape {pi.shape}, expected ({m},)")
-            object.__setattr__(self, "pi", _readonly(pi))
-        if not all(np.isfinite(a).all() for a in (self.P, self.nu, self.pi) if a is not None):
-            raise BadParameters("P, nu and pi must be finite")
+        _store(self, ("P", "nu", "pi"), BadParameters, "P, nu and pi must be finite")
 
     @property
     def size(self) -> int:
@@ -134,9 +142,8 @@ def _period(adj: np.ndarray) -> int:
 
 def validate(c: ChainSpec) -> ValidationReport:
     """Report row-sum residuals, negativity, irreducibility and aperiodicity."""
-    row_dev = float(np.max(np.abs(c.P.sum(axis=1) - 1.0)))
-    min_entry = float(c.P.min())
-    nu_dev = float(abs(c.nu.sum() - 1.0))
+    _, row_dev, min_entry = _defect(c.P)
+    nu_dev = _defect(c.nu)[1]
     adj = c.P > 0.0
     irreducible = _strongly_connected(adj)
     aperiodic = (_period(adj) == 1) if irreducible else None
@@ -248,11 +255,19 @@ def _nonzeros(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, P.ravel()[flat]
 
 
+def _count(n, what: str, least: int = 0, end: int = np.iinfo(np.intp).max // 8 - 1) -> int:
+    """``n``, a step, horizon or sample count (or a seed, with its own ``end``), as an int;
+    BadParameters unless ``least <= n < end``.  The default ``end`` keeps n + 2 eight-byte
+    entries within what numpy can size: a larger count would raise ValueError, not MemoryError."""
+    if not (isinstance(n, numbers.Integral) and least <= n < end):
+        kind = "nonnegative" if least == 0 else "positive"
+        raise BadParameters(f"{what} must be a {kind} integer below {end}")
+    return int(n)
+
+
 def evolve(c: ChainSpec, n: int) -> np.ndarray:
     """Distribution nu P^n after n steps."""
-    if n < 0:
-        raise DimensionMismatch("step count must be nonnegative")
-    for v in _propagate(c.nu, c.P, n):
+    for v in _propagate(c.nu, c.P, _count(n, "step count")):
         pass
     return v
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec
+from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec, _defect
 from .duality import DualChain
 from .errors import (
     BadParameters,
@@ -64,14 +64,9 @@ class LoadedChain:
     def dual(self) -> DualChain:
         if self.absorbing_index is None:
             raise NoAbsorbingState("chain file has no absorbing_index field")
-        # load_chain admits entries down to -DEBRIS_TOL as rounding debris;
-        # build_dual writes exact zeros there, and DualChain rejects negatives.
-        return DualChain(
-            poset=self.chain.poset,
-            P_star=np.maximum(self.chain.P, 0.0),
-            nu_star=np.maximum(self.chain.nu, 0.0),
-            absorbing_index=self.absorbing_index,
-        )
+        # shares the loaded read-only arrays: load_chain already made debris exact zeros
+        c = self.chain
+        return DualChain(poset=c.poset, P_star=c.P, nu_star=c.nu, absorbing_index=self.absorbing_index)
 
 
 def _write_csr(fh, P: np.ndarray) -> None:
@@ -153,16 +148,6 @@ def _index_array(path, value, key: str, stop: int) -> np.ndarray:
     return np.array(value, dtype=np.int64)
 
 
-def _distribution(path, value, key: str, size: int) -> np.ndarray:
-    a = _finite_array(path, value, key, (size,))
-    if a.min() < -DEBRIS_TOL:
-        raise ParseError(f"{path}: {key} has negative entry {a.min():.3e}")
-    dev = abs(float(a.sum()) - 1.0)
-    if dev > ROW_TOL:
-        raise ParseError(f"{path}: {key} sums to 1 only within {dev:.3e}")
-    return a
-
-
 def _is_index(value, size: int) -> bool:
     # bool subclasses int, but JSON true/false is not an index
     return type(value) is int and 0 <= value < size
@@ -240,15 +225,19 @@ def load_chain(path) -> LoadedChain:
     rank = np.empty_like(perm)
     rank[perm] = np.arange(size)
     P = _kernel(path, doc, version, rank)
-    row_dev = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-    if row_dev > ROW_TOL:
-        raise ParseError(f"{path}: kernel rows sum to 1 only within {row_dev:.3e}")
-    if P.min() < -DEBRIS_TOL:
-        raise ParseError(f"{path}: kernel has negative entry {P.min():.3e}")
-    nu = _distribution(path, _require(doc, "nu"), "nu", size)[perm]
-    pi = doc.get("pi")
+    nu = _finite_array(path, _require(doc, "nu"), "nu", (size,))[perm]
+    pi = None if doc.get("pi") is None else _finite_array(path, doc["pi"], "pi", (size,))[perm]
+    for a, key, sums in ((P, "kernel", "kernel rows sum"), (nu, "nu", "nu sums"), (pi, "pi", "pi sums")):
+        if a is None:
+            continue
+        _, dev, least = _defect(a)
+        if least < -DEBRIS_TOL:
+            raise ParseError(f"{path}: {key} has negative entry {least:.3e}")
+        if dev > ROW_TOL:
+            raise ParseError(f"{path}: {sums} to 1 only within {dev:.3e}")
+        if least < 0.0:  # rounding debris loads as an exact zero, decided here once
+            np.maximum(a, 0.0, out=a)
     if pi is not None:
-        pi = _distribution(path, pi, "pi", size)[perm]
         stat_dev = float(np.max(np.abs(pi @ P - pi)))
         if stat_dev > STATIONARY_TOL:
             raise ParseError(f"{path}: pi is stationary only within {stat_dev:.3e}")

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _depths, _positive_pi, time_reversal
+from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _defect, _depths, _positive_pi, _store
+from .chain import time_reversal
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -74,26 +75,17 @@ class DualChain:
     absorbing_index: int
 
     def __post_init__(self):
-        m = self.poset.size
-        P = np.ascontiguousarray(self.P_star, dtype=float)
-        nu = np.ascontiguousarray(self.nu_star, dtype=float)
-        if P.shape != (m, m) or nu.shape != (m,):
-            raise DimensionMismatch("dual kernel/initial distribution shape mismatch")
-        if not 0 <= self.absorbing_index < m:
+        _store(self, ("P_star", "nu_star"), NotRowStochastic, "dual P_star and nu_star must be finite")
+        if not 0 <= self.absorbing_index < self.size:
             raise NoAbsorbingState(f"absorbing index {self.absorbing_index} out of range")
-        if not (np.isfinite(P).all() and np.isfinite(nu).all()):
-            raise NotRowStochastic("dual kernel and initial distribution must be finite")
-        rows = P.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > ROW_TOL or P.min() < 0.0:
-            raise NotRowStochastic(f"dual kernel is not row stochastic within {ROW_TOL:g}")
-        unit = np.zeros(m)
-        unit[self.absorbing_index] = 1.0
-        if np.max(np.abs(P[self.absorbing_index] - unit)) > ROW_TOL:
+        for a, what in ((self.P_star, "kernel is not row stochastic"),
+                        (self.nu_star, "initial distribution does not sum to one")):
+            _, dev, least = _defect(a)
+            if dev > ROW_TOL or least < 0.0:
+                raise NotRowStochastic(f"dual {what} within {ROW_TOL:g}")
+        unit = np.arange(self.size) == self.absorbing_index
+        if np.max(np.abs(self.P_star[self.absorbing_index] - unit)) > ROW_TOL:
             raise NoAbsorbingState("absorbing row is not a unit vector")
-        if abs(nu.sum() - 1.0) > ROW_TOL or nu.min() < 0.0:
-            raise NotRowStochastic("dual initial distribution does not sum to one")
-        object.__setattr__(self, "P_star", _readonly(P))
-        object.__setattr__(self, "nu_star", _readonly(nu))
 
     @property
     def size(self) -> int:
@@ -154,7 +146,7 @@ def _certify(
     # the first minimum in row-major order, row then column (a flat argmin copies F order)
     idx = (int(np.argmin(transformed.min(axis=1))),) if transformed.ndim == 2 else ()
     idx += (int(np.argmin(transformed[idx])),)
-    rho = float(np.max(np.abs(a.sum(axis=1) - 1.0))) if a.ndim == 2 else 0.0
+    rho = _defect(a)[1] if a.ndim == 2 else 0.0
     bound = _mobius_apply(p, a, f"|{left}|", right)
     np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
     bound *= p.size * np.finfo(float).eps + rho
@@ -231,17 +223,15 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     P_star = (mono.transformed * H[:, None]).T
     P_star /= H[:, None]
     P_star[mono.zero.T] = 0.0
-    rows = P_star.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > ROW_TOL:
-        raise NotRowStochastic(
-            f"dual rows sum to 1 only within {np.max(np.abs(rows - 1.0)):.3e}"
-        )
+    rows, dev, _ = _defect(P_star)
+    if dev > ROW_TOL:
+        raise NotRowStochastic(f"dual rows sum to 1 only within {dev:.3e}")
     P_star /= rows[:, None]
 
     nu_star = H * gmono.transformed
     nu_star[gmono.zero] = 0.0
-    total = nu_star.sum()
-    if abs(total - 1.0) > ROW_TOL:
+    total, dev, _ = _defect(nu_star)
+    if dev > ROW_TOL:
         raise NotRowStochastic(f"dual initial distribution sums to {float(total)!r}")
     nu_star = nu_star / total
 

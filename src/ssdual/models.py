@@ -143,7 +143,11 @@ def _ising_stationary(spec: IsingSpec) -> np.ndarray:
 def _ising_chain(spec: IsingSpec) -> ChainSpec:
     n = spec.n_vertices
     poset = _spin_poset(n)
-    up, down = _flip_probabilities(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, or a logistic of 0 or 1
+        pi = _ising_stationary(spec)
+        if not pi.min() > 0.0:  # a weight overflowed (pi has NaN) or pi underflowed to 0
+            raise BadParameters(f"Gibbs weights overflow or underflow to 0 at beta = {spec.beta!r}")
+        up, down = _flip_probabilities(spec)
     states = np.arange(poset.size)
     bits = 1 << np.arange(n)
     is_up = (states[:, None] & bits) != 0
@@ -152,7 +156,7 @@ def _ising_chain(spec: IsingSpec) -> ChainSpec:
     P[states, states] = (np.where(is_up, up, down) / n).sum(axis=1)
     P[states[:, None], states[:, None] ^ bits] = np.where(is_up, down, up) / n
     nu = _start_at_bottom(poset.size)  # all spins down
-    return ChainSpec(poset=poset, P=P, nu=nu, pi=_ising_stationary(spec))
+    return ChainSpec(poset=poset, P=P, nu=nu, pi=pi)
 
 
 def _circle_spec(N: int, beta: float) -> IsingSpec:

@@ -9,7 +9,6 @@ from oracles import dense_absorption_moments, peak_bytes, separation_by_matrix_p
 from ssdual.errors import (
     BadParameters,
     BadProbability,
-    DimensionMismatch,
     MaxStepsExceeded,
     MissingStationary,
     NotReversible,
@@ -115,13 +114,47 @@ class TestAbsorptionSurvival:
         (lambda: sd.separation_curve(cube(2, 1), -1), BadParameters),
         (lambda: sd.absorption_survival(cube_dual(2, 1), -1), BadParameters),
         (lambda: sd.geometric_sum_law([0.5], -1), BadParameters),
-        (lambda: sd.evolve(cube(2, 1), -1), DimensionMismatch),
+        (lambda: sd.evolve(cube(2, 1), -1), BadParameters),
     ],
     ids=["separation_curve", "absorption_survival", "geometric_sum_law", "evolve"],
 )
 def test_negative_horizon_is_rejected(call, error):
     with pytest.raises(error, match="nonnegative"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sd.evolve(cube(2, 1), 10**20),
+        lambda: sd.evolve(cube(2, 1), 2.0),
+        lambda: sd.evolve(cube(2, 1), 10**5000),  # str() refuses it: the message must not print it
+        lambda: sd.separation_curve(cube(2, 1), 10**20),
+        lambda: sd.absorption_survival(cube_dual(2, 1), 10**20),
+        lambda: sd.geometric_sum_law([0.5], 10**20),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 10**20, seed=0),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 0, seed=0),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=2**64),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, horizon=10**20),
+        lambda: sd.coupon_collector_bound(10**400, 1.0),
+        lambda: sd.chebyshev_bound(10**400, 1, 1.0),
+        lambda: sd.chebyshev_bound(3, 10**400, 1.0),
+    ],
+    ids=[
+        "evolve", "evolve_float", "evolve_5000_digits", "separation_curve", "absorption_survival",
+        "geometric_sum_law", "simulate_samples", "simulate_no_samples", "simulate_seed", "simulate_horizon",
+        "coupon_collector_N", "chebyshev_n", "chebyshev_k",
+    ],
+)
+def test_count_no_array_can_hold_is_rejected(call):
+    # BadParameters, not numpy's ValueError or an OverflowError from a C integer or float
+    with pytest.raises(BadParameters):
+        call()
+
+
+def test_largest_seed_is_accepted():
+    law = sd.simulate_sst(cube_dual(2, 1), 3, seed=2**64 - 1)
+    assert law.horizon >= 0
 
 
 def cover_walk(p):

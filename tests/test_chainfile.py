@@ -14,7 +14,8 @@ from conftest import (
     version_1_document,
 )
 from oracles import peak_bytes
-from ssdual.errors import NoAbsorbingState, ParseError, SchemaVersionMismatch
+from ssdual.cli import main
+from ssdual.errors import NoAbsorbingState, NotRowStochastic, ParseError, SchemaVersionMismatch
 
 
 class TestRoundTrip:
@@ -513,3 +514,74 @@ class TestReenumeration:
         c = lattice(1)
         sd.save_chain(path, c)
         assert sd.load_chain(path).chain.poset.labels == ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def write_debris(path, value, absorbing_index=MISSING):
+    """A version 2 file whose P, nu and pi each hold one entry ``value`` where the law is 0."""
+    return write_v2(
+        path,
+        P_indptr=[0, 3, 5, 6],
+        P_indices=[0, 1, 2, 1, 2, 2],
+        P_data=[0.5, 0.5, value, 0.5, 0.5, 1.0],
+        nu=[1.0, value, 0.0],
+        pi=[value, 0.0, 1.0],
+        absorbing_index=absorbing_index,
+    )
+
+
+class TestKernelContract:
+    """A loaded file is checked once; its dual shares the loaded arrays."""
+
+    def test_loaded_dual_shares_the_kernel(self, tmp_path):
+        path = tmp_path / "dual.json"
+        sd.save_chain(path, lattice_dual(24))
+        loaded = sd.load_chain(path)
+        dual, peak = peak_bytes(loaded.dual)
+        assert np.shares_memory(dual.P_star, loaded.chain.P)
+        assert np.shares_memory(dual.nu_star, loaded.chain.nu)
+        assert loaded.chain.P.nbytes == 625 * 625 * 8  # 3.1 MB
+        assert peak < loaded.chain.P.nbytes / 10
+
+    @pytest.mark.parametrize("absorbing_index", [MISSING, 2], ids=["chain", "dual"])
+    def test_debris_loads_as_exact_zero(self, tmp_path, absorbing_index):
+        loaded = sd.load_chain(write_debris(tmp_path / "d.json", -5e-13, absorbing_index))
+        c = loaded.chain
+        for entry in (c.P[0, 2], c.nu[1], c.pi[0]):
+            assert entry == 0.0 and not np.signbit(entry)
+        assert c.P.min() == c.nu.min() == c.pi.min() == 0.0
+        if loaded.absorbing_index is not None:
+            assert loaded.dual().P_star[0].tolist() == [0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("field,at", [("P_data", 2), ("nu", 1), ("pi", 0)])
+    def test_entry_below_debris_is_refused(self, tmp_path, field, at):
+        doc = json.loads(write_debris(tmp_path / "d.json", 0.0).read_text())
+        doc[field][at] = -2e-12
+        path = write_v2(tmp_path / "neg.json", **doc)
+        with pytest.raises(ParseError, match="negative entry -2.000e-12"):
+            sd.load_chain(path)
+
+    @pytest.mark.parametrize("excess,accepted", [(2e-10, False), (5e-11, True)])
+    def test_row_sum_edge_is_the_same_for_duals_and_files(self, tmp_path, capsys, excess, accepted):
+        P = [[0.5, 0.5 + excess, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
+
+        def make():
+            return sd.DualChain(poset=sd.chain_poset(3), P_star=P, nu_star=[1, 0, 0], absorbing_index=2)
+
+        path = write_v2(
+            tmp_path / "edge.json",
+            P_indptr=[0, 2, 4, 5],
+            P_indices=[0, 1, 1, 2, 2],
+            P_data=[0.5, 0.5 + excess, 0.5, 0.5, 1.0],
+            absorbing_index=2,
+        )
+        if accepted:
+            assert make().P_star[0, 1] == 0.5 + excess
+            assert sd.load_chain(path).dual().P_star[0, 1] == 0.5 + excess
+            return
+        with pytest.raises(NotRowStochastic, match="row stochastic within 1e-10"):
+            make()
+        with pytest.raises(ParseError, match="rows sum to 1 only within 2.000e-10"):
+            sd.load_chain(path)
+        assert main(["absorb", "--dual", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1

@@ -425,8 +425,8 @@ class TestAnalysisCommands:
         assert lines[1:] == [f"{n},{s!r}" for n, s in enumerate(law.survival.tolist())]
 
     def test_absorb_admits_negative_debris_in_a_dual_file(self, tmp_path, capsys):
-        # load_chain admits kernel and nu entries down to -DEBRIS_TOL; the
-        # dual built from the file must zero them, not fail as not stochastic
+        # load_chain loads kernel and nu entries down to -DEBRIS_TOL as exact
+        # zeros, so the dual built from the file does not fail as not stochastic
         clean, debris = tmp_path / "clean.json", tmp_path / "debris.json"
         sd.save_chain(clean, sd.kary_cube_dual(sd.CubeSpec(n=2, k=2)))
         doc = json.loads(clean.read_text())
@@ -605,6 +605,23 @@ class TestErrorPaths:
             (["bounds", "--type", "ising-circle", "--N", "10", "--c", "1e308"], "finite"),
             (["model", "gen", "--type", "cube", "--n", "1000000", "--k", "1", "-o", "{out}"],
              "at least 2**1000000 exceeds cap"),
+            (["separation", "--chain", "{chain}", "--horizon", str(10**20)], "horizon"),
+            (["verify", "--chain", "{chain}", "--dual", "{dual}", "--horizon", str(10**20)],
+             "horizon"),
+            (["simulate", "--dual", "{dual}", "--samples", str(10**20), "--seed", "1"],
+             "sample count"),
+            (["absorb", "--dual", "{dual}", "--horizon", str(10**20)], "horizon"),
+            (["simulate", "--dual", "{dual}", "--samples", "5", "--seed", "1", "--horizon",
+              str(10**20)], "horizon"),
+            (["simulate", "--dual", "{dual}", "--samples", "5", "--seed", str(2**64)], "seed"),
+            (["bounds", "--type", "ising-circle", "--N", "1" + "0" * 400, "--c", "3"],
+             "need 2 <= N"),
+            (["bounds", "--type", "cube", "--n", "1" + "0" * 400, "--k", "1", "--c", "3"],
+             "need 2 <= n"),
+            (["bounds", "--type", "cube", "--n", "3", "--k", "1" + "0" * 400, "--c", "3"],
+             "need 1 <= k"),
+            (["model", "gen", "--type", "ising-circle", "--N", "4", "--beta", "300", "-o", "{out}"],
+             "beta = 300"),
         ],
     )
     def test_bad_number_is_input_error(self, cube_file, tmp_path, capsys, argv, message):

@@ -50,6 +50,20 @@ class TestIsingChain:
         for i in range(4):
             assert c.P[15, 15 ^ (1 << i)] == pytest.approx(1 / (1 + np.exp(32.0)) / 4, rel=1e-14)
 
+    @pytest.mark.parametrize("N,beta", [(4, 300.0), (10, 40.0)], ids=["overflow", "underflow"])
+    def test_gibbs_weights_out_of_range_are_rejected(self, N, beta):
+        # exp(300 * 4) overflows; at N = 10, beta = 40 the normalized pi has exact zeros.
+        # A RuntimeWarning would fail this test too: pyproject.toml makes it an error.
+        with pytest.raises(BadParameters, match=f"beta = {beta!r}"):
+            sd.ising_circle(N, beta)
+        with pytest.raises(BadParameters, match=f"beta = {beta!r}"):
+            sd.ising_gibbs_graph(N, [(i, (i + 1) % N) for i in range(N)], beta)
+
+    def test_closed_form_dual_builds_where_the_chain_is_refused(self):
+        # every down-set mass includes the all-down ground state, so none is 0
+        d = sd.ising_circle_dual(10, 40.0)
+        assert np.isfinite(d.P_star).all()
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_non_finite_beta_is_rejected(self, beta):
         with pytest.raises(BadParameters, match="beta"):

@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, SpectrumReport, group_with_tolerance
+from .chain import ChainSpec, DualChain, SpectrumReport, group_with_tolerance
 from .chain import _count, _nonzeros, _positive_pi, _propagate
-from .duality import DualChain
 from .errors import (
     BadParameters,
     BadProbability,
@@ -240,6 +239,7 @@ def simulate_sst(
     cum_start[-1] = 1.0
     absorbing = int(d.absorbing_index)
     times = np.empty(samples, dtype=np.int64)
+    counts = np.zeros(horizon + 2, dtype=np.int64)  # a horizon too large to count fails at once
     for i in range(samples):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
         buf = rng.random(32)
@@ -258,7 +258,7 @@ def simulate_sst(
                     f"trajectory {i} exceeded {max_steps} steps without absorbing"
                 )
         times[i] = steps
-    counts = np.bincount(np.minimum(times, horizon + 1), minlength=horizon + 2)
+        counts[min(steps, horizon + 1)] += 1
     still_out = samples - np.cumsum(counts)
     survival = still_out[: horizon + 1] / samples
     return AbsorptionLaw(

@@ -1,4 +1,4 @@
-"""Finite Markov chain kernel: validation, stationarity, reversal, spectra."""
+"""Finite Markov chains and their absorbing duals: validation, stationarity, reversal, spectra."""
 from __future__ import annotations
 
 import numbers
@@ -11,8 +11,10 @@ from .errors import (
     BadParameters,
     DimensionMismatch,
     MissingStationary,
+    NoAbsorbingState,
     NotIrreducible,
     NotReversible,
+    NotRowStochastic,
     SingularSystem,
 )
 from .poset import Poset, _readonly
@@ -64,6 +66,33 @@ class ChainSpec:
 
     def __post_init__(self):
         _store(self, ("P", "nu", "pi"), BadParameters, "P, nu and pi must be finite")
+
+    @property
+    def size(self) -> int:
+        return self.poset.size
+
+
+@dataclass(frozen=True, eq=False)
+class DualChain:
+    """Absorbing dual chain on the same poset as the primal."""
+
+    poset: Poset
+    P_star: np.ndarray
+    nu_star: np.ndarray
+    absorbing_index: int
+
+    def __post_init__(self):
+        _store(self, ("P_star", "nu_star"), NotRowStochastic, "dual P_star and nu_star must be finite")
+        if not 0 <= self.absorbing_index < self.size:
+            raise NoAbsorbingState(f"absorbing index {self.absorbing_index} out of range")
+        for a, what in ((self.P_star, "kernel is not row stochastic"),
+                        (self.nu_star, "initial distribution does not sum to one")):
+            _, dev, least = _defect(a)
+            if dev > ROW_TOL or least < 0.0:
+                raise NotRowStochastic(f"dual {what} within {ROW_TOL:g}")
+        unit = np.arange(self.size) == self.absorbing_index
+        if np.max(np.abs(self.P_star[self.absorbing_index] - unit)) > ROW_TOL:
+            raise NoAbsorbingState("absorbing row is not a unit vector")
 
     @property
     def size(self) -> int:

@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec, _defect
-from .duality import DualChain
+from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec, DualChain, _defect
 from .errors import (
     BadParameters,
     CycleDetected,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, _defect, _depths, _positive_pi, _store
+from .absorption import _survival, separation_curve
+from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, DualChain, _defect, _depths, _positive_pi
 from .chain import time_reversal
 from .errors import (
     BadParameters,
@@ -63,33 +64,6 @@ class LinkKernel:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
         object.__setattr__(self, "down_mass", _readonly(np.asarray(self.down_mass, dtype=float)))
-
-
-@dataclass(frozen=True, eq=False)
-class DualChain:
-    """Absorbing dual chain on the same poset as the primal."""
-
-    poset: Poset
-    P_star: np.ndarray
-    nu_star: np.ndarray
-    absorbing_index: int
-
-    def __post_init__(self):
-        _store(self, ("P_star", "nu_star"), NotRowStochastic, "dual P_star and nu_star must be finite")
-        if not 0 <= self.absorbing_index < self.size:
-            raise NoAbsorbingState(f"absorbing index {self.absorbing_index} out of range")
-        for a, what in ((self.P_star, "kernel is not row stochastic"),
-                        (self.nu_star, "initial distribution does not sum to one")):
-            _, dev, least = _defect(a)
-            if dev > ROW_TOL or least < 0.0:
-                raise NotRowStochastic(f"dual {what} within {ROW_TOL:g}")
-        unit = np.arange(self.size) == self.absorbing_index
-        if np.max(np.abs(self.P_star[self.absorbing_index] - unit)) > ROW_TOL:
-            raise NoAbsorbingState("absorbing row is not a unit vector")
-
-    @property
-    def size(self) -> int:
-        return self.poset.size
 
 
 def _check_tol(tol: float) -> None:
@@ -258,8 +232,6 @@ def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:
 
 def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
     """Max over n <= horizon of |separation(n) - P(T* > n)|."""
-    from .absorption import _survival, separation_curve
-
     sep = separation_curve(c, horizon)
     return float(np.max(np.abs(sep.values - _survival(d, horizon))))
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ROW_SUM_TOL, ChainSpec, _depths
-from .duality import DualChain, down_set_masses
+from .chain import ROW_SUM_TOL, ChainSpec, DualChain, _depths
+from .duality import down_set_masses
 from .errors import BadParameters, TooLarge
 from .poset import Poset, _check_cap, _digits, grid_poset
 
@@ -99,10 +99,11 @@ def _start_at_bottom(size: int) -> np.ndarray:
 
 
 def _spin_poset(n: int) -> Poset:
-    grid = _model_poset(2, n)
-    covers, enumeration, shape = grid.covers, grid.enumeration, grid.shape
-    del grid  # its order is freed before the relabelled poset builds its own
-    return Poset(map(tuple, _spins(n).tolist()), covers, None, enumeration, shape)
+    poset = _model_poset(2, n)
+    # relabelled in place, not rebuilt: labels are opaque to the order, and this
+    # fresh grid's labels (and its cached label index) have not been read yet
+    object.__setattr__(poset, "labels", tuple(map(tuple, _spins(n).tolist())))
+    return poset
 
 
 def _spins(n: int) -> np.ndarray:
@@ -268,9 +269,6 @@ def lattice_walk(spec: LatticeSpec) -> ChainSpec:
     poset = _model_poset(N + 1, 2)
     rates = ((spec.lambda1, spec.mu1), (spec.lambda2, spec.mu2))
     P = _product_walk(poset, [_steps(np.full(N, lam), np.full(N, mu)) for lam, mu in rates])
-    # hold 1 - the whole row's sum, which keeps lattice files bit for bit
-    np.fill_diagonal(P, 0.0)
-    np.fill_diagonal(P, np.maximum(1.0 - P.sum(axis=1), 0.0))
     # rho^x on each axis, over rho^N where rho > 1 so that no power overflows
     w1, w2 = (
         (mu / lam) ** np.arange(N, -1, -1) if lam > mu else (lam / mu) ** np.arange(N + 1)

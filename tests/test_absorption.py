@@ -498,6 +498,13 @@ class TestSimulation:
         with pytest.raises(MaxStepsExceeded):
             sd.simulate_sst(d, 3, seed=0, horizon=5, max_steps=100)
 
+    def test_counts_are_allocated_before_any_trajectory(self):
+        # state 0 never absorbs: the step cap would trip if a trajectory ran first
+        P = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        d = sd.DualChain(poset=sd.chain_poset(3), P_star=P, nu_star=[1, 0, 0], absorbing_index=2)
+        with pytest.raises(MemoryError):
+            sd.simulate_sst(d, 1, seed=0, horizon=np.iinfo(np.intp).max // 8 - 2, max_steps=10)
+
     def test_seed_validation(self):
         d = cube_dual(2, 1)
         with pytest.raises(BadParameters):

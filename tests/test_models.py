@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import ssdual as sd
+import ssdual.poset as poset_module
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
 from ssdual.errors import BadParameters, TooLarge
-from ssdual.models import _product_walk
+from ssdual.models import _product_walk, _spin_poset, _spins, _steps
 
 
 class TestIsingChain:
@@ -130,6 +131,31 @@ class TestIsingGraph:
     def test_rejects_multigraph(self):
         with pytest.raises(BadParameters):
             sd.ising_gibbs_graph(3, [(0, 1), (1, 0)], 0.2)
+
+
+class TestSpinPoset:
+    @pytest.mark.parametrize("build", [sd.ising_circle, sd.ising_circle_dual])
+    def test_order_is_built_once(self, monkeypatch, build):
+        orders = []
+        kron_axes = poset_module._kron_axes
+
+        def spy(shape, axis_matrix):
+            out = kron_axes(shape, axis_matrix)
+            if out.dtype == bool:  # an order, not a Mobius function
+                orders.append(tuple(shape))
+            return out
+
+        monkeypatch.setattr(poset_module, "_kron_axes", spy)
+        build(6, 0.5)
+        assert orders == [(2,) * 6]
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_equals_the_grid_with_spin_labels(self, n):
+        p = _spin_poset(n)
+        q = poset_module._grid((2,) * n, map(tuple, _spins(n).tolist()))
+        assert p.labels == q.labels and p.covers == q.covers and p.shape == q.shape
+        assert np.array_equal(p.enumeration, q.enumeration) and np.array_equal(p.leq, q.leq)
+        assert [p.index(label) for label in q.labels] == list(range(q.size))
 
 
 class TestIsingClosedDual:
@@ -264,6 +290,13 @@ class TestProductWalk:
 
 
 class TestLatticeChain:
+    @pytest.mark.parametrize("params", LATTICE_PARAMS)
+    def test_kernel_is_the_product_walk(self, params):
+        l1, l2, m1, m2 = params
+        moves = [_steps(np.full(24, lam), np.full(24, mu)) for lam, mu in ((l1, m1), (l2, m2))]
+        expect = _product_walk(sd.grid_poset((25, 25)), moves)
+        assert np.array_equal(lattice(24, params).P, expect)
+
     def test_interior_row_has_five_moves(self):
         c = lattice(2)
         s = c.poset.index((1, 1))

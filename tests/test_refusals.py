@@ -1,0 +1,97 @@
+"""Each documented refusal raises its own error with its message as written."""
+import numpy as np
+import pytest
+
+import ssdual as sd
+from ssdual.errors import (
+    BadParameters,
+    DimensionMismatch,
+    MissingStationary,
+    NoAbsorbingState,
+    NotRowStochastic,
+    NoUniqueMax,
+)
+
+SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+BIRTH_DEATH = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+
+
+def two_tops():
+    """The uniform walk on a poset with two maximal states, a < b and a < c."""
+    poset = sd.build_poset(["a", "b", "c"], [(0, 1), (0, 2)])
+    return sd.ChainSpec(poset=poset, P=np.full((3, 3), 1 / 3), nu=[1, 0, 0], pi=np.full(3, 1 / 3))
+
+
+def nearly_stationary():
+    """A birth-death chain whose pi (1, 2, 1)/4 is off by 1e-6 in two entries."""
+    pi = np.array([0.25 + 1e-6, 0.5 - 1e-6, 0.25])
+    return sd.ChainSpec(poset=sd.chain_poset(3), P=BIRTH_DEATH, nu=[1, 0, 0], pi=pi)
+
+
+CASES = {
+    "dual-absorbing-index": (
+        lambda: sd.DualChain(
+            poset=sd.chain_poset(3), P_star=SWAP, nu_star=[1, 0, 0], absorbing_index=3
+        ),
+        NoAbsorbingState,
+        "absorbing index 3 out of range",
+    ),
+    "monotone-direction": (
+        lambda: sd.check_mobius_monotone(BIRTH_DEATH, sd.chain_poset(3), "sideways"),
+        DimensionMismatch,
+        "unknown direction 'sideways'",
+    ),
+    "dual-unique-max": (
+        lambda: sd.build_dual(two_tops()),
+        NoUniqueMax,
+        "dual construction requires a unique maximal state",
+    ),
+    "dual-row-sums": (
+        lambda: sd.build_dual(nearly_stationary()),
+        NotRowStochastic,
+        "dual rows sum to 1 only within 1.000e-06",
+    ),
+    "reversible-without-pi": (
+        lambda: sd.is_reversible(
+            sd.ChainSpec(poset=sd.chain_poset(3), P=BIRTH_DEATH, nu=[1, 0, 0])
+        ),
+        MissingStationary,
+        "reversibility check needs the stationary distribution",
+    ),
+    "ising-no-vertex": (
+        lambda: sd.IsingSpec(0, (), 0.5), BadParameters, "graph needs at least one vertex"
+    ),
+    "ising-self-loop": (
+        lambda: sd.IsingSpec(3, ((1, 1),), 0.5), BadParameters, "self-loop at vertex 1"
+    ),
+    "ising-edge-range": (
+        lambda: sd.IsingSpec(3, ((0, 3),), 0.5), BadParameters, "edge (0, 3) out of range"
+    ),
+    "lattice-side": (
+        lambda: sd.LatticeSpec(0, 0.2, 0.2, 0.25, 0.25),
+        BadParameters,
+        "lattice side N must be >= 1",
+    ),
+    "cube-size": (lambda: sd.CubeSpec(0, 1), BadParameters, "cube needs n >= 1 and k >= 1"),
+    "chain-length": (lambda: sd.chain_poset(0), BadParameters, "chain length must be positive"),
+    "grid-empty": (lambda: sd.grid_poset([]), BadParameters, "invalid grid shape ()"),
+    "grid-zero-axis": (
+        lambda: sd.grid_poset([2, 0]), BadParameters, "invalid grid shape (2, 0)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_refusal_raises_its_error_and_message(case):
+    call, error, message = CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_save_chain_refuses_other_objects_before_writing(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError) as info:
+        sd.save_chain(path, 42)
+    assert str(info.value) == "cannot serialize int"
+    assert not path.exists()

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec, DualChain, SpectrumReport, group_with_tolerance
-from .chain import _count, _nonzeros, _positive_pi, _propagate
+from .chain import _check_tol, _count, _nonzeros, _positive_pi, _propagate
 from .errors import (
     BadParameters,
     BadProbability,
@@ -81,6 +81,13 @@ def _survival(d: DualChain, horizon: int, parts: tuple | None = None) -> np.ndar
     return np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
 
 
+def _level_blocks(level: np.ndarray, rows, cols, vals) -> tuple[list, float]:
+    """The states of each level, lowest level first, and the largest of ``vals`` on a
+    nonzero (rows, cols) that moves down a level, 0.0 if none does."""
+    blocks = [np.nonzero(level == k)[0] for k in range(int(level.max(initial=0)) + 1)]
+    return blocks, float(vals[level[cols] < level[rows]].max(initial=0.0))
+
+
 def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray) -> tuple[float, float]:
     """Mean and variance of T, solved one level block b at a time from the top down.
 
@@ -88,20 +95,18 @@ def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray) -> tuple[floa
     + Q_b,above second``.  A Q that moves down a level is one block, the dense ``I - Q``.
     """
     rows, cols, vals = Q
-    level = np.delete(_levels(d.poset), d.absorbing_index)
-    level *= bool((level[cols] >= level[rows]).all())  # else one block: the dense I - Q
-    steps, second = np.zeros(len(start)), np.zeros(len(start))
+    a, n = d.absorbing_index, len(start)
+    full = np.delete(np.arange(d.size), a)  # Q's state i is P_star's state full[i]
+    blocks, down = _level_blocks(np.delete(_levels(d.poset), a), rows, cols, vals)
+    steps, second = np.zeros(n), np.zeros(n)
     try:
-        for k in range(int(level.max(initial=0)), -1, -1):
-            b = np.nonzero(level == k)[0]
-            on = level[rows] == k
-            r, c, v = np.searchsorted(b, rows[on]), cols[on], vals[on]
-            inside = level[c] == k
-            system = np.eye(len(b))
-            system[r[inside], np.searchsorted(b, c[inside])] -= v[inside]
-            # steps[b] and second[b] are still zero: these products see only Q_b,above
-            steps[b] = np.linalg.solve(system, 1.0 + np.bincount(r, v * steps[c], len(b)))
-            rhs = 2.0 * steps[b] - 1.0 + np.bincount(r, v * second[c], len(b))
+        for b in reversed([np.arange(n)] if down > 0.0 else blocks):
+            system = d.P_star[np.ix_(full[b], full[b])]
+            np.negative(system, out=system)
+            system.flat[:: len(b) + 1] += 1.0
+            # steps[b] and second[b] are still zero: these sums see only Q_b,above
+            steps[b] = np.linalg.solve(system, 1.0 + np.bincount(rows, vals * steps[cols], n)[b])
+            rhs = 2.0 * steps[b] - 1.0 + np.bincount(rows, vals * second[cols], n)[b]
             second[b] = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix solve failed: {exc}") from exc
@@ -165,13 +170,10 @@ def spectrum_from_triangular(d: DualChain, *, group_tol: float = 1e-9) -> Spectr
     which for a triangular dual is the diagonal.  An eigenvalue with an
     imaginary part above ``group_tol`` is an error, never dropped.
     """
-    level = _levels(d.poset)
-    rows, cols = np.nonzero(d.P_star)
-    down = level[cols] < level[rows]
-    if down.any():
-        worst = float(d.P_star[rows[down], cols[down]].max())
-        raise NotTriangular(f"dual kernel moves down a level with probability {worst:.3e}")
-    blocks = (np.nonzero(level == k)[0] for k in range(int(level.max()) + 1))
+    _check_tol(group_tol, "group_tol")
+    blocks, down = _level_blocks(_levels(d.poset), *_nonzeros(d.P_star))
+    if down > 0.0:
+        raise NotTriangular(f"dual kernel moves down a level with probability {down:.3e}")
     eig = np.concatenate([np.linalg.eigvals(d.P_star[np.ix_(b, b)]) for b in blocks])
     imag = float(np.abs(eig.imag).max())
     if imag > group_tol:
@@ -229,6 +231,7 @@ def simulate_sst(
     trajectories would be partitioned across workers.
     """
     samples = _count(samples, "sample count", least=1)
+    max_steps = _count(max_steps, "step cap")
     seed = _count(seed, "seed", end=2**64)  # the Philox key word is a uint64
     if horizon is None:
         horizon = default_horizon(_absorption_moments(d, *_transient_parts(d))[0])

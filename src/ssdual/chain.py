@@ -28,6 +28,12 @@ DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding deb
 REVERSIBLE_TOL = 1e-9  # detailed-balance flux that spectrum_numeric accepts
 
 
+def _check_tol(value: float, name: str = "tol") -> None:
+    """The one rule for a tolerance argument: a finite nonnegative number."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise BadParameters(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def _store(obj, names: tuple[str, ...], error: type, message: str) -> None:
     """Freeze the fields ``names`` of ``obj``, a kernel then vectors, as read-only contiguous
     floats; a field that is None stays None.  Raises DimensionMismatch on a shape other than
@@ -157,16 +163,11 @@ def _depths(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     return depth
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
+def _reach(adj: np.ndarray) -> np.ndarray | None:
+    """Steps along ``adj`` from state 0; None unless state 0 and every state reach each other."""
     first = np.arange(len(adj)) == 0
-    return bool((_depths(adj, first) >= 0).all() and (_depths(adj.T, first) >= 0).all())
-
-
-def _period(adj: np.ndarray) -> int:
-    # gcd of (depth[u] + 1 - depth[v]) over edges of an irreducible chain
-    depth = _depths(adj, np.arange(len(adj)) == 0)
-    u, v = np.nonzero(adj)
-    return int(np.gcd.reduce(depth[u] + 1 - depth[v])) or 1
+    depth = _depths(adj, first)
+    return depth if (depth >= 0).all() and (_depths(adj.T, first) >= 0).all() else None
 
 
 def validate(c: ChainSpec) -> ValidationReport:
@@ -174,8 +175,10 @@ def validate(c: ChainSpec) -> ValidationReport:
     _, row_dev, min_entry = _defect(c.P)
     nu_dev = _defect(c.nu)[1]
     adj = c.P > 0.0
-    irreducible = _strongly_connected(adj)
-    aperiodic = (_period(adj) == 1) if irreducible else None
+    depth, aperiodic = _reach(adj), None
+    if depth is not None:  # the period: the gcd of depth[u] + 1 - depth[v] over the edges
+        u, v = np.nonzero(adj)
+        aperiodic = int(np.gcd.reduce(depth[u] + 1 - depth[v])) in (0, 1)  # 0: no edge
     stat_dev = stat_min = None
     if c.pi is not None:
         stat_dev = float(np.max(np.abs(c.pi @ c.P - c.pi)))
@@ -184,7 +187,7 @@ def validate(c: ChainSpec) -> ValidationReport:
         max_row_sum_dev=row_dev,
         min_entry=min_entry,
         nu_sum_dev=nu_dev,
-        irreducible=irreducible,
+        irreducible=depth is not None,
         aperiodic=aperiodic,
         stationary_dev=stat_dev,
         stationary_min=stat_min,
@@ -197,7 +200,7 @@ def stationary(c: ChainSpec) -> np.ndarray:
     Solves pi (P - I) = 0 with sum(pi) = 1; the residual is checked against
     1e-10 in the sup norm.
     """
-    if not _strongly_connected(c.P > 0.0):
+    if _reach(c.P > 0.0) is None:
         raise NotIrreducible("chain is not irreducible; stationary distribution not unique")
     m = c.size
     A = c.P.T - np.eye(m)
@@ -240,6 +243,7 @@ def time_reversal(c: ChainSpec) -> np.ndarray:
 
 def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
     """Detailed balance check: max |pi(x)P(x,y) - pi(y)P(y,x)| <= tol."""
+    _check_tol(tol)
     if c.pi is None:
         raise MissingStationary("reversibility check needs the stationary distribution")
     # the lower triangle a slab of rows at a time: two 64 x M slabs, not an M x M flux
@@ -311,6 +315,7 @@ def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport
     S = [[A, B], [JBJ, JAJ]] is orthogonally similar to diag(A + BJ, A - BJ), and
     those two half-size blocks, built from the top half of P, are solved instead.
     """
+    _check_tol(group_tol, "group_tol")
     root = np.sqrt(_positive_pi(c.pi, "numeric spectrum"))
     if not is_reversible(c, REVERSIBLE_TOL):
         raise NotReversible("numeric spectrum is only implemented for reversible chains")

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import absorption, chainfile, duality, models
-from .chain import DEFAULT_TOL, spectrum_numeric, with_stationary
+from .chain import DEFAULT_TOL, _check_tol, spectrum_numeric, with_stationary
 from .errors import (
     MonotonicityViolated,
     NotRowStochastic,
@@ -114,7 +114,7 @@ def cmd_dual(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    duality._check_tol(args.tol)
+    _check_tol(args.tol)
     chain = _loaded_with_pi(args.chain)
     dual = chainfile.load_chain(args.dual).dual()
     link = duality.build_link(chain.poset, chain.pi)

@@ -14,9 +14,8 @@ import numpy as np
 
 from .absorption import _survival, separation_curve
 from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, DualChain, _defect, _depths, _positive_pi
-from .chain import time_reversal
+from .chain import _check_tol, time_reversal
 from .errors import (
-    BadParameters,
     DimensionMismatch,
     MonotonicityViolated,
     NoAbsorbingState,
@@ -64,12 +63,6 @@ class LinkKernel:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
         object.__setattr__(self, "down_mass", _readonly(np.asarray(self.down_mass, dtype=float)))
-
-
-def _check_tol(tol: float) -> None:
-    """The one rule for a tolerance: a finite nonnegative number."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise BadParameters(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def check_mobius_monotone(
@@ -154,6 +147,9 @@ def _hypotheses(c: ChainSpec, direction: str, tol: float) -> tuple[tuple, list]:
 
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
     """Cumulative stationary mass of each down-set."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (p.size,):
+        raise DimensionMismatch(f"pi has shape {pi.shape} on a poset of {p.size} states")
     return _mobius_apply(p, pi, right="zeta")
 
 

@@ -1,5 +1,7 @@
 from functools import lru_cache
 
+import numpy as np
+
 import ssdual as sd
 
 
@@ -43,6 +45,24 @@ def lattice(N, params=LATTICE_PARAMS[0]):
 @lru_cache(maxsize=None)
 def lattice_dual(N, params=LATTICE_PARAMS[0]):
     return sd.build_dual(lattice(N, params))
+
+
+def rotating_dual():
+    """0 < {a, b, c} < 1, and the dual rotates a -> b -> c -> a: a level block whose
+    eigenvalues are complex, -0.25 +- 0.433i beside 0.5."""
+    poset = sd.build_poset(
+        ["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    )
+    P = np.array(
+        [
+            [0.25, 0.25, 0.25, 0.25, 0.0],
+            [0.0, 0.0, 0.5, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.5, 0.5],
+            [0.0, 0.5, 0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0, 0], absorbing_index=4)
 
 
 def version_1_document(obj, meta):

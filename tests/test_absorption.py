@@ -5,6 +5,7 @@ import pytest
 
 import ssdual as sd
 from conftest import cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice, lattice_dual
+from conftest import rotating_dual
 from oracles import dense_absorption_moments, peak_bytes, separation_by_matrix_power
 from ssdual.errors import (
     BadParameters,
@@ -115,8 +116,12 @@ class TestAbsorptionSurvival:
         (lambda: sd.absorption_survival(cube_dual(2, 1), -1), BadParameters),
         (lambda: sd.geometric_sum_law([0.5], -1), BadParameters),
         (lambda: sd.evolve(cube(2, 1), -1), BadParameters),
+        (lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps=-5), BadParameters),
     ],
-    ids=["separation_curve", "absorption_survival", "geometric_sum_law", "evolve"],
+    ids=[
+        "separation_curve", "absorption_survival", "geometric_sum_law", "evolve",
+        "simulate_max_steps",
+    ],
 )
 def test_negative_horizon_is_rejected(call, error):
     with pytest.raises(error, match="nonnegative"):
@@ -136,6 +141,8 @@ def test_negative_horizon_is_rejected(call, error):
         lambda: sd.simulate_sst(cube_dual(2, 1), 0, seed=0),
         lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=2**64),
         lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, horizon=10**20),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps=2.5),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps="x"),
         lambda: sd.coupon_collector_bound(10**400, 1.0),
         lambda: sd.chebyshev_bound(10**400, 1, 1.0),
         lambda: sd.chebyshev_bound(3, 10**400, 1.0),
@@ -143,6 +150,7 @@ def test_negative_horizon_is_rejected(call, error):
     ids=[
         "evolve", "evolve_float", "evolve_5000_digits", "separation_curve", "absorption_survival",
         "geometric_sum_law", "simulate_samples", "simulate_no_samples", "simulate_seed", "simulate_horizon",
+        "simulate_max_steps_float", "simulate_max_steps_str",
         "coupon_collector_N", "chebyshev_n", "chebyshev_k",
     ],
 )
@@ -194,6 +202,16 @@ def swapping_dual(down):
         ]
     )
     return sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+
+
+def absorbing_in_the_middle(down):
+    """0 < {a, b}, absorbing at a (index 1), so b is Q's state 1 and P_star's state 2.
+
+    With ``down``, b -> 0 moves down a level with probability 0.1.
+    """
+    poset = sd.build_poset(["0", "a", "b"], [(0, 1), (0, 2)])
+    P = [[0.5, 0.2, 0.3], [0.0, 1.0, 0.0], [0.1 if down else 0.0, 0.4, 0.5 if down else 0.6]]
+    return sd.DualChain(poset=poset, P_star=P, nu_star=[0.7, 0.0, 0.3], absorbing_index=1)
 
 
 class TestLevelRule:
@@ -262,6 +280,19 @@ class TestBlockMoments:
             sd.absorption_survival(d)
         with pytest.raises(SingularSystem):
             sd.simulate_sst(d, 10, seed=0)
+
+    @pytest.mark.parametrize("down", [False, True], ids=["level-block", "dense"])
+    def test_absorbing_state_before_a_transient_one(self, down):
+        d = absorbing_in_the_middle(down)
+        law = sd.absorption_survival(d, 0)
+        dense = dense_absorption_moments(d.P_star, d.nu_star, d.absorbing_index)
+        assert (law.mean, law.variance) == dense
+        if down:
+            with pytest.raises(NotTriangular, match="with probability 1.000e-01"):
+                sd.spectrum_from_triangular(d)
+        else:
+            assert dense == (3.1999999999999997, 5.360000000000001)
+            assert sd.spectrum_from_triangular(d).values.tolist() == [1.0, 0.6, 0.5]
 
     def test_no_dense_transient_block(self):
         # 1024 states: one dense I - Q is 8 MiB; the level blocks stay far below
@@ -364,22 +395,8 @@ class TestTriangularSpectrum:
             sd.spectrum_from_triangular(unranked_dual(P))
 
     def test_complex_level_block_raises(self):
-        # 0 < {a, b, c} < 1, and the dual rotates a -> b -> c -> a
-        poset = sd.build_poset(
-            ["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
-        )
-        P = np.array(
-            [
-                [0.25, 0.25, 0.25, 0.25, 0.0],
-                [0.0, 0.0, 0.5, 0.0, 0.5],
-                [0.0, 0.0, 0.0, 0.5, 0.5],
-                [0.0, 0.5, 0.0, 0.0, 0.5],
-                [0.0, 0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        d = sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0, 0], absorbing_index=4)
         with pytest.raises(NotReversible):
-            sd.spectrum_from_triangular(d)
+            sd.spectrum_from_triangular(rotating_dual())
 
 
 class TestBounds:

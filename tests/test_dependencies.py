@@ -1,11 +1,14 @@
 """The package imports only numpy and the standard library (pyproject.toml declares numpy alone),
-and its modules import one another without a cycle."""
+its modules import one another without a cycle, and every tolerance goes by chain.py's table
+and its one rule, ``_check_tol``."""
 import ast
 import graphlib
 import sys
 from pathlib import Path
 
 import pytest
+
+import ssdual as sd
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ssdual").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"numpy"}
@@ -70,3 +73,81 @@ def test_a_cycle_through_a_function_body_is_caught():
     graph = {"a": relative_imports(a), "b": relative_imports(b), "c": set()}
     assert graph["b"] == {"a", "c"}
     assert sorted(find_cycle(graph)) == ["a", "a", "b"]
+
+
+def defined_functions(source: str) -> dict[str, ast.FunctionDef]:
+    """The functions defined at the top level of ``source``, by name."""
+    return {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def own_calls(fn: ast.FunctionDef):
+    """The calls in the body of ``fn``, not in the functions, lambdas or classes it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            if isinstance(node, ast.Call):
+                yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unchecked_tolerances(source: str, public: set[str]) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter named ``tol`` or ``*_tol`` of a function in
+    ``public`` whose own body never calls ``_check_tol`` on it."""
+    missing = []
+    for name, fn in defined_functions(source).items():
+        if name not in public:
+            continue
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        checked = {
+            call.args[0].id
+            for call in own_calls(fn)
+            if isinstance(call.func, ast.Name) and call.func.id == "_check_tol"
+            and call.args and isinstance(call.args[0], ast.Name)
+        }
+        missing += [(name, a.arg) for a in args
+                    if (a.arg == "tol" or a.arg.endswith("_tol")) and a.arg not in checked]
+    return missing
+
+
+def tolerance_names(source: str) -> set[str]:
+    """Module-level names ending in ``_TOL`` that ``source`` assigns."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_TOL"))
+    return names
+
+
+def test_the_tolerance_rule_is_defined_once_in_chain():
+    where = [path.name for path in SOURCES
+             if "_check_tol" in defined_functions(path.read_text(encoding="utf-8"))]
+    assert where == ["chain.py"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_public_tolerance_is_checked(path):
+    assert unchecked_tolerances(path.read_text(encoding="utf-8"), set(sd.__all__)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_tolerances_are_named_only_in_the_table(path):
+    names = tolerance_names(path.read_text(encoding="utf-8"))
+    assert names == set() or path.name == "chain.py"
+
+
+def test_the_tolerance_checks_catch_their_faults():
+    source = (
+        "ROW_TOL = 1e-10\n"
+        "X_TOL: float = 1.0\n"
+        "def f(x, *, group_tol=1e-9, tol=0.0):\n"
+        "    _check_tol(tol)\n"
+        "    def inner():\n"
+        "        _check_tol(group_tol)\n"
+        "def _private(tol):\n"
+        "    pass\n"
+    )
+    missing = [("f", "group_tol"), ("_private", "tol")]
+    assert unchecked_tolerances(source, {"f", "_private"}) == missing
+    assert unchecked_tolerances(source, {"f"}) == [("f", "group_tol")]
+    assert tolerance_names(source) == {"ROW_TOL", "X_TOL"}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 import ssdual.duality as duality_module
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
+from conftest import rotating_dual
 from oracles import down_set_sums, peak_bytes
 from ssdual.errors import (
     BadParameters,
@@ -499,6 +500,18 @@ class TestToleranceRule:
             sd.check_mobius_monotone(sd.time_reversal(c), c.poset, "down", tol)
         with pytest.raises(BadParameters, match="tol"):
             sd.check_g_monotone(c, tol)
+        with pytest.raises(BadParameters, match="^tol must be finite"):
+            sd.is_reversible(c, tol)
+        with pytest.raises(BadParameters, match="^group_tol must be finite"):
+            sd.spectrum_numeric(c, group_tol=tol)
+        with pytest.raises(BadParameters, match="^group_tol must be finite"):
+            sd.spectrum_from_triangular(ising_dual(3, 0.5), group_tol=tol)
+
+    def test_nan_group_tol_cannot_hide_a_complex_level_block(self):
+        # imag > nan is False: a nan group_tol would return the real parts of -0.25 +- 0.433i
+        with pytest.raises(BadParameters) as info:
+            sd.spectrum_from_triangular(rotating_dual(), group_tol=float("nan"))
+        assert str(info.value) == "group_tol must be finite and nonnegative, got nan"
 
     @pytest.mark.parametrize(
         "model,args",

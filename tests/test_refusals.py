@@ -58,6 +58,16 @@ CASES = {
         MissingStationary,
         "reversibility check needs the stationary distribution",
     ),
+    "down-set-masses-shape": (
+        lambda: sd.down_set_masses(sd.grid_poset((2, 2)), np.full(3, 1 / 3)),
+        DimensionMismatch,
+        "pi has shape (3,) on a poset of 4 states",
+    ),
+    "link-pi-shape": (
+        lambda: sd.build_link(sd.grid_poset((2,) * 8), np.ones(512) / 512),
+        DimensionMismatch,
+        "pi has shape (512,) on a poset of 256 states",
+    ),
     "ising-no-vertex": (
         lambda: sd.IsingSpec(0, (), 0.5), BadParameters, "graph needs at least one vertex"
     ),

@@ -88,11 +88,12 @@ def _level_blocks(level: np.ndarray, rows, cols, vals) -> tuple[list, float]:
     return blocks, float(vals[level[cols] < level[rows]].max(initial=0.0))
 
 
-def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray) -> tuple[float, float]:
+def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray, variance=True) -> tuple[float, float]:
     """Mean and variance of T, solved one level block b at a time from the top down.
 
     ``(I - Q_bb) steps_b = 1 + Q_b,above steps`` and ``(I - Q_bb) second_b = 2 steps_b - 1
     + Q_b,above second``.  A Q that moves down a level is one block, the dense ``I - Q``.
+    Without ``variance`` only the mean's systems are solved, and the variance is NaN.
     """
     rows, cols, vals = Q
     a, n = d.absorbing_index, len(start)
@@ -106,15 +107,15 @@ def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray) -> tuple[floa
             system.flat[:: len(b) + 1] += 1.0
             # steps[b] and second[b] are still zero: these sums see only Q_b,above
             steps[b] = np.linalg.solve(system, 1.0 + np.bincount(rows, vals * steps[cols], n)[b])
-            rhs = 2.0 * steps[b] - 1.0 + np.bincount(rows, vals * second[cols], n)[b]
-            second[b] = np.linalg.solve(system, rhs)
+            if variance:
+                rhs = 2.0 * steps[b] - 1.0 + np.bincount(rows, vals * second[cols], n)[b]
+                second[b] = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix solve failed: {exc}") from exc
     if not np.all(np.isfinite(steps)) or steps.min(initial=0.0) < 0.0:
         raise NoAbsorbingState("some transient state never reaches the absorbing state")
     mean = float(start @ steps)
-    variance = float(start @ second) - mean * mean
-    return mean, variance
+    return mean, float(start @ second) - mean * mean if variance else math.nan
 
 
 def default_horizon(mean: float) -> int:
@@ -234,7 +235,7 @@ def simulate_sst(
     max_steps = _count(max_steps, "step cap")
     seed = _count(seed, "seed", end=2**64)  # the Philox key word is a uint64
     if horizon is None:
-        horizon = default_horizon(_absorption_moments(d, *_transient_parts(d))[0])
+        horizon = default_horizon(_absorption_moments(d, *_transient_parts(d), variance=False)[0])
     horizon = _count(horizon, "horizon")
     cum_rows = np.cumsum(d.P_star, axis=1)
     cum_rows[:, -1] = 1.0

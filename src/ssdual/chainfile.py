@@ -33,6 +33,7 @@ from .errors import (
 from .poset import build_poset
 
 SCHEMA_VERSION = 2
+_BLOCK_ENTRIES = 1 << 13  # kernel entries per block of rows that save_chain writes at once
 _NUMBER = {int, float}  # json.load types of a number; bool is neither
 
 
@@ -69,20 +70,23 @@ class LoadedChain:
 
 
 def _write_csr(fh, P: np.ndarray) -> None:
-    # The P_data, P_indices and P_indptr members, one kernel row at a time.
-    indptr = [0]
+    # The P_data, P_indices and P_indptr members, one nonzero search and one json.dumps per
+    # block of rows, so that no list of every stored entry is made.
+    size = P.shape[1]
+    step, counts = max(1, _BLOCK_ENTRIES // size), [[0]]
     for key in ("P_data", "P_indices"):
         fh.write(f'"{key}": [')
         sep = ""
-        for row in P:
-            cols = np.flatnonzero(row)
-            if cols.size:
-                fh.write(sep + json.dumps((row[cols] if key == "P_data" else cols).tolist())[1:-1])
+        for block in np.split(P, range(step, len(P), step)):
+            flat = np.flatnonzero(block)
+            if flat.size:
+                values = block.ravel()[flat] if key == "P_data" else flat % size
+                fh.write(sep + json.dumps(values.tolist())[1:-1])
                 sep = ", "
             if key == "P_indices":
-                indptr.append(indptr[-1] + cols.size)
+                counts.append(np.bincount(flat // size, minlength=len(block)))
         fh.write("], ")
-    fh.write(f'"P_indptr": {json.dumps(indptr)}, ')
+    fh.write(f'"P_indptr": {json.dumps(np.cumsum(np.concatenate(counts)).tolist())}, ')
 
 
 def save_chain(path, obj, *, meta: dict | None = None) -> None:

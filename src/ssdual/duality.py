@@ -9,6 +9,7 @@ down-monotonicity by plain entrywise nonnegativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +23,13 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _induced, _mobius_apply, _readonly
+from .poset import Poset, _induced, _mobius_apply, _readonly, _sweeps
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
+
+
+# _certify's axis sweeps take the left factor over column slabs of 1/_SLABS of a kernel, or
+# of _SLAB_ENTRIES entries if more: on a small poset a slab costs calls, not arithmetic
+_SLABS, _SLAB_ENTRIES = 32, 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +61,25 @@ class MonotonicityReport:
 
 @dataclass(frozen=True, eq=False)
 class LinkKernel:
-    """Truncated stationary link: row j is pi conditioned on the down-set of j."""
+    """Truncated stationary link: row j is pi conditioned on the down-set of j, kept as the
+    poset, ``pi`` and the down-set masses; ``matrix`` builds the dense M x M link on request."""
 
-    matrix: np.ndarray
+    poset: Poset
+    pi: np.ndarray
     down_mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
-        object.__setattr__(self, "down_mass", _readonly(np.asarray(self.down_mass, dtype=float)))
+        object.__setattr__(self, "pi", _readonly(np.array(self.pi, dtype=float)))
+        object.__setattr__(self, "down_mass", _readonly(np.array(self.down_mass, dtype=float)))
+
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the link, columns :hi: the link is lower triangular."""
+        rows = self.poset.leq[:hi, lo:hi].T * self.pi[:hi]
+        return np.divide(rows, self.down_mass[lo:hi, None], out=rows)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _readonly(self._rows(0, self.poset.size))
 
 
 def check_mobius_monotone(
@@ -107,23 +124,32 @@ def _certify(
     by about rho times it; rho is 0 for a vector.  With bound = (M * eps + rho)
     times ``|left| @ a @ right``, an entry in [-(bound + tol), bound] is an
     exact zero and one below it a violation.  The bound is relative, so a
-    genuine small transition (a rate of 1e-13, say) is kept.
+    genuine small transition (a rate of 1e-13, say) is kept.  ``a`` is copied once, and the
+    left factor and the bound are taken one slab of columns at a time.
     """
-    transformed = _mobius_apply(p, a, left, right)
+    rho = _defect(a)[1] if a.ndim == 2 else 0.0
+    transformed = np.array(a, dtype=float) if right is None else _mobius_apply(p, a, right=right)
+    zero = np.empty_like(transformed, dtype=bool)
+    cols, zero_cols = transformed.reshape(p.size, -1), zero.reshape(p.size, -1)  # a vector is one column
+    n, margin = cols.shape[1], np.inf  # dense factors are M x M already: one slab
+    step = max(-(-n // _SLABS), -(-_SLAB_ENTRIES // p.size)) if _sweeps(p) else n
+    for lo in range(0, n, step):
+        part = cols[:, lo:lo + step]  # a view, which takes the left factor's result
+        bound = _mobius_apply(p, part, f"|{left}|")
+        part[...] = _mobius_apply(p, part, left)
+        np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
+        bound *= p.size * np.finfo(float).eps + rho
+        zero_cols[:, lo:lo + step] = part <= bound
+        bound += part  # each entry's margin over -bound, without a second mask
+        margin = np.minimum(margin, bound.min())  # keeps a NaN, unlike min()
     # the first minimum in row-major order, row then column (a flat argmin copies F order)
     idx = (int(np.argmin(transformed.min(axis=1))),) if transformed.ndim == 2 else ()
     idx += (int(np.argmin(transformed[idx])),)
-    rho = _defect(a)[1] if a.ndim == 2 else 0.0
-    bound = _mobius_apply(p, a, f"|{left}|", right)
-    np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
-    bound *= p.size * np.finfo(float).eps + rho
-    zero = transformed <= bound
-    bound += transformed  # each entry's margin over -bound, without a second mask
     return MonotonicityReport(
         direction=direction,
         transformed=transformed,
         min_entry=float(transformed[idx]),
-        passed=bool(bound.min() >= -tol),
+        passed=bool(margin >= -tol),
         witness=idx,
         tol=tol,
         zero=zero,
@@ -158,10 +184,7 @@ def build_link(p: Poset, pi: np.ndarray) -> LinkKernel:
     if not p.has_unique_max:
         raise NoUniqueMax("link construction requires a unique maximal state")
     pi = _positive_pi(pi, "link construction")
-    H = down_set_masses(p, pi)
-    matrix = p.leq.T * pi[None, :]
-    matrix /= H[:, None]
-    return LinkKernel(matrix=matrix, down_mass=H)
+    return LinkKernel(poset=p, pi=pi, down_mass=down_set_masses(p, pi))
 
 
 def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
@@ -209,16 +232,20 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
 
 def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tuple[float, float]:
-    """(kernel, initial) intertwining residuals in the sup norm; L P - P* L in row slabs."""
-    if d.poset.labels != c.poset.labels or link.matrix.shape != (c.size, c.size):
+    """(kernel, initial) intertwining residuals in the sup norm, in row slabs without the
+    link matrix: rows lo:hi of L from ``leq[:hi, lo:hi]``, of P* L as ``((P* / H) zeta.T) * pi``."""
+    if not c.poset.labels == d.poset.labels == link.poset.labels:
         raise DimensionMismatch("chain, dual and link disagree in size or state order")
+    p, pi, H = link.poset, link.pi, link.down_mass
     step, kernel = max(128, c.size // 8), 0.0
     for lo in range(0, c.size, step):
-        slab = link.matrix[lo:lo + step] @ c.P
-        slab -= d.P_star[lo:lo + step] @ link.matrix
+        slab = link._rows(lo, lo + step) @ c.P[:lo + step]
+        dual = _mobius_apply(p, d.P_star[lo:lo + step] / H, right="zeta.T", copy=False)
+        slab -= np.multiply(dual, pi, out=dual)
         kernel = np.maximum(kernel, np.abs(slab, out=slab).max())  # keeps a NaN, unlike max()
-    initial = float(np.max(np.abs(c.nu - d.nu_star @ link.matrix)))
-    return float(kernel), initial
+        del slab, dual  # before the next slab's are made
+    initial = _mobius_apply(p, d.nu_star / H, right="zeta.T", copy=False) * pi
+    return float(kernel), float(np.max(np.abs(c.nu - initial)))
 
 
 def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:

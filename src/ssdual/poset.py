@@ -456,20 +456,24 @@ def _axis_sweep(view: np.ndarray, sign: int, offset: int, cumulative: bool) -> N
             op(target, view[:, k + offset, lane], out=target)
 
 
-def _mobius_apply(
-    p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None
-) -> np.ndarray:
-    """``left @ a @ right`` as a new float array, factors named in ``_AXIS_STEPS``.
+def _sweeps(p: Poset) -> bool:
+    """Whether :func:`_mobius_apply` runs axis sweeps on ``p`` rather than dense products."""
+    return p.shape is not None and p.size > _DENSE_MAX_STATES
 
-    ``a`` is an M x M matrix, or a vector with one factor on either side.  A
-    product of chains of more than ``_DENSE_MAX_STATES`` states takes the
-    factors axis by axis (:func:`_axis_apply`); other posets, and small
-    products of chains, where dense products are faster, multiply by the
-    zeta and Mobius matrices.
-    """
+
+def _mobius_apply(
+    p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None, copy: bool = True
+) -> np.ndarray:
+    """``left @ a @ right`` as a float array, factors named in ``_AXIS_STEPS``.
+
+    ``a`` is an M x M matrix, a vector with one factor on either side, or a batch: k x M
+    rows with a right factor, M x k columns with a left one.  A product of chains of more
+    than ``_DENSE_MAX_STATES`` states takes the factors axis by axis (:func:`_axis_apply`),
+    in place on ``a`` if ``copy`` is False; other posets, and small products of chains,
+    multiply by the zeta and Mobius matrices, which is faster there."""
     a = np.asarray(a, dtype=float)
-    if p.shape is not None and p.size > _DENSE_MAX_STATES:
-        return _axis_apply(p.shape, a, left, right)
+    if _sweeps(p):
+        return _axis_apply(p.shape, a, left, right, copy)
     out = a
     if left is not None:
         out = _dense_factor(p, left) @ out
@@ -479,29 +483,32 @@ def _mobius_apply(
 
 
 def _axis_apply(
-    shape: tuple[int, ...], a: np.ndarray, left: str | None = None, right: str | None = None
+    shape: tuple[int, ...], a: np.ndarray, left: str | None = None, right: str | None = None, copy=True
 ) -> np.ndarray:
     """``left @ a @ right`` on the product of chains ``shape``, in O(a.size * sum(shape)).
 
-    The factors run in place on a copy of ``a``, one chain axis at a time.
+    The factors run in place one chain axis at a time, on a copy of ``a`` unless ``copy`` is
+    False and ``a`` is a contiguous float array; ``a`` is as in :func:`_mobius_apply`.
     """
-    out = np.array(a, dtype=float, order="K")  # a copy in the memory order of a
-    # sweep the C-ordered face of the copy: the transpose of an F-ordered
-    # matrix, whose leading axes index the columns
-    transposed = not out.flags.c_contiguous
-    face = out.T if transposed else out
-    d = len(shape)
-    rows, cols = (d, 0) if transposed else (0, (a.ndim - 1) * d)
+    if copy or a.dtype != float or not a.flags.forc:
+        a = np.array(a, dtype=float, order="K")  # a copy in the memory order of a
+    # a vector is one column for a left factor and one row for a right one
+    mat = a.reshape((1, -1) if right is not None else (-1, 1)) if a.ndim == 1 else a
+    # sweep the C-ordered face: the transpose of an F-ordered batch, led by its column axes
+    transposed = not mat.flags.c_contiguous
+    face = mat.T if transposed else mat
     # in C order coordinate 0, the fastest, is the last axis of each index
-    dims = shape[::-1] * a.ndim
-    for name, first, flip in ((left, rows, 1), (right, cols, -1)):
+    rows = shape[::-1] if left is not None else mat.shape[:1]
+    cols = shape[::-1] if right is not None else mat.shape[1:]
+    dims, starts = (cols + rows, (len(cols), 0)) if transposed else (rows + cols, (0, len(rows)))
+    for name, first, flip in ((left, starts[0], 1), (right, starts[1], -1)):
         if name is None:
             continue
         sign, offset, cumulative = _AXIS_STEPS[name]
-        for axis in range(first, first + d):
+        for axis in range(first, first + len(shape)):
             view = face.reshape(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
             _axis_sweep(view, sign, flip * offset, cumulative)
-    return out
+    return a
 
 
 def mobius_inverse_check(f: np.ndarray, p: Poset) -> np.ndarray:

@@ -522,6 +522,23 @@ class TestSimulation:
         with pytest.raises(MemoryError):
             sd.simulate_sst(d, 1, seed=0, horizon=np.iinfo(np.intp).max // 8 - 2, max_steps=10)
 
+    @pytest.mark.parametrize("d", [lattice_dual(4), ising_dual(4, 0.5)], ids=["dense-block", "levels"])
+    def test_default_horizon_solves_only_the_mean(self, monkeypatch, d):
+        solve, solved = np.linalg.solve, []
+
+        def counting(a, b):
+            solved.append(len(b))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        law = sd.absorption_survival(d)
+        both = len(solved)
+        solved.clear()
+        emp = sd.simulate_sst(d, 200, seed=5)
+        assert 2 * len(solved) == both
+        assert emp.horizon == law.horizon
+        assert emp.survival.tolist() == sd.simulate_sst(d, 200, seed=5, horizon=law.horizon).survival.tolist()
+
     def test_seed_validation(self):
         d = cube_dual(2, 1)
         with pytest.raises(BadParameters):

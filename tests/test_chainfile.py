@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ssdual as sd
+import ssdual.chainfile as chainfile_module
 from conftest import (
     cube,
     cube_dual,
@@ -133,6 +134,15 @@ class TestFormat:
         text = path.read_text(encoding="utf-8")
         assert json.loads(text) == doc
         assert text == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_blocks_of_rows_match_reference_encoding(self, tmp_path):
+        # 400 states: 20 blocks of 20 rows; a dual's absorbing row ends the last
+        obj = lattice_dual(19)
+        assert obj.size == 400 and chainfile_module._BLOCK_ENTRIES // obj.size == 20
+        path = tmp_path / "dual.json"
+        sd.save_chain(path, obj, meta={})
+        doc = csr_document(obj, {})
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("obj", [ising(4, 0.5), cube_dual(2, 2), lattice(4)], ids=str)
     def test_v2_save_load_save_is_byte_stable(self, tmp_path, obj):

@@ -1,6 +1,7 @@
 """The package imports only numpy and the standard library (pyproject.toml declares numpy alone),
-its modules import one another without a cycle, and every tolerance goes by chain.py's table
-and its one rule, ``_check_tol``."""
+its modules import one another without a cycle, every tolerance goes by chain.py's table
+and its one rule, ``_check_tol``, and zeta and Mobius products go through poset.py's one
+transform API."""
 import ast
 import graphlib
 import sys
@@ -151,3 +152,33 @@ def test_the_tolerance_checks_catch_their_faults():
     assert unchecked_tolerances(source, {"f", "_private"}) == missing
     assert unchecked_tolerances(source, {"f"}) == [("f", "group_tol")]
     assert tolerance_names(source) == {"ROW_TOL", "X_TOL"}
+
+
+# The axis sweeps behind poset._mobius_apply and poset._axis_apply; no other module may reach them.
+SWEEP_INTERNALS = {"_axis_sweep", "_AXIS_STEPS"}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name ``source`` reads, imports or takes as an attribute, function bodies too."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_poset_sweeps_axes(path):
+    used = names_used(path.read_text(encoding="utf-8")) & SWEEP_INTERNALS
+    assert used == set() or path.name == "poset.py"
+
+
+def test_a_stray_sweep_is_caught():
+    assert names_used("from .poset import _axis_sweep as sweep\n") & SWEEP_INTERNALS == {"_axis_sweep"}
+    source = "from . import poset\ndef f(a):\n    return poset._AXIS_STEPS['zeta']\n"
+    assert names_used(source) & SWEEP_INTERNALS == {"_AXIS_STEPS"}
+    assert names_used("from .poset import _mobius_apply\n") & SWEEP_INTERNALS == set()

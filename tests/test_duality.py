@@ -65,6 +65,17 @@ class TestKernelMonotonicity:
         with pytest.raises(DimensionMismatch):
             sd.check_mobius_monotone(np.eye(3), sd.chain_poset(2), "down")
 
+    @staticmethod
+    def certified(monkeypatch, T):
+        """The report on ``T`` itself: each signed factor the identity, each bound zero."""
+
+        def transform(p, a, left=None, right=None, copy=True):
+            return np.zeros(a.shape) if (left or right).startswith("|") else np.array(a)
+
+        monkeypatch.setattr(duality_module, "_mobius_apply", transform)
+        with np.errstate(invalid="ignore"):  # the kernel defect of a NaN or -inf entry
+            return sd.check_mobius_monotone(T, sd.chain_poset(len(T)), "down")
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
         "marks",
@@ -81,15 +92,31 @@ class TestKernelMonotonicity:
         T = np.arange(25.0).reshape(5, 5)
         for at, value in marks.items():
             T[at] = value
-
-        def transform(p, a, left=None, right=None):
-            return np.zeros(T.shape) if left.startswith("|") else np.array(T, order=order)
-
-        monkeypatch.setattr(duality_module, "_mobius_apply", transform)
-        report = sd.check_mobius_monotone(np.zeros((5, 5)), sd.chain_poset(5), "down")
+        report = self.certified(monkeypatch, np.array(T, order=order))
         expected = tuple(int(i) for i in np.unravel_index(np.argmin(T), T.shape))
         assert report.witness == expected
         np.testing.assert_equal(report.min_entry, T[expected])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "marks,expected",
+        [
+            ({(7, 1): -1.0, (5, 207): -1.0, (5, 105): -1.0}, (5, 105)),
+            ({(2, 0): -np.inf, (60, 314): np.nan, (61, 103): np.nan}, (60, 314)),
+        ],
+        ids=["ties-across-slabs", "nan-in-a-later-slab"],
+    )
+    def test_witness_across_column_slabs(self, monkeypatch, order, marks, expected):
+        # 320 states: slabs of 103 columns, the last of 11, so slab-major order
+        # would name (7, 1) or (61, 103)
+        assert (duality_module._SLABS, duality_module._SLAB_ENTRIES) == (32, 1 << 15)
+        T = np.arange(320.0 * 320).reshape(320, 320)
+        for at, value in marks.items():
+            T[at] = value
+        report = self.certified(monkeypatch, np.array(T, order=order))
+        assert report.witness == expected
+        np.testing.assert_equal(report.min_entry, T[expected])
+        assert not report.passed
 
 
 class TestInitialDensityMonotonicity:
@@ -157,11 +184,19 @@ class TestLink:
         with pytest.raises(MissingStationary, match="strictly positive"):
             sd.build_link(sd.chain_poset(3), np.array([0.5, 0.0, 0.5]))
 
-    def test_holds_one_kernel(self):
-        # the link itself, divided in place
+    def test_allocates_no_kernel(self):
+        # pi and the down-set masses: the matrix is built only on request
         c = ising(10, 0.5)
-        _, peak = peak_bytes(sd.build_link, c.poset, c.pi)
-        assert peak < 1.25 * c.P.nbytes
+        link, peak = peak_bytes(sd.build_link, c.poset, c.pi)
+        assert peak < 0.01 * c.P.nbytes
+        assert "matrix" not in link.__dict__
+
+    def test_matrix_is_the_dense_link(self):
+        c = lattice(3)
+        link = sd.build_link(c.poset, c.pi)
+        dense = c.poset.leq.T * c.pi[None, :] / down_set_sums(c.poset.leq, c.pi)[:, None]
+        assert np.abs(link.matrix - dense).max() <= 1e-15
+        assert link.matrix is link.matrix and not link.matrix.flags.writeable
 
     def test_link_does_not_build_mobius_pair(self):
         p = sd.grid_poset([3, 3])
@@ -224,6 +259,13 @@ class TestBuildDual:
         )
         with pytest.raises(NotRowStochastic, match=r"distribution sums to 0\.5$"):
             sd.build_dual(c)
+
+    def test_holds_under_two_and_a_quarter_kernels(self):
+        # the time reversal, its one transformed copy and the zero mask, then the
+        # dual beside the copy; the bound exists one slab of columns at a time
+        c = ising(10, 0.5)
+        _, peak = peak_bytes(sd.build_dual, c)
+        assert peak < 2.25 * c.P.nbytes
 
     def test_symmetric_two_state_jumps_to_top(self):
         c = sd.ChainSpec(
@@ -309,12 +351,13 @@ class TestIntertwining:
         assert sd.verify_intertwining(chain, dual, link) <= 1e-10
 
     def test_identity_chain_self_dual(self):
+        # L P = L = P* L, and the top row of L is pi
         size = 4
         poset = sd.grid_poset([2, 2])
         pi = np.full(size, 0.25)
         c = sd.ChainSpec(poset=poset, P=np.eye(size), nu=pi, pi=pi)
-        d = sd.DualChain(poset=poset, P_star=np.eye(size), nu_star=pi, absorbing_index=3)
-        link = sd.LinkKernel(matrix=np.eye(size), down_mass=np.ones(size))
+        d = sd.DualChain(poset=poset, P_star=np.eye(size), nu_star=np.eye(size)[3], absorbing_index=3)
+        link = sd.LinkKernel(poset=poset, pi=pi, down_mass=sd.down_set_masses(poset, pi))
         assert sd.verify_intertwining(c, d, link) == 0.0
 
     def test_perturbation_is_detected(self):
@@ -349,30 +392,32 @@ class TestIntertwining:
         dense = np.max(np.abs(link.matrix @ chain.P - dual.P_star @ link.matrix))
         assert abs(sd.intertwining_residuals(chain, dual, link)[0] - dense) <= 1e-15
 
+    @staticmethod
+    def antichain(m, P_star, down_mass):
+        """Identity chain, dual and link on ``m`` unordered states: the link is the identity
+        where ``down_mass`` is 1."""
+        poset = sd.build_poset(range(m), [])
+        nu = np.full(m, 1.0 / m)
+        c = sd.ChainSpec(poset=poset, P=np.eye(m), nu=nu)
+        d = sd.DualChain(poset=poset, P_star=P_star, nu_star=nu, absorbing_index=m - 1)
+        return c, d, sd.LinkKernel(poset=poset, pi=np.ones(m), down_mass=down_mass)
+
     @pytest.mark.parametrize("row", [0, 136, 137, 1097, 1098])
     def test_every_slab_is_read(self, row):
         # 1100 states: slabs of 137 rows, the last of 4; the residual sits in one row
         m = 1100
-        poset = sd.chain_poset(m)
-        nu = np.full(m, 1.0 / m)
-        c = sd.ChainSpec(poset=poset, P=np.eye(m), nu=nu)
         P_star = np.eye(m)
         P_star[row, [row, m - 2 if row == 0 else 0]] = 0.5
-        d = sd.DualChain(poset=poset, P_star=P_star, nu_star=nu, absorbing_index=m - 1)
-        link = sd.LinkKernel(matrix=np.eye(m), down_mass=np.ones(m))
+        c, d, link = self.antichain(m, P_star, np.ones(m))
         assert sd.intertwining_residuals(c, d, link)[0] == 0.5
 
     @pytest.mark.parametrize("row", [137, 1097])
     def test_a_nan_in_a_later_slab_is_kept(self, row):
-        # the 1100-state setup above, with a NaN on the link's diagonal in one row
+        # the 1100-state setup above, with a NaN down-set mass: one NaN row of L and column of P* L
         m = 1100
-        poset = sd.chain_poset(m)
-        nu = np.full(m, 1.0 / m)
-        c = sd.ChainSpec(poset=poset, P=np.eye(m), nu=nu)
-        d = sd.DualChain(poset=poset, P_star=np.eye(m), nu_star=nu, absorbing_index=m - 1)
-        matrix = np.eye(m)
-        matrix[row, row] = np.nan
-        link = sd.LinkKernel(matrix=matrix, down_mass=np.ones(m))
+        down_mass = np.ones(m)
+        down_mass[row] = np.nan
+        c, d, link = self.antichain(m, np.eye(m), down_mass)
         assert math.isnan(sd.intertwining_residuals(c, d, link)[0])
         assert math.isnan(sd.verify_intertwining(c, d, link))
 
@@ -405,6 +450,14 @@ class TestIntertwining:
         link = sd.build_link(c.poset, c.pi)
         _, peak = peak_bytes(sd.intertwining_residuals, c, d, link)
         assert peak < c.P.nbytes / 2
+
+    def test_holds_no_kernel_sized_product_at_4096_states(self):
+        c = sd.ising_circle(12, 0.5)
+        d = sd.ising_circle_dual(12, 0.5)
+        link = sd.build_link(c.poset, c.pi)
+        (kernel, initial), peak = peak_bytes(sd.intertwining_residuals, c, d, link)
+        assert peak < c.P.nbytes / 2
+        assert kernel <= 1e-12 and initial <= 1e-12
 
     def test_dimension_mismatch(self):
         c = ising(3, 0.0)

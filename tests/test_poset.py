@@ -516,6 +516,26 @@ class TestShapedCalculus:
         close(sd.mobius_inverse_check(v, p), sd.mobius_inverse_check(v, q), scale)
 
 
+    @given(shaped_posets(), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
+    @settings(max_examples=40, deadline=None)
+    def test_batches_match_dense_products(self, p, k, seed, order):
+        # k rows with a right factor, k columns with a left one; copy=False sweeps in place
+        rng = np.random.default_rng(seed)
+        rows = np.asarray(rng.standard_normal((k, p.size)), order=order)
+        cols = np.asarray(rng.standard_normal((p.size, k)), order=order)
+        mu = sd.mobius_pair(unshaped(p)).mobius.astype(float)
+        zeta = p.leq.astype(float)
+        for name, M in (("mobius", mu), ("zeta", zeta), ("zeta.T", zeta.T), ("|mobius.T|", np.abs(mu.T))):
+            for a, dense, side in ((rows, rows @ M, "right"), (cols, M @ cols, "left")):
+                scale = np.abs(a) @ np.abs(M) if side == "right" else np.abs(M) @ np.abs(a)
+                fast = _axis_apply(p.shape, a, **{side: name})
+                assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
+                work = a.copy(order="K")
+                assert _axis_apply(p.shape, work, copy=False, **{side: name}) is work
+                assert np.array_equal(work, fast)
+                assert np.all(np.abs(_mobius_apply(p, a, **{side: name}) - dense) <= 1e-12 * scale)
+
+
 class TestMobiusInverse:
     def test_two_chain_roundtrip(self):
         p = sd.chain_poset(2)

@@ -88,28 +88,72 @@ def _level_blocks(level: np.ndarray, rows, cols, vals) -> tuple[list, float]:
     return blocks, float(vals[level[cols] < level[rows]].max(initial=0.0))
 
 
+def _slices(d: DualChain, rows, cols) -> list | None:
+    """Q's states of each last coordinate of a shaped poset, lowest first, as contiguous
+    ranges, if no nonzero (rows, cols) of Q changes that coordinate by more than 1; else None."""
+    if d.poset.shape is not None:
+        last = np.delete(np.arange(d.size) // (d.size // d.poset.shape[-1]), d.absorbing_index)
+        if np.abs(last[rows] - last[cols]).max(initial=0) <= 1:
+            edges = [0, *(np.flatnonzero(np.diff(last)) + 1).tolist(), len(last)]
+            return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return None
+
+
+def _slice_factors(P_star: np.ndarray, full: np.ndarray, slices: list) -> list:
+    """Block-Thomas factors of a block-tridiagonal ``I - Q``: per slice k its range, ``Q_k,k-1``,
+    ``S_k^-1`` and ``G_k``, with ``S_k = I - Q_kk - Q_k,k-1 G_k-1`` and ``G_k = S_k^-1 Q_k,k+1``."""
+    blocks, empty = [full[s] for s in slices], np.zeros(0, dtype=np.intp)
+    factors, G = [], np.zeros((0, len(blocks[0])))  # no slice below the first, none above the last
+    for s, below, b, above in zip(slices, [empty, *blocks], blocks, [*blocks[1:], empty]):
+        low = P_star[np.ix_(b, below)]
+        inverse = np.linalg.inv(np.eye(len(b)) - P_star[np.ix_(b, b)] - low @ G)
+        G = inverse @ P_star[np.ix_(b, above)]
+        factors.append((s, low, inverse, G))
+    return factors
+
+
+def _block_sweep(factors: list, rhs: np.ndarray) -> np.ndarray:
+    """``(I - Q)^-1 rhs`` from ``_slice_factors``: z_k = S_k^-1 (rhs_k + Q_k,k-1 z_k-1) upward,
+    then x_k = z_k + G_k x_k+1 downward."""
+    x, z = np.empty_like(rhs), np.zeros(0)
+    for s, low, inverse, _ in factors:
+        z = x[s] = inverse @ (rhs[s] + low @ z)
+    z = np.zeros(0)
+    for s, _, _, G in reversed(factors):
+        z = x[s] = x[s] + G @ z
+    return x
+
+
 def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray, variance=True) -> tuple[float, float]:
     """Mean and variance of T, solved one level block b at a time from the top down.
 
     ``(I - Q_bb) steps_b = 1 + Q_b,above steps`` and ``(I - Q_bb) second_b = 2 steps_b - 1
-    + Q_b,above second``.  A Q that moves down a level is one block, the dense ``I - Q``.
+    + Q_b,above second``.  A Q that moves down a level is block tridiagonal in ``_slices`` if
+    they exist, both moments sweeping one factorization, and otherwise one dense block.
     Without ``variance`` only the mean's systems are solved, and the variance is NaN.
     """
     rows, cols, vals = Q
     a, n = d.absorbing_index, len(start)
     full = np.delete(np.arange(d.size), a)  # Q's state i is P_star's state full[i]
     blocks, down = _level_blocks(np.delete(_levels(d.poset), a), rows, cols, vals)
+    slices = _slices(d, rows, cols) if down > 0.0 else None
     steps, second = np.zeros(n), np.zeros(n)
     try:
-        for b in reversed([np.arange(n)] if down > 0.0 else blocks):
-            system = d.P_star[np.ix_(full[b], full[b])]
-            np.negative(system, out=system)
-            system.flat[:: len(b) + 1] += 1.0
-            # steps[b] and second[b] are still zero: these sums see only Q_b,above
-            steps[b] = np.linalg.solve(system, 1.0 + np.bincount(rows, vals * steps[cols], n)[b])
+        if slices:
+            factors = _slice_factors(d.P_star, full, slices)
+            steps = _block_sweep(factors, np.ones(n))
             if variance:
-                rhs = 2.0 * steps[b] - 1.0 + np.bincount(rows, vals * second[cols], n)[b]
-                second[b] = np.linalg.solve(system, rhs)
+                second = _block_sweep(factors, 2.0 * steps - 1.0)
+        else:
+            for b in reversed([np.arange(n)] if down > 0.0 else blocks):
+                system = d.P_star[np.ix_(full[b], full[b])]
+                np.negative(system, out=system)
+                system.flat[:: len(b) + 1] += 1.0
+                # steps[b] and second[b] are still zero: these sums see only Q_b,above
+                steps[b] = np.linalg.solve(system, 1.0 + np.bincount(rows, vals * steps[cols], n)[b])
+                if variance:
+                    rhs = 2.0 * steps[b] - 1.0 + np.bincount(rows, vals * second[cols], n)[b]
+                    second[b] = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental matrix solve failed: {exc}") from exc
     if not np.all(np.isfinite(steps)) or steps.min(initial=0.0) < 0.0:
@@ -127,8 +171,8 @@ def absorption_survival(d: DualChain, horizon: int | None = None) -> AbsorptionL
     """Exact absorption law from powers of the transient block.
 
     The survival is the mass left in transient states after n steps.  The
-    horizon-free mean and variance solve ``I - Q`` by level-block
-    back-substitution if the dual never moves down a level, densely otherwise.
+    horizon-free mean and variance solve ``I - Q`` by level blocks if the dual never
+    moves down a level, else by slices of a product's last coordinate or densely.
     """
     parts = _transient_parts(d)
     mean, variance = _absorption_moments(d, *parts)

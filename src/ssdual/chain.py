@@ -290,9 +290,9 @@ def _nonzeros(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _count(n, what: str, least: int = 0, end: int = np.iinfo(np.intp).max // 8 - 1) -> int:
     """``n``, a step, horizon or sample count (or a seed, with its own ``end``), as an int;
-    BadParameters unless ``least <= n < end``.  The default ``end`` keeps n + 2 eight-byte
-    entries within what numpy can size: a larger count would raise ValueError, not MemoryError."""
-    if not (isinstance(n, numbers.Integral) and least <= n < end):
+    BadParameters for a bool or unless ``least <= n < end``.  The default ``end`` keeps n + 2
+    eight-byte entries within what numpy can size: a larger count would raise ValueError."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and least <= n < end):
         kind = "nonnegative" if least == 0 else "positive"
         raise BadParameters(f"{what} must be a {kind} integer below {end}")
     return int(n)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import ssdual as sd
-from conftest import cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice, lattice_dual
-from conftest import rotating_dual
+from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
+from conftest import lattice_dual, rotating_dual
 from oracles import dense_absorption_moments, peak_bytes, separation_by_matrix_power
+from ssdual import absorption
+from ssdual.absorption import _slices, _transient_parts
 from ssdual.errors import (
     BadParameters,
     BadProbability,
@@ -143,6 +145,10 @@ def test_negative_horizon_is_rejected(call, error):
         lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, horizon=10**20),
         lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps=2.5),
         lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps="x"),
+        lambda: sd.simulate_sst(cube_dual(2, 1), True, seed=0),
+        lambda: sd.absorption_survival(cube_dual(2, 1), True),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=True),
+        lambda: sd.simulate_sst(cube_dual(2, 1), 5, seed=0, max_steps=True),
         lambda: sd.coupon_collector_bound(10**400, 1.0),
         lambda: sd.chebyshev_bound(10**400, 1, 1.0),
         lambda: sd.chebyshev_bound(3, 10**400, 1.0),
@@ -150,7 +156,8 @@ def test_negative_horizon_is_rejected(call, error):
     ids=[
         "evolve", "evolve_float", "evolve_5000_digits", "separation_curve", "absorption_survival",
         "geometric_sum_law", "simulate_samples", "simulate_no_samples", "simulate_seed", "simulate_horizon",
-        "simulate_max_steps_float", "simulate_max_steps_str",
+        "simulate_max_steps_float", "simulate_max_steps_str", "simulate_samples_true",
+        "absorption_survival_true", "simulate_seed_true", "simulate_max_steps_true",
         "coupon_collector_N", "chebyshev_n", "chebyshev_k",
     ],
 )
@@ -174,6 +181,14 @@ def never_moves_down(d):
     level = _levels(d.poset)
     rows, cols = np.nonzero(d.P_star)
     return bool((level[cols] >= level[rows]).all())
+
+
+def moment_path(d):
+    """The block partition _absorption_moments takes for ``d``."""
+    if never_moves_down(d):
+        return "levels"
+    (rows, cols, _), _ = _transient_parts(d)
+    return "dense" if _slices(d, rows, cols) is None else "slices"
 
 
 def assert_moments_match_dense(d):
@@ -202,6 +217,19 @@ def swapping_dual(down):
         ]
     )
     return sd.DualChain(poset=poset, P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+
+
+def bouncing_dual():
+    """On the chain 0 < 1 < 2 < 3 the dual goes 0 -> 1 -> 2 -> 1 and never reaches 3: every
+    move changes the only coordinate by 1, so I - Q is block tridiagonal, and singular."""
+    P = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    return sd.DualChain(poset=sd.chain_poset(4), P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+
+
+def jumping_dual():
+    """On the chain 0 < 1 < 2 < 3, 0 -> 2 and 2 -> 0 change the only coordinate by 2."""
+    P = [[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]
+    return sd.DualChain(poset=sd.chain_poset(4), P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
 
 
 def absorbing_in_the_middle(down):
@@ -263,19 +291,32 @@ class TestBlockMoments:
             assert never_moves_down(d)
             assert_moments_match_dense(d)
 
-    @pytest.mark.parametrize("N", [2, 5, 12])
-    def test_lattice_duals_keep_the_dense_solve_exactly(self, N):
-        spec = sd.LatticeSpec(N, 0.15, 0.3, 0.25, 0.2)
-        for d in (lattice_dual(N), sd.lattice_walk_dual(spec)):
-            assert not never_moves_down(d)
-            law = sd.absorption_survival(d, 0)
-            dense = dense_absorption_moments(d.P_star, d.nu_star, d.absorbing_index)
-            assert (law.mean, law.variance) == dense
+    @pytest.mark.parametrize("N", [2, 5, 12, 24, 40])
+    def test_lattice_duals_take_the_slices(self, N):
+        for params in LATTICE_PARAMS:
+            spec = sd.LatticeSpec(N, *params)
+            for d in (lattice_dual(N, params), sd.lattice_walk_dual(spec)):
+                assert moment_path(d) == "slices"
+                assert_moments_match_dense(d)
 
-    @pytest.mark.parametrize("down", [False, True], ids=["level-block", "dense"])
-    def test_a_closed_transient_class_is_singular(self, down):
-        d = swapping_dual(down)
-        assert never_moves_down(d) != down
+    def test_a_jump_of_two_slices_keeps_the_dense_solve_exactly(self):
+        d = jumping_dual()
+        assert moment_path(d) == "dense"
+        law = sd.absorption_survival(d, 0)
+        assert (law.mean, law.variance) == dense_absorption_moments(d.P_star, d.nu_star, 3)
+
+    @pytest.mark.parametrize(
+        "dual, path",
+        [
+            (lambda: swapping_dual(False), "levels"),
+            (lambda: swapping_dual(True), "dense"),  # its 0 -> b jumps two slices
+            (bouncing_dual, "slices"),
+        ],
+        ids=["level-block", "dense", "slices"],
+    )
+    def test_a_closed_transient_class_is_singular(self, dual, path):
+        d = dual()
+        assert moment_path(d) == path
         with pytest.raises(SingularSystem):
             sd.absorption_survival(d)
         with pytest.raises(SingularSystem):
@@ -284,6 +325,7 @@ class TestBlockMoments:
     @pytest.mark.parametrize("down", [False, True], ids=["level-block", "dense"])
     def test_absorbing_state_before_a_transient_one(self, down):
         d = absorbing_in_the_middle(down)
+        assert moment_path(d) == ("dense" if down else "levels")  # 0 < {a, b} has no shape
         law = sd.absorption_survival(d, 0)
         dense = dense_absorption_moments(d.P_star, d.nu_star, d.absorbing_index)
         assert (law.mean, law.variance) == dense
@@ -299,6 +341,13 @@ class TestBlockMoments:
         d = sd.ising_circle_dual(10, 0.5)
         _, peak = peak_bytes(sd.absorption_survival, d)
         assert peak < d.size**2 * 8 / 4
+
+    def test_no_dense_transient_block_on_slices(self):
+        # 1681 states: one dense I - Q is 22.6 MiB; 41 slices of 41 states stay far below
+        d = sd.lattice_walk_dual(sd.LatticeSpec(40, 0.2, 0.2, 0.25, 0.25))
+        assert moment_path(d) == "slices"
+        _, peak = peak_bytes(sd.absorption_survival, d)
+        assert peak < (d.size - 1) ** 2 * 8 / 4
 
 
 class TestGeometricSumLaw:
@@ -522,20 +571,29 @@ class TestSimulation:
         with pytest.raises(MemoryError):
             sd.simulate_sst(d, 1, seed=0, horizon=np.iinfo(np.intp).max // 8 - 2, max_steps=10)
 
-    @pytest.mark.parametrize("d", [lattice_dual(4), ising_dual(4, 0.5)], ids=["dense-block", "levels"])
+    @pytest.mark.parametrize(
+        "d",
+        [absorbing_in_the_middle(True), ising_dual(4, 0.5), lattice_dual(4)],
+        ids=["dense-block", "levels", "slices"],
+    )
     def test_default_horizon_solves_only_the_mean(self, monkeypatch, d):
-        solve, solved = np.linalg.solve, []
+        solved = []
 
-        def counting(a, b):
-            solved.append(len(b))
-            return solve(a, b)
+        def counting(name, solver):
+            def counted(*args):
+                solved.append(name)
+                return solver(*args)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(absorption, "_block_sweep", counting("sweep", absorption._block_sweep))
         law = sd.absorption_survival(d)
-        both = len(solved)
+        both = sorted(solved)
         solved.clear()
         emp = sd.simulate_sst(d, 200, seed=5)
-        assert 2 * len(solved) == both
+        assert both and sorted(2 * solved) == both
+        assert ("sweep" in both) == (moment_path(d) == "slices")
         assert emp.horizon == law.horizon
         assert emp.survival.tolist() == sd.simulate_sst(d, 200, seed=5, horizon=law.horizon).survival.tolist()
 

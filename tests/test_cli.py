@@ -643,6 +643,17 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert err.startswith("error:") and "solve failed" in err and err.count("\n") == 1
 
+    def test_singular_slices_are_numerical_failure(self, tmp_path, capsys):
+        # 0 -> 1 -> 2 -> 1 on the chain 0 < 1 < 2 < 3: block tridiagonal in the chain's
+        # one coordinate, and 1 and 2 never reach 3
+        P = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0, 0, 0, 1.0]]
+        dual = sd.DualChain(poset=sd.chain_poset(4), P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+        sd.save_chain(tmp_path / "dual.json", dual)
+        assert sd.load_chain(tmp_path / "dual.json").chain.poset.shape == (4,)
+        code, out, err = run(capsys, "absorb", "--dual", str(tmp_path / "dual.json"))
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "solve failed" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_payload_is_numerical_failure(self, capsys, monkeypatch, value):
         # strict JSON: no command prints NaN or Infinity

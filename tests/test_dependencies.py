@@ -1,7 +1,8 @@
 """The package imports only numpy and the standard library (pyproject.toml declares numpy alone),
 its modules import one another without a cycle, every tolerance goes by chain.py's table
-and its one rule, ``_check_tol``, and zeta and Mobius products go through poset.py's one
-transform API."""
+and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
+transform API, and only absorption.py's slice factors (and poset.py's certified zeta inverse)
+invert a matrix."""
 import ast
 import graphlib
 import sys
@@ -182,3 +183,33 @@ def test_a_stray_sweep_is_caught():
     source = "from . import poset\ndef f(a):\n    return poset._AXIS_STEPS['zeta']\n"
     assert names_used(source) & SWEEP_INTERNALS == {"_AXIS_STEPS"}
     assert names_used("from .poset import _mobius_apply\n") & SWEEP_INTERNALS == set()
+
+
+# Explicit inverses: the block-Thomas factors of absorption's slices, and poset's certified
+# inverse of an unshaped zeta.  The block sweep and its factors are named only in absorption.py.
+INVERTERS = {("absorption.py", "_slice_factors"), ("poset.py", "_compute_mobius_pair")}
+BLOCK_SWEEP = {"_block_sweep", "_slice_factors"}
+
+
+def inverters(source: str) -> set[str]:
+    """The top-level functions of ``source`` that name ``inv`` (``np.linalg.inv`` or an
+    import of it), and ``<module>`` if a statement outside them does."""
+    return {
+        node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.parse(source).body
+        if "inv" in names_used(ast.unparse(node))
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_slice_factors_invert(path):
+    source = path.read_text(encoding="utf-8")
+    assert {(path.name, name) for name in inverters(source)} <= INVERTERS
+    assert names_used(source) & BLOCK_SWEEP == set() or path.name == "absorption.py"
+
+
+def test_a_stray_inverse_is_caught():
+    assert inverters("import numpy as np\ndef f(a):\n    return np.linalg.inv(a)\n") == {"f"}
+    assert inverters("from numpy.linalg import inv\n") == {"<module>"}
+    assert inverters("import numpy as np\ndef f(a, b):\n    return np.linalg.solve(a, b)\n") == set()
+    assert names_used("from .absorption import _block_sweep\n") & BLOCK_SWEEP == {"_block_sweep"}

@@ -59,9 +59,15 @@ def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
     pi = _positive_pi(c.pi, "separation distance")
     horizon = _count(horizon, "horizon")
     sep, tv = np.empty(horizon + 1), np.empty(horizon + 1)
+    block = np.empty((64, c.size))  # the distributions of up to 64 steps, reduced together
     for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
-        sep[n] = np.max(1.0 - dist / pi)
-        tv[n] = 0.5 * np.abs(dist - pi).sum()
+        block[n % 64] = dist
+        if n % 64 == 63 or n == horizon:
+            b, done = block[: n % 64 + 1], slice(n - n % 64, n + 1)
+            # rounding is monotone, so 1 - min(b / pi) is max(1 - b / pi) exactly
+            ratio = b / pi
+            sep[done] = 1.0 - ratio.min(axis=1)
+            tv[done] = 0.5 * np.abs(np.subtract(b, pi, out=ratio), out=ratio).sum(axis=1)
     return SeparationCurve(values=sep, tv=tv)
 
 
@@ -281,8 +287,11 @@ def simulate_sst(
     if horizon is None:
         horizon = default_horizon(_absorption_moments(d, *_transient_parts(d), variance=False)[0])
     horizon = _count(horizon, "horizon")
-    cum_rows = np.cumsum(d.P_star, axis=1)
-    cum_rows[:, -1] = 1.0
+    # A row is cut to its nonzeros when a trajectory first leaves it.  Their partial sums are
+    # the dense row's cumsum there, and a draw at or past the last goes to the last state, as
+    # past the 1.0 that ended a dense row: (partial sums, 1.0) against (columns, M - 1).
+    rows, cols, vals = _nonzeros(d.P_star)
+    cum_rows = [None] * d.size
     cum_start = np.cumsum(d.nu_star)
     cum_start[-1] = 1.0
     absorbing = int(d.absorbing_index)
@@ -298,7 +307,12 @@ def simulate_sst(
             if pos == len(buf):
                 buf = rng.random(64)
                 pos = 0
-            state = int(cum_rows[state].searchsorted(buf[pos], side="right"))
+            row = cum_rows[state]
+            if row is None:
+                lo, hi = rows.searchsorted([state, state + 1])
+                cum, to = np.append(np.cumsum(vals[lo:hi]), 1.0), np.append(cols[lo:hi], d.size - 1)
+                row = cum_rows[state] = (cum, to)
+            state = int(row[1][row[0].searchsorted(buf[pos], side="right")])
             pos += 1
             steps += 1
             if steps > max_steps:

@@ -23,7 +23,7 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _induced, _mobius_apply, _readonly, _sweeps
+from .poset import Poset, _grid_shape, _induced, _mobius_apply, _readonly, _sweeps
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
 
 
@@ -254,7 +254,9 @@ def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:
 
 
 def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
-    """Max over n <= horizon of |separation(n) - P(T* > n)|."""
+    """Max over n <= horizon of |separation(n) - P(T* > n)|, on the same states in the same order."""
+    if c.poset.labels != d.poset.labels:
+        raise DimensionMismatch("chain and dual disagree in size or state order")
     sep = separation_curve(c, horizon)
     return float(np.max(np.abs(sep.values - _survival(d, horizon))))
 
@@ -265,12 +267,19 @@ def restrict_to_reachable(d: DualChain) -> DualChain:
     A state is reachable when a path of positive transitions leads to it from
     a state of positive initial mass; only exact zeros count as absent.  The
     induced sub-poset keeps the consistent enumeration; its ``enumeration``
-    field records the parent indices.
+    field records the parent indices, and it has a ``shape`` when the kept
+    states form a product of chains.  With every state reachable the result
+    is ``d`` itself.
     """
     keep = np.nonzero(_depths(d.P_star > 0.0, d.nu_star > 0.0) >= 0)[0]
     if int(d.absorbing_index) not in keep:
         raise NoAbsorbingState("absorbing state unreachable from the initial distribution")
+    if len(keep) == d.size:
+        return d
     sub = _induced(d.poset.labels, d.poset.leq, keep)
+    shape = _grid_shape(sub.size, list(sub.covers))
+    if shape is not None:  # the cube dual keeps {0, k}^n
+        sub = Poset(sub.labels, sub.covers, None, keep, shape)
     P_sub = d.P_star[np.ix_(keep, keep)]
     nu_sub = d.nu_star[keep]
     new_absorbing = int(np.nonzero(keep == int(d.absorbing_index))[0][0])

@@ -391,7 +391,7 @@ def _compute_mobius_pair(p: Poset) -> MobiusPair:
 
 
 def mobius_pair(p: Poset) -> MobiusPair:
-    """Exact zeta matrix and Mobius function of the poset (cached).
+    """Exact zeta matrix and Mobius function of the poset.
 
     On a product of chains (a poset with a ``shape``) mu is the Kronecker
     product of the chains' Mobius matrices, exact by the product rule, with
@@ -401,12 +401,16 @@ def mobius_pair(p: Poset) -> MobiusPair:
     the identity, which that bound makes an exact certificate.  Otherwise mu
     comes from the row recursion in Python integers, exact at any magnitude.
 
+    The pair is kept on the poset only where :func:`_mobius_apply` multiplies
+    by mu; a product of chains that it sweeps axis by axis gets a fresh pair
+    on every call, so no int64 M x M array lives as long as the poset.
+
     Raises
     ------
     OverflowError
         (an ``ArithmeticError``) if some value of mu does not fit in int64.
     """
-    return p._mobius_pair
+    return _compute_mobius_pair(p) if _sweeps(p) else p._mobius_pair
 
 
 # Products of chains up to this size multiply by dense matrices.  On 2 vCPUs

@@ -88,3 +88,34 @@ def peak_bytes(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def dense_simulate_sst(d, samples, seed, horizon, max_steps=1_000_000):
+    """``(survival, mean, variance)`` of ``samples`` absorption times drawn through a dense
+    M x M cumsum of ``P_star``, trajectory ``i`` from a Philox generator keyed by (seed, i)."""
+    cum_rows = np.cumsum(d.P_star, axis=1)
+    cum_rows[:, -1] = 1.0
+    cum_start = np.cumsum(d.nu_star)
+    cum_start[-1] = 1.0
+    absorbing = int(d.absorbing_index)
+    times = np.empty(samples, dtype=np.int64)
+    counts = np.zeros(horizon + 2, dtype=np.int64)
+    for i in range(samples):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        buf = rng.random(32)
+        pos = 1
+        state = int(cum_start.searchsorted(buf[0], side="right"))
+        steps = 0
+        while state != absorbing:
+            if pos == len(buf):
+                buf = rng.random(64)
+                pos = 0
+            state = int(cum_rows[state].searchsorted(buf[pos], side="right"))
+            pos += 1
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError(f"trajectory {i} exceeded {max_steps} steps without absorbing")
+        times[i] = steps
+        counts[min(steps, horizon + 1)] += 1
+    still_out = samples - np.cumsum(counts)
+    return still_out[: horizon + 1] / samples, float(times.mean()), float(times.var())

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
 from conftest import lattice_dual, rotating_dual
-from oracles import dense_absorption_moments, peak_bytes, separation_by_matrix_power
+from oracles import dense_absorption_moments, dense_simulate_sst, peak_bytes
+from oracles import separation_by_matrix_power
 from ssdual import absorption
 from ssdual.absorption import _slices, _transient_parts
 from ssdual.errors import (
@@ -80,6 +82,16 @@ class TestSeparationCurve:
         sep = sd.separation_curve(c, 60)
         law = sd.absorption_survival(d, 60)
         assert np.abs(sep.values - law.survival).max() <= 1e-10
+
+    @pytest.mark.parametrize("horizon", [0, 62, 63, 64, 130])
+    def test_blocks_give_each_step_its_own_values(self, horizon):
+        # the curve is reduced 64 steps at a time; each step must read as if reduced alone
+        c = ising(4, 0.5)
+        sep = sd.separation_curve(c, horizon)
+        for n in range(horizon + 1):
+            dist = sd.evolve(c, n)
+            assert sep.values[n] == np.max(1.0 - dist / c.pi)
+            assert sep.tv[n] == 0.5 * np.abs(dist - c.pi).sum()
 
 
 class TestAbsorptionSurvival:
@@ -232,6 +244,31 @@ def jumping_dual():
     return sd.DualChain(poset=sd.chain_poset(4), P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
 
 
+def staircase_dual():
+    """On the 3 x 3 grid the dual climbs (0, 0) -> {(1, 0), (0, 1)} -> (1, 1) -> (2, 1) -> (2, 2):
+    the six reachable states are not a product of chains."""
+    P = np.eye(9)
+    for source, targets in {0: (1, 3), 1: (4,), 3: (4,), 4: (5,), 5: (8,)}.items():
+        P[source] = 0.0
+        P[source, list(targets)] = 1.0 / len(targets)
+    return sd.DualChain(poset=sd.grid_poset((3, 3)), P_star=P, nu_star=np.eye(9)[0], absorbing_index=8)
+
+
+TOP = np.nextafter(1.0, 0.0)  # the largest draw below 1
+
+
+def short_rows_dual():
+    """On the chain 0 < 1 < 2 < 3, rows 0 and 1 sum to 1 - 2**-52: row 0's last nonzero is in
+    column 2, and row 1's in column 3, the absorbing state."""
+    P = [
+        [0.0, 0.5, 0.5 - 2**-52, 0.0],
+        [0.0, 0.25, 0.25, 0.5 - 2**-52],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+    return sd.DualChain(poset=sd.chain_poset(4), P_star=P, nu_star=[1, 0, 0, 0], absorbing_index=3)
+
+
 def absorbing_in_the_middle(down):
     """0 < {a, b}, absorbing at a (index 1), so b is Q's state 1 and P_star's state 2.
 
@@ -265,8 +302,8 @@ class TestLevelRule:
         assert np.array_equal(_levels(p), cover_walk(p))
 
     def test_restricted_dual_takes_the_cover_walk(self):
-        sub = sd.restrict_to_reachable(cube_closed_dual(3, 2))
-        assert sub.poset.shape is None
+        sub = sd.restrict_to_reachable(staircase_dual())
+        assert sub.size == 6 and sub.poset.shape is None
         # longest chain below each state of the sub-poset, from its order alone
         strict = sub.poset.leq & ~np.eye(sub.size, dtype=bool)
         level = np.zeros(sub.size, dtype=np.int64)
@@ -596,6 +633,45 @@ class TestSimulation:
         assert ("sweep" in both) == (moment_path(d) == "slices")
         assert emp.horizon == law.horizon
         assert emp.survival.tolist() == sd.simulate_sst(d, 200, seed=5, horizon=law.horizon).survival.tolist()
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            lambda: sd.ising_circle_dual(5, 0.5),
+            lambda: ising_dual(4, 0.5),
+            lambda: cube_closed_dual(3, 2),
+            lambda: cube_dual(2, 2),
+            lambda: sd.lattice_walk_dual(sd.LatticeSpec(3, *LATTICE_PARAMS[1])),
+            lambda: lattice_dual(3),
+            short_rows_dual,
+        ],
+        ids=["ising-closed", "ising-generic", "cube-closed", "cube-generic", "lattice-closed",
+             "lattice-generic", "short-rows"],
+    )
+    def test_sparse_rows_draw_as_the_dense_cumsum(self, d):
+        d = d()
+        law = sd.simulate_sst(d, 1000, seed=17)
+        survival, mean, variance = dense_simulate_sst(d, 1000, 17, law.horizon)
+        assert law.survival.tobytes() == survival.tobytes()
+        assert (law.mean, law.variance) == (mean, variance)
+
+    @pytest.mark.parametrize(
+        "draws, steps", [([0.0, TOP], 1), ([0.0, 0.3, TOP], 2)], ids=["column-2", "column-3"]
+    )
+    def test_a_draw_past_the_last_partial_sum_goes_to_the_last_state(self, monkeypatch, draws, steps):
+        # every buffer of draws repeats ``draws``; TOP lies past the partial sums of rows 0 and 1
+        scripted = SimpleNamespace(random=lambda n: np.resize(draws, n))
+        monkeypatch.setattr(np.random, "Generator", lambda bits: scripted)
+        d = short_rows_dual()
+        law = sd.simulate_sst(d, 3, seed=0, horizon=3)
+        assert (law.mean, law.variance) == (steps, 0.0)
+        assert law.survival.tolist() == dense_simulate_sst(d, 3, 0, 3)[0].tolist()
+
+    def test_one_sample_holds_no_kernel(self):
+        # 4096 states: a dense cumsum of the kernel is 128 MiB
+        d = sd.lattice_walk_dual(sd.LatticeSpec(63, 0.2, 0.2, 0.25, 0.25))
+        _, peak = peak_bytes(sd.simulate_sst, d, 1, 0)
+        assert peak < 8 * 2**20
 
     def test_seed_validation(self):
         d = cube_dual(2, 1)

@@ -1,8 +1,8 @@
 """The package imports only numpy and the standard library (pyproject.toml declares numpy alone),
 its modules import one another without a cycle, every tolerance goes by chain.py's table
 and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
-transform API, and only absorption.py's slice factors (and poset.py's certified zeta inverse)
-invert a matrix."""
+transform API, only absorption.py's slice factors (and poset.py's certified zeta inverse)
+invert a matrix, and only poset.py's dense factors ask for the Mobius matrix."""
 import ast
 import graphlib
 import sys
@@ -213,3 +213,70 @@ def test_a_stray_inverse_is_caught():
     assert inverters("from numpy.linalg import inv\n") == {"<module>"}
     assert inverters("import numpy as np\ndef f(a, b):\n    return np.linalg.solve(a, b)\n") == set()
     assert names_used("from .absorption import _block_sweep\n") & BLOCK_SWEEP == {"_block_sweep"}
+
+
+# mu is materialised only where a dense product multiplies by it: poset._dense_factor alone calls
+# mobius_pair, mobius_pair alone reads the pair a poset keeps, and no cumsum runs along an axis
+# of a kernel (simulate_sst sums one row's nonzeros at a time).
+def called_name(node: ast.AST) -> str | None:
+    """The name a call node calls, ``f`` for ``f(...)`` and ``x.f(...)``; else None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def cumsum_along_an_axis(node: ast.AST) -> bool:
+    """Whether ``node`` is a cumsum call given an axis: ``np.cumsum(a, 1)``, ``a.cumsum(1)`` or
+    either with ``axis=``."""
+    if called_name(node) != "cumsum":
+        return False
+    method = isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) not in ("np", "numpy")
+    return any(kw.arg == "axis" for kw in node.keywords) or len(node.args) > (0 if method else 1)
+
+
+def definitions_with(source: str, match) -> set[str]:
+    """The top-level definitions of ``source`` holding a node that ``match`` accepts, and
+    ``<module>`` if a statement outside them does."""
+    return {
+        node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.parse(source).body
+        if any(match(n) for n in ast.walk(node))
+    }
+
+
+MU_RULES = {
+    "calls mobius_pair": (lambda n: called_name(n) == "mobius_pair", {("poset.py", "_dense_factor")}),
+    "reads Poset._mobius_pair": (
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "_mobius_pair", {("poset.py", "mobius_pair")}
+    ),
+    "cumsum along an axis": (cumsum_along_an_axis, set()),
+}
+
+
+@pytest.mark.parametrize("rule", MU_RULES)
+def test_only_dense_products_hold_mu(rule):
+    match, allowed = MU_RULES[rule]
+    found = {(path.name, name) for path in SOURCES
+             for name in definitions_with(path.read_text(encoding="utf-8"), match)}
+    assert found == allowed
+
+
+def test_a_stray_mu_is_caught():
+    source = (
+        "import numpy as np\n"
+        "from .poset import mobius_pair\n"
+        "def f(p):\n"
+        "    return poset.mobius_pair(p).mobius, p._mobius_pair\n"
+        "def g(P, v):\n"
+        "    return np.cumsum(P, axis=1), P.cumsum(1), np.cumsum(P, 1), np.cumsum(v), v.cumsum()\n"
+        "class C:\n"
+        "    def h(self, p):\n"
+        "        return mobius_pair(p)\n"
+    )
+    found = {rule: definitions_with(source, match) for rule, (match, _) in MU_RULES.items()}
+    assert found == {"calls mobius_pair": {"f", "C"}, "reads Poset._mobius_pair": {"f"},
+                     "cumsum along an axis": {"g"}}
+    calls = {ast.unparse(n): cumsum_along_an_axis(n) for n in ast.walk(ast.parse(source))
+             if called_name(n) == "cumsum"}
+    assert calls == {"np.cumsum(P, axis=1)": True, "P.cumsum(1)": True, "np.cumsum(P, 1)": True,
+                     "np.cumsum(v)": False, "v.cumsum()": False}

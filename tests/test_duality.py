@@ -701,6 +701,10 @@ class TestReachableRestriction:
         assert sub.size == d.size == 16
         assert sub.poset.labels[sub.absorbing_index] == (3, 3)
 
+    def test_a_dual_with_every_state_reachable_is_its_own_restriction(self):
+        d = sd.lattice_walk_dual(sd.LatticeSpec(4, 0.2, 0.2, 0.25, 0.25))
+        assert sd.restrict_to_reachable(d) is d
+
     def test_absorbing_must_stay_reachable(self):
         poset = sd.chain_poset(3)
         P = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]])

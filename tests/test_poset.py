@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,9 +471,42 @@ class TestShapedCalculus:
             assert pair.zeta.dtype == bool and pair.mobius.dtype == np.int64
             assert np.array_equal(pair.zeta @ pair.mobius, np.eye(p.size, dtype=np.int64))
 
-    def test_restriction_drops_shape(self):
-        sub = sd.restrict_to_reachable(sd.kary_cube_dual(sd.CubeSpec(2, 2)))
-        assert sub.size == 4 and sub.poset.shape is None
+    def test_restriction_keeps_a_grid_shape(self):
+        d = sd.kary_cube_dual(sd.CubeSpec(2, 2))
+        sub = sd.restrict_to_reachable(d)
+        # {0, 2}^2 is the grid (2, 2); its enumeration still lists the parent's indices
+        assert sub.size == 4 and sub.poset.shape == (2, 2)
+        assert sub.poset.enumeration.tolist() == [0, 2, 6, 8]
+        assert np.array_equal(sub.P_star, d.P_star[np.ix_([0, 2, 6, 8], [0, 2, 6, 8])])
+        assert sd.restrict_to_reachable(sd.kary_cube_dual(sd.CubeSpec(3, 2))).poset.shape == (2, 2, 2)
+
+    def test_a_swept_product_gets_a_fresh_exact_pair(self):
+        p = sd.grid_poset((2,) * 8)  # 256 states: zeta and Mobius products sweep its axes
+        first, second = sd.mobius_pair(p), sd.mobius_pair(p)
+        assert first is not second and "_mobius_pair" not in p.__dict__
+        kron = functools.reduce(np.kron, [np.array([[1, -1], [0, 1]])] * 8)  # mu of 0 < 1, 8 times
+        assert np.array_equal(first.mobius, second.mobius) and np.array_equal(first.mobius, kron)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: sd.grid_poset((2,) * 7), lambda: _random_poset(np.random.default_rng(3), 12)],
+        ids=["dense-product", "unshaped"],
+    )
+    def test_a_poset_that_multiplies_by_mu_keeps_its_pair(self, build):
+        p = build()
+        assert sd.mobius_pair(p) is sd.mobius_pair(p)
+
+    def test_the_pair_of_a_swept_product_is_not_kept(self):
+        # the Ising chain at N = 10 holds 9.8 MiB, 8 of them its kernel; a kept mu adds 8 MiB
+        tracemalloc.start()
+        try:
+            chain = sd.ising_circle(10, 0.5)
+            before = tracemalloc.get_traced_memory()[0]
+            sd.mobius_pair(chain.poset)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live - before < 2**20 and live < 10 * 2**20
 
     @given(shaped_posets())
     @settings(max_examples=40, deadline=None)

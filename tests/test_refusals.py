@@ -28,6 +28,18 @@ def nearly_stationary():
     return sd.ChainSpec(poset=sd.chain_poset(3), P=BIRTH_DEATH, nu=[1, 0, 0], pi=pi)
 
 
+def two_state_pair(chain_labels, dual_labels):
+    """A two-state chain and a dual, each on the order ``labels[0] < labels[1]``."""
+    chain = sd.ChainSpec(
+        poset=sd.build_poset(chain_labels, [(0, 1)]), P=np.full((2, 2), 0.5), nu=[1, 0], pi=[0.5, 0.5]
+    )
+    dual = sd.DualChain(
+        poset=sd.build_poset(dual_labels, [(0, 1)]), P_star=[[0.5, 0.5], [0.0, 1.0]],
+        nu_star=[1, 0], absorbing_index=1,
+    )
+    return chain, dual
+
+
 CASES = {
     "dual-absorbing-index": (
         lambda: sd.DualChain(
@@ -67,6 +79,16 @@ CASES = {
         lambda: sd.build_link(sd.grid_poset((2,) * 8), np.ones(512) / 512),
         DimensionMismatch,
         "pi has shape (512,) on a poset of 256 states",
+    ),
+    "sharpness-size": (
+        lambda: sd.verify_sharpness(sd.ising_circle(3, 0.5), sd.ising_circle_dual(4, 0.5), 20),
+        DimensionMismatch,
+        "chain and dual disagree in size or state order",
+    ),
+    "sharpness-order": (
+        lambda: sd.verify_sharpness(*two_state_pair("ab", "ba"), 20),
+        DimensionMismatch,
+        "chain and dual disagree in size or state order",
     ),
     "ising-no-vertex": (
         lambda: sd.IsingSpec(0, (), 0.5), BadParameters, "graph needs at least one vertex"

@@ -59,16 +59,21 @@ def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
     pi = _positive_pi(c.pi, "separation distance")
     horizon = _count(horizon, "horizon")
     sep, tv = np.empty(horizon + 1), np.empty(horizon + 1)
-    block = np.empty((64, c.size))  # the distributions of up to 64 steps, reduced together
-    for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
-        block[n % 64] = dist
-        if n % 64 == 63 or n == horizon:
-            b, done = block[: n % 64 + 1], slice(n - n % 64, n + 1)
-            # rounding is monotone, so 1 - min(b / pi) is max(1 - b / pi) exactly
-            ratio = b / pi
-            sep[done] = 1.0 - ratio.min(axis=1)
-            tv[done] = 0.5 * np.abs(np.subtract(b, pi, out=ratio), out=ratio).sum(axis=1)
+    for done, b in _step_blocks(c.nu, c.P, horizon):
+        # rounding is monotone, so 1 - min(b / pi) is max(1 - b / pi) exactly
+        ratio = b / pi
+        sep[done] = 1.0 - ratio.min(axis=1)
+        tv[done] = 0.5 * np.abs(np.subtract(b, pi, out=ratio), out=ratio).sum(axis=1)
     return SeparationCurve(values=sep, tv=tv)
+
+
+def _step_blocks(v: np.ndarray, P: np.ndarray | tuple, n: int):
+    """Yield (slice of k, rows of one reused buffer) for vP^k, k = 0..n, 64 steps at a time."""
+    block = np.empty((64, len(v)))
+    for k, dist in enumerate(_propagate(v, P, n)):
+        block[k % 64] = dist
+        if k % 64 == 63 or k == n:
+            yield slice(k - k % 64, k + 1), block[: k % 64 + 1]
 
 
 def _transient_parts(d: DualChain) -> tuple[tuple, np.ndarray]:
@@ -83,8 +88,10 @@ def _transient_parts(d: DualChain) -> tuple[tuple, np.ndarray]:
 def _survival(d: DualChain, horizon: int, parts: tuple | None = None) -> np.ndarray:
     """P(T > n) for n = 0..horizon: the mass left in transient states."""
     Q, start = parts or _transient_parts(d)
-    masses = _propagate(start, Q, horizon)
-    return np.fromiter((mass.sum() for mass in masses), float, horizon + 1)
+    survival = np.empty(horizon + 1)
+    for done, masses in _step_blocks(start, Q, horizon):
+        survival[done] = masses.sum(axis=1)  # each row's sum is bitwise its 1-D sum
+    return survival
 
 
 def _level_blocks(level: np.ndarray, rows, cols, vals) -> tuple[list, float]:

@@ -177,7 +177,7 @@ def validate(c: ChainSpec) -> ValidationReport:
     adj = c.P > 0.0
     depth, aperiodic = _reach(adj), None
     if depth is not None:  # the period: the gcd of depth[u] + 1 - depth[v] over the edges
-        u, v = np.nonzero(adj)
+        u, v = np.divmod(np.flatnonzero(adj), len(adj))
         aperiodic = int(np.gcd.reduce(depth[u] + 1 - depth[v])) in (0, 1)  # 0: no edge
     stat_dev = stat_min = None
     if c.pi is not None:
@@ -268,23 +268,32 @@ def _propagate(v: np.ndarray, P: np.ndarray | tuple, n: int):
     v = v.copy()
     yield v
     m = len(v)
-    if isinstance(P, tuple) and not 0 < 32 * len(P[2]) <= m * m:  # a dense triple
-        P = np.bincount(P[0] * m + P[1], P[2], m * m).reshape(m, m)
-    if isinstance(P, tuple) or 0 < 32 * np.count_nonzero(P) <= m * m:
-        rows, cols, vals = P if isinstance(P, tuple) else _nonzeros(P)
+    triple = P if isinstance(P, tuple) else _nonzeros(P, most=m * m // 32)
+    if triple is not None and 0 < 32 * len(triple[2]) <= m * m:
+        rows, cols, vals = triple
         for _ in range(n):
             v = np.bincount(cols, weights=vals * v[rows], minlength=m)
             yield v
         return
+    if isinstance(P, tuple):  # a dense triple
+        P = np.bincount(P[0] * m + P[1], P[2], m * m).reshape(m, m)
     for _ in range(n):
         v = v @ P
         yield v
 
 
-def _nonzeros(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, cols, vals) triple of the nonzeros of ``P``, in row-major order."""
-    flat = np.flatnonzero(P)  # faster than a 2-D np.nonzero
-    rows, cols = np.divmod(flat, P.shape[1])
+def _nonzeros(P: np.ndarray, most: float = np.inf) -> tuple | None:
+    """The (rows, cols, vals) triple of the entries ``np.flatnonzero(P)`` finds (NaN kept, -0.0
+    dropped) in row-major order, or None once there are more than ``most``.  Each block of rows
+    is scanned through a boolean mask of at most 1 MiB, 4 to 6 times faster than the floats."""
+    m = P.shape[1]
+    step, flats = max(1, (1 << 20) // max(m, 1)), []
+    for lo in range(0, len(P), step):
+        flats.append(np.flatnonzero(P[lo : lo + step] != 0) + lo * m)
+        if sum(map(len, flats)) > most:
+            return None
+    flat = flats[0] if len(flats) == 1 else np.concatenate([np.zeros(0, dtype=np.intp), *flats])
+    rows, cols = np.divmod(flat, m)
     return rows, cols, P.ravel()[flat]
 
 

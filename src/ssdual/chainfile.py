@@ -16,13 +16,14 @@ Both load into the same dense in-memory kernel.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec, DualChain, _defect
+from .chain import DEBRIS_TOL, ROW_TOL, STATIONARY_TOL, ChainSpec, DualChain, _defect, _nonzeros
 from .errors import (
     BadParameters,
     CycleDetected,
@@ -30,7 +31,7 @@ from .errors import (
     ParseError,
     SchemaVersionMismatch,
 )
-from .poset import build_poset
+from .poset import _check_cap, build_poset
 
 SCHEMA_VERSION = 2
 _BLOCK_ENTRIES = 1 << 13  # kernel entries per block of rows that save_chain writes at once
@@ -38,8 +39,8 @@ _NUMBER = {int, float}  # json.load types of a number; bool is neither
 
 
 def _to_jsonable(value):
-    if isinstance(value, tuple):
-        return [_to_jsonable(v) for v in value]
+    if isinstance(value, tuple):  # json writes a tuple of Python numbers as it is
+        return value if set(map(type, value)) <= _NUMBER else [_to_jsonable(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -49,7 +50,7 @@ def _to_jsonable(value):
 
 def _from_jsonable(value):
     if isinstance(value, list):
-        return tuple(_from_jsonable(v) for v in value)
+        return tuple(map(_from_jsonable, value)) if list in map(type, value) else tuple(value)
     return value
 
 
@@ -70,21 +71,19 @@ class LoadedChain:
 
 
 def _write_csr(fh, P: np.ndarray) -> None:
-    # The P_data, P_indices and P_indptr members, one nonzero search and one json.dumps per
-    # block of rows, so that no list of every stored entry is made.
-    size = P.shape[1]
-    step, counts = max(1, _BLOCK_ENTRIES // size), [[0]]
-    for key in ("P_data", "P_indices"):
+    # The P_data, P_indices and P_indptr members, one scan and one json.dumps per block of rows
+    # and member (P_data precedes P_indices), so that no list of every stored entry is made.
+    step, counts = max(1, _BLOCK_ENTRIES // P.shape[1]), [[0]]
+    for at, key in ((2, "P_data"), (1, "P_indices")):
         fh.write(f'"{key}": [')
         sep = ""
         for block in np.split(P, range(step, len(P), step)):
-            flat = np.flatnonzero(block)
-            if flat.size:
-                values = block.ravel()[flat] if key == "P_data" else flat % size
-                fh.write(sep + json.dumps(values.tolist())[1:-1])
+            triple = _nonzeros(block)
+            if triple[at].size:
+                fh.write(sep + json.dumps(triple[at].tolist())[1:-1])
                 sep = ", "
             if key == "P_indices":
-                counts.append(np.bincount(flat // size, minlength=len(block)))
+                counts.append(np.bincount(triple[0], minlength=len(block)))
         fh.write("], ")
     fh.write(f'"P_indptr": {json.dumps(np.cumsum(np.concatenate(counts)).tolist())}, ')
 
@@ -102,7 +101,7 @@ def save_chain(path, obj, *, meta: dict | None = None) -> None:
     doc = {
         "version": SCHEMA_VERSION,
         "labels": [_to_jsonable(lab) for lab in poset.labels],
-        "covers": [[a, b] for a, b in poset.covers],
+        "covers": poset.covers,  # json writes tuples as lists
         "nu": nu.tolist(),
         "meta": meta or {},
     }
@@ -211,16 +210,19 @@ def load_chain(path) -> LoadedChain:
     labels = _require(doc, "labels")
     if not isinstance(labels, list) or not labels:
         raise ParseError(f"{path}: labels must be a non-empty list")
-    labels = [_from_jsonable(lab) for lab in labels]
-    size = len(labels)
+    size = _check_cap((len(labels),))
+    labels = list(map(_from_jsonable, labels))
     covers = _require(doc, "covers")
     if not isinstance(covers, list):
         raise ParseError(f"{path}: covers must be a list")
-    for pair in covers:
-        if not isinstance(pair, list) or len(pair) != 2 or not all(_is_index(v, size) for v in pair):
-            raise ParseError(f"{path}: bad cover pair {pair!r}")
+    # types, lengths and ranges checked over the whole list; the first faulty pair names a fault
+    pairs = {*map(type, covers)} <= {list} and {*map(len, covers)} <= {2}
+    flat = list(itertools.chain.from_iterable(covers)) if pairs else [None]
+    if not ({*map(type, flat)} <= {int} and 0 <= min(flat, default=0) and max(flat, default=0) < size):
+        ok = (type(p) is list and len(p) == 2 and all(_is_index(v, size) for v in p) for p in covers)
+        raise ParseError(f"{path}: bad cover pair {covers[[*ok].index(False)]!r}")
     try:
-        poset = build_poset(labels, [(a, b) for a, b in covers])
+        poset = build_poset(labels, np.array(flat, dtype=np.int64).reshape(-1, 2))
     except (BadParameters, CycleDetected) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -277,7 +277,7 @@ def restrict_to_reachable(d: DualChain) -> DualChain:
     if len(keep) == d.size:
         return d
     sub = _induced(d.poset.labels, d.poset.leq, keep)
-    shape = _grid_shape(sub.size, list(sub.covers))
+    shape = _grid_shape(sub.size, np.array(sub.covers, dtype=np.int64).reshape(-1, 2) @ [sub.size, 1])
     if shape is not None:  # the cube dual keeps {0, k}^n
         sub = Poset(sub.labels, sub.covers, None, keep, shape)
     P_sub = d.P_star[np.ix_(keep, keep)]

@@ -93,7 +93,9 @@ class Poset:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "covers", tuple((int(a), int(b)) for a, b in self.covers))
+        covers = self.covers if isinstance(self.covers, np.ndarray) else list(self.covers)
+        lower, upper = np.array(covers, dtype=np.int64).reshape(-1, 2).T.tolist()
+        object.__setattr__(self, "covers", tuple(zip(lower, upper)))
         leq = self.leq
         if self.shape is not None:
             shape = tuple(int(s) for s in self.shape)
@@ -168,7 +170,7 @@ def _find_cycle(covers: Sequence[tuple[int, int]], remaining: set[int]) -> list[
     return cycle[:1] + cycle[:0:-1]  # forward, from v
 
 
-def _topological_order(size: int, covers: Sequence[tuple[int, int]], labels: Sequence) -> list[int]:
+def _topological_order(size: int, covers: Sequence, labels: Sequence) -> tuple[list, list]:
     succ: list[list[int]] = [[] for _ in range(size)]
     indeg = [0] * size
     for a, b in covers:
@@ -189,26 +191,24 @@ def _topological_order(size: int, covers: Sequence[tuple[int, int]], labels: Seq
         cycle = _find_cycle(covers, remaining)
         names = " -> ".join(repr(labels[i]) for i in cycle + cycle[:1])
         raise CycleDetected(f"covers contain a directed cycle: {names}")
-    return order
+    return order, succ
 
 
-def _transitive_reduction(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
+def _transitive_reduction(leq: np.ndarray) -> np.ndarray:
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
     # z with i < z < j exists iff there is a 2-step path in the closed relation
     two_step = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-    cover = strict & ~two_step
-    return tuple((int(a), int(b)) for a, b in np.argwhere(cover))
+    return np.argwhere(strict & ~two_step)
 
 
-def _grid_shape(size: int, covers: list[tuple[int, int]]) -> tuple[int, ...] | None:
-    """The shape whose mixed-radix grid has exactly these sorted covers, else None."""
-    # the up-neighbours of state 0 are the radices 1 = r_0 < r_1 < ...
-    bounds = [b for a, b in covers if a == 0] + [size]
+def _grid_shape(size: int, codes: np.ndarray) -> tuple[int, ...] | None:
+    """The shape whose mixed-radix grid has exactly these sorted cover codes a * size + b, else None."""
+    # the up-neighbours b = code of state 0 are the radices 1 = r_0 < r_1 < ...
+    bounds = [*codes[codes < size].tolist(), size]
     if len(bounds) < 2 or bounds[0] != 1 or any(hi % lo for lo, hi in zip(bounds, bounds[1:])):
         return None
     shape = tuple(hi // lo for lo, hi in zip(bounds, bounds[1:]))
-    given = np.array(covers, dtype=np.int64)
-    return shape if np.array_equal(_grid_codes(shape), given[:, 0] * size + given[:, 1]) else None
+    return shape if np.array_equal(_grid_codes(shape), codes) else None
 
 
 def _grid_codes(shape: tuple[int, ...]) -> np.ndarray:
@@ -223,8 +223,7 @@ def _grid(shape: tuple[int, ...], labels: Iterable | None = None) -> Poset:
     size = _check_cap(shape)
     if labels is None:
         labels = map(tuple, _digits(shape).tolist())
-    lower, upper = np.divmod(_grid_codes(shape), size)
-    return Poset(labels, zip(lower.tolist(), upper.tolist()), None, np.arange(size), shape)
+    return Poset(labels, np.stack(np.divmod(_grid_codes(shape), size), 1), None, np.arange(size), shape)
 
 
 def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
@@ -257,20 +256,23 @@ def build_poset(labels: Sequence, covers: Iterable[tuple[int, int]]) -> Poset:
             seen.add(lab)
         except TypeError as exc:
             raise BadParameters(f"label {lab!r} is not hashable") from exc
-    dedup = sorted({(int(a), int(b)) for a, b in covers})
-    for a, b in dedup:
+    covers = covers if isinstance(covers, np.ndarray) else list(covers)
+    try:
+        pairs = np.array(covers, dtype=np.int64).reshape(len(covers), 2)
+    except OverflowError:  # an index beyond int64 is out of range all the same
+        pairs = np.array(covers, dtype=object).reshape(len(covers), 2)
+    bad = (pairs < 0).any(axis=1) | (pairs >= size).any(axis=1) | (pairs[:, 0] == pairs[:, 1])
+    if bad.any():  # the first faulty pair in sorted order
+        a, b = min(map(tuple, pairs[bad].tolist()))
         if not (0 <= a < size and 0 <= b < size):
             raise BadParameters(f"cover pair ({a}, {b}) out of range for {size} states")
-        if a == b:
-            raise BadParameters(f"self-cover at index {a}")
-    shape = _grid_shape(size, dedup)
+        raise BadParameters(f"self-cover at index {a}")
+    codes = np.sort(pairs @ [size, 1])  # a * size + b >= 0: the pairs (a, b) sorted, then distinct
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    shape = _grid_shape(size, codes)
     if shape is not None:  # Kahn's order is the identity; a grid's covers are its reduction
         return _grid(shape, labels)
-    order = _topological_order(size, dedup, labels)
-
-    succ: list[list[int]] = [[] for _ in range(size)]
-    for a, b in dedup:
-        succ[a].append(b)
+    order, succ = _topological_order(size, np.stack(np.divmod(codes, size), axis=1).tolist(), labels)
     reach = np.eye(size, dtype=bool)
     for v in reversed(order):
         row = reach[v]

@@ -8,9 +8,9 @@ import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
 from conftest import lattice_dual, rotating_dual
 from oracles import dense_absorption_moments, dense_simulate_sst, peak_bytes
-from oracles import separation_by_matrix_power
+from oracles import per_step_survival, separation_by_matrix_power
 from ssdual import absorption
-from ssdual.absorption import _slices, _transient_parts
+from ssdual.absorption import _slices, _survival, _transient_parts
 from ssdual.errors import (
     BadParameters,
     BadProbability,
@@ -679,3 +679,24 @@ class TestSimulation:
             sd.simulate_sst(d, 0, seed=1)
         with pytest.raises(BadParameters):
             sd.simulate_sst(d, 10, seed=-1)
+
+
+# The 46 model duals: Ising N in {3, 4, 5, 6, 8, 10} at four temperatures, the lattice at
+# N in {1, 2, 3, 8, 24} with both rate sets, and the cube at n in {1, 2, 3, 5}, k in {1, 2, 3}.
+MODEL_DUALS = {
+    **{f"ising-{N}-{b}": (ising_dual, N, b) for N in (3, 4, 5, 6, 8, 10) for b in (0.0, 0.5, 1.0, 2.0)},
+    **{f"lattice-{N}-{i}": (lattice_dual, N, rates)
+       for N in (1, 2, 3, 8, 24) for i, rates in enumerate(LATTICE_PARAMS)},
+    **{f"cube-{n}-{k}": (cube_dual, n, k) for n in (1, 2, 3, 5) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", MODEL_DUALS)
+def test_survival_blocks_sum_each_step_bitwise_as_alone(name):
+    make, *args = MODEL_DUALS[name]
+    d = make(*args)
+    for horizon in (0, 63, 64, 200):  # a partial block, one full block, and 3 blocks and 9 steps
+        want = per_step_survival(d, horizon)
+        assert _survival(d, horizon).tobytes() == want.tobytes()
+    law = sd.absorption_survival(d, 130)
+    assert law.survival.tobytes() == per_step_survival(d, 130).tobytes()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ssdual as sd
 from conftest import cube, ising, ising_dual, lattice, lattice_dual
-from oracles import peak_bytes, separation_by_matrix_power, symmetrised_eigenvalues
+from oracles import peak_bytes, reference_nonzeros, separation_by_matrix_power, symmetrised_eigenvalues
 from ssdual.chain import _nonzeros, _propagate, group_with_tolerance
 from ssdual.errors import (
     BadParameters,
@@ -274,6 +274,72 @@ class TestPropagate:
     def test_all_zero_and_empty_kernels(self):
         assert_propagation_parity(np.array([0.25, 0.75]), np.zeros((2, 2)), 3)
         assert_propagation_parity(np.zeros(0), np.zeros((0, 0)), 3)
+
+
+
+def adversarial_kernels():
+    """Kernels whose entries test the boolean scan: NaN, both zeros, subnormals, infinities,
+    empty rows and columns, and row counts that are no multiple of the 1 MiB mask block."""
+    rng = np.random.default_rng(5)
+    mixed = np.array([[np.nan, -0.0, 0.0, 5e-324], [-5e-324, np.inf, -np.inf, 1.0], [0.0] * 4])
+    rows = np.zeros((9, 6))  # empty first, middle and last rows
+    rows[[1, 2, 5, 7]] = rng.random((4, 6))
+    # 4099 columns: blocks of 255 rows, so 600 rows are two full blocks and 90 more
+    tall = np.where(rng.random((600, 4099)) < 0.002, rng.standard_normal((600, 4099)), 0.0)
+    tall[::7, ::13] = -0.0
+    tall[3, 5], tall[599, 4098], tall[255, 0] = np.nan, 5e-324, -np.inf
+    return {
+        "mixed": mixed,
+        "empty-rows": rows,
+        "empty-columns": rows.T.copy(),
+        "all-zero": np.zeros((5, 7)),
+        "all-negative-zero": np.full((4, 4), -0.0),
+        "1x1": np.array([[0.5]]),
+        "1x1-zero": np.array([[0.0]]),
+        "1x1-nan": np.array([[np.nan]]),
+        "block-remainder": tall,
+        "no-rows": np.zeros((0, 3)),
+    }
+
+
+ADVERSARIAL = adversarial_kernels()
+
+
+def same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNonzeros:
+    """_nonzeros, the one kernel scan: a boolean mask a block of rows at a time."""
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_matches_one_float_scan(self, name):
+        P = ADVERSARIAL[name]
+        same_arrays(_nonzeros(P), reference_nonzeros(P))
+        # row blocks of a kernel, as the chain-file writer scans them
+        for lo in range(0, len(P), 13):
+            same_arrays(_nonzeros(P[lo : lo + 13]), reference_nonzeros(P[lo : lo + 13]))
+
+    @pytest.mark.parametrize("model", [("ising", 6, 0.5), ("lattice", 8), ("cube", 3, 2)], ids=str)
+    def test_matches_one_float_scan_on_models(self, model):
+        for P in (k.P if hasattr(k, "P") else k.P_star for k in model_and_dual(*model)):
+            same_arrays(_nonzeros(P), reference_nonzeros(P))
+
+    @pytest.mark.parametrize("name", ["mixed", "block-remainder", "all-zero"])
+    def test_stops_past_most(self, name):
+        P = ADVERSARIAL[name]
+        nnz = len(reference_nonzeros(P)[2])
+        same_arrays(_nonzeros(P, most=nnz), reference_nonzeros(P))
+        if nnz:
+            assert _nonzeros(P, most=nnz - 1) is None
+
+    def test_mask_stays_blocked(self):
+        P = ising(10, 0.5).P  # 1024 x 1024, 11 nonzeros a row
+        triple, peak = peak_bytes(_nonzeros, P)
+        same_arrays(triple, reference_nonzeros(P))
+        assert peak < 1.5 * 2**20  # one 1 MiB mask and the triple; P itself is 8 MiB
 
 
 def reversal_invariant_chain(kind, a, b):

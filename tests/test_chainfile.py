@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -6,17 +7,58 @@ import pytest
 import ssdual as sd
 import ssdual.chainfile as chainfile_module
 from conftest import (
+    LATTICE_PARAMS,
     cube,
     cube_dual,
     ising,
     ising_dual,
     lattice,
     lattice_dual,
+    rotating_dual,
     version_1_document,
 )
-from oracles import peak_bytes
+from oracles import peak_bytes, reference_load_chain, reference_write_csr
 from ssdual.cli import main
-from ssdual.errors import NoAbsorbingState, NotRowStochastic, ParseError, SchemaVersionMismatch
+from ssdual.errors import (
+    NoAbsorbingState,
+    NotRowStochastic,
+    ParseError,
+    SchemaVersionMismatch,
+    SizeOverflow,
+)
+
+
+def assert_same_load(got, want):
+    """Two loads of one file agree: poset, kernel, distributions, absorbing index and meta."""
+    p, q = got.chain.poset, want.chain.poset
+    assert repr(p.labels) == repr(q.labels) and p.covers == q.covers and p.shape == q.shape
+    assert np.array_equal(p.leq, q.leq) and np.array_equal(p.enumeration, q.enumeration)
+    for name in ("P", "nu", "pi"):
+        a, b = getattr(got.chain, name), getattr(want.chain, name)
+        assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    assert got.absorbing_index == want.absorbing_index and got.meta == want.meta
+
+
+@pytest.fixture(autouse=True)
+def paired_loader(monkeypatch):
+    """Every ``sd.load_chain`` call in this module also runs the loader as it was before its
+    whole-array checks (``oracles.reference_load_chain``): both load the same chain, or both
+    raise the same exception type with the same message."""
+    load = chainfile_module.load_chain
+
+    def paired(path):
+        try:
+            want = reference_load_chain(path)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                load(path)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            raise raised.value
+        got = load(path)
+        assert_same_load(got, want)
+        return got
+
+    monkeypatch.setattr(sd, "load_chain", paired)
 
 
 class TestRoundTrip:
@@ -595,3 +637,125 @@ class TestKernelContract:
         assert main(["absorb", "--dual", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def written(write, P):
+    text = io.StringIO()
+    write(text, P)
+    return text.getvalue()
+
+
+MODEL_CHAINS = {
+    **{f"ising-{N}-{b}": (ising, ising_dual, N, b) for N in (3, 4, 5, 6) for b in (0.0, 0.5, 1.0, 2.0)},
+    **{f"lattice-{N}-{i}": (lattice, lattice_dual, N, rates)
+       for N in (1, 2, 3, 4, 5) for i, rates in enumerate(LATTICE_PARAMS)},
+    **{f"cube-{n}-{k}": (cube, cube_dual, n, k) for n in (1, 2, 3) for k in (1, 2)},
+}
+
+
+def shuffled_document(obj, seed):
+    """The version 1 document of ``obj`` with its states listed in a random order, so that the
+    loader re-enumerates them by Kahn's sort rather than recognising a grid."""
+    doc = version_1_document(obj, {"seed": seed})
+    perm = np.random.default_rng(seed).permutation(obj.size)  # file state s is obj's perm[s]
+    where = np.argsort(perm)
+    doc["labels"] = [doc["labels"][t] for t in perm]
+    doc["covers"] = [[int(where[a]), int(where[b])] for a, b in doc["covers"]]
+    doc["P"] = np.asarray(doc["P"])[np.ix_(perm, perm)].tolist()
+    for key in ("nu", "pi"):
+        if key in doc:
+            doc[key] = np.asarray(doc[key])[perm].tolist()
+    if "absorbing_index" in doc:
+        doc["absorbing_index"] = int(where[doc["absorbing_index"]])
+    return doc
+
+
+class TestAgainstTheReference:
+    """The loader's whole-array checks and the writer's boolean scans against the loader and
+    writer as they were (``oracles``): the same chains, bytes and refusals."""
+
+    @pytest.mark.parametrize("kind", ["chain", "dual"])
+    @pytest.mark.parametrize("name", MODEL_CHAINS)
+    def test_model_files(self, tmp_path, name, kind):
+        make_chain, make_dual, *args = MODEL_CHAINS[name]
+        obj = make_chain(*args) if kind == "chain" else make_dual(*args)
+        path = tmp_path / "model.json"
+        sd.save_chain(path, obj, meta={"model": name, "kind": kind})
+        assert_same_load(chainfile_module.load_chain(path), reference_load_chain(path))
+        P = obj.P if kind == "chain" else obj.P_star
+        assert written(chainfile_module._write_csr, P) == written(reference_write_csr, P)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["ising-4-0.5", "lattice-3-1", "cube-2-2"])
+    def test_shuffled_model_files(self, tmp_path, name, seed):
+        make_chain, make_dual, *args = MODEL_CHAINS[name]
+        for obj in (make_chain(*args), make_dual(*args)):
+            path = tmp_path / "shuffled.json"
+            path.write_text(json.dumps(shuffled_document(obj, seed)))
+            loaded = chainfile_module.load_chain(path)
+            assert_same_load(loaded, reference_load_chain(path))
+            assert loaded.chain.poset.shape is None and not np.array_equal(
+                loaded.chain.poset.enumeration, np.arange(obj.size)
+            )
+
+    def test_unshaped_dual_file(self, tmp_path):
+        path = tmp_path / "rotating.json"
+        sd.save_chain(path, rotating_dual())
+        assert_same_load(chainfile_module.load_chain(path), reference_load_chain(path))
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            [[0, 1], [0, 1.0]],
+            [[0, 1], [0, "1"]],
+            [[0, 1], [0, None]],
+            [[0, 1], [0]],
+            [[0, 1], [0, 1, 2]],
+            [[0, 1], 5],
+            [[0, 1], {"0": 1}],
+            [[0, 1], [0, 2**70]],
+            [[0, 1], [-1, 0]],
+            [[0, 1], [2, 0]],
+            [[1, 1], [0, 1]],
+            [[0, 1], [1, 0]],
+            [[0, 1], [0, 1], [0, 1]],
+            [],
+        ],
+        ids=str,
+    )
+    def test_cover_lists(self, tmp_path, covers):
+        # the paired loader compares the refusal, or the chain, with the reference's
+        path = write_doc(tmp_path / "covers.json", covers=covers)
+        try:
+            sd.load_chain(path)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.array([[np.nan, -0.0, 5e-324], [np.inf, 0.0, -np.inf], [0.0, 0.0, 0.0]]),
+            np.full((3, 5), -0.0),
+            np.array([[0.25]]),
+            # blocks of 204 rows: two full ones and 92 rows
+            np.where(np.arange(20000).reshape(500, 40) % 7 == 0, 1 / 7, 0.0),
+            np.full((400, 400), 1 / 400),
+        ],
+        ids=["adversarial", "negative-zeros", "1x1", "ragged-blocks", "dense"],
+    )
+    def test_writer_on_kernels(self, P):
+        assert written(chainfile_module._write_csr, P) == written(reference_write_csr, P)
+
+    def test_state_cap_refuses_before_labels_and_covers(self, tmp_path, monkeypatch):
+        path = write_v2(tmp_path / "big.json", covers=[[0, 1], [True, 2]])  # a bad cover as well
+        converted = []
+        monkeypatch.setattr(chainfile_module, "_from_jsonable", lambda lab: converted.append(lab))
+        monkeypatch.setattr(chainfile_module, "_is_index", lambda *args: converted.append(args))
+        monkeypatch.setenv("SSD_MAX_STATES", "2")
+        with pytest.raises(SizeOverflow, match="^state space of size 3 exceeds cap 2$"):
+            chainfile_module.load_chain(path)
+        assert converted == []
+        monkeypatch.undo()
+        monkeypatch.setenv("SSD_MAX_STATES", "3")
+        with pytest.raises(ParseError, match=r"bad cover pair \[True, 2\]"):
+            chainfile_module.load_chain(path)

@@ -2,7 +2,8 @@
 its modules import one another without a cycle, every tolerance goes by chain.py's table
 and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
 transform API, only absorption.py's slice factors (and poset.py's certified zeta inverse)
-invert a matrix, and only poset.py's dense factors ask for the Mobius matrix."""
+invert a matrix, only poset.py's dense factors ask for the Mobius matrix, and chainfile.py
+scans a kernel for its nonzeros only through chain._nonzeros."""
 import ast
 import graphlib
 import sys
@@ -280,3 +281,31 @@ def test_a_stray_mu_is_caught():
              if called_name(n) == "cumsum"}
     assert calls == {"np.cumsum(P, axis=1)": True, "P.cumsum(1)": True, "np.cumsum(P, 1)": True,
                      "np.cumsum(v)": False, "v.cumsum()": False}
+
+
+# A kernel scan in chainfile.py goes through chain._nonzeros, whose boolean mask is blocked:
+# chainfile.py calls no nonzero search of its own.
+SCANS = {"flatnonzero", "nonzero", "argwhere"}
+
+
+def scans(source: str) -> set[str]:
+    return definitions_with(source, lambda n: called_name(n) in SCANS)
+
+
+def test_chainfile_scans_kernels_only_through_nonzeros():
+    source = next(path for path in SOURCES if path.name == "chainfile.py").read_text(encoding="utf-8")
+    assert scans(source) == set()
+    assert "_nonzeros" in names_used(source)
+
+
+def test_a_stray_scan_is_caught():
+    source = (
+        "import numpy as np\n"
+        "def f(P):\n"
+        "    return np.flatnonzero(P)\n"
+        "def g(P):\n"
+        "    return P.nonzero(), np.argwhere(P)\n"
+        "def h(P):\n"
+        "    return _nonzeros(P), np.count_nonzero(P)\n"
+    )
+    assert scans(source) == {"f", "g"}

@@ -12,6 +12,7 @@ import ssdual as sd
 import ssdual.models as models_module
 import ssdual.poset as poset_module
 from oracles import closure_from_covers, down_set_sums, mobius_by_first_argument, peak_bytes
+from oracles import reference_build_poset
 from ssdual.errors import BadParameters, CycleDetected, NoUniqueMax, SizeOverflow, TooLarge
 from ssdual.poset import _axis_apply, _mobius_apply
 
@@ -175,6 +176,42 @@ def test_state_cap_bounds_every_builder(monkeypatch, build_too_many, error):
 def _same_poset(p, q):
     assert p.labels == q.labels and p.covers == q.covers
     assert np.array_equal(p.leq, q.leq) and np.array_equal(p.enumeration, q.enumeration)
+
+
+def outcome(build, labels, covers):
+    """The poset ``build`` makes, as comparable fields, or its exception's type and message."""
+    try:
+        p = build(labels, covers)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.labels, p.covers, p.leq.tolist(), p.enumeration.tolist(), p.shape
+
+
+COVER_LISTS = {
+    "first-bad-sorted": [(2, 2), (0, 5), (1, 1)],
+    "self-covers": [(3, 3), (1, 1), (0, 1)],
+    "loop-before-range": [(1, 1), (1, 7)],
+    "negative": [(0, 1), (-1, 2)],
+    "beyond-int64": [(0, 1), (1, 2**70), (2**70, 0)],
+    "duplicates": [(0, 1), (1, 2), (0, 1), (1, 2)],
+    "redundant": [(0, 1), (1, 2), (0, 2)],
+    "cycle": [(0, 1), (1, 2), (2, 0)],
+    "unsorted-grid": [(1, 3), (2, 3), (0, 2), (0, 1)],
+    "numpy-and-float": [(np.int64(0), 1.0), (np.int32(1), np.float64(3))],
+    "array": np.array([[0, 1], [0, 2], [1, 3], [2, 3]]),
+    "generator": [(0, 1), (1, 2), (2, 3)],  # passed as an iterator
+    "empty": [],
+}
+
+
+class TestCoverCodes:
+    """build_poset's one array of cover codes against its per-pair loop (``oracles``)."""
+
+    @pytest.mark.parametrize("name", COVER_LISTS)
+    def test_same_poset_or_refusal(self, name):
+        covers = COVER_LISTS[name]
+        want = outcome(reference_build_poset, list("abcd"), covers)
+        assert outcome(sd.build_poset, list("abcd"), iter(covers) if name == "generator" else covers) == want
 
 
 class TestGridRecognition:

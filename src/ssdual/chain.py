@@ -1,6 +1,7 @@
 """Finite Markov chains and their absorbing duals: validation, stationarity, reversal, spectra."""
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,7 +18,7 @@ from .errors import (
     NotRowStochastic,
     SingularSystem,
 )
-from .poset import Poset, _readonly
+from .poset import Poset, _digits, _readonly
 
 # The named tolerances, defined here once for every module.
 DEFAULT_TOL = 1e-9  # slack beyond the rounding bound; also the residual bound `ssdual verify` accepts
@@ -25,7 +26,7 @@ ROW_TOL = 1e-10  # row sums of a built or loaded kernel
 ROW_SUM_TOL = 1e-12  # row sums of a chain that validate() calls healthy
 STATIONARY_TOL = 1e-10  # |pi P - pi| of a stationary distribution
 DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
-REVERSIBLE_TOL = 1e-9  # detailed-balance flux that spectrum_numeric accepts
+REVERSIBLE_TOL = 1e-9  # detailed-balance flux, and a kept symmetry's move of S, in spectrum_numeric
 
 
 def _check_tol(value: float, name: str = "tol") -> None:
@@ -315,41 +316,77 @@ def evolve(c: ChainSpec, n: int) -> np.ndarray:
 
 
 def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport:
-    """Eigenvalues of a reversible kernel via symmetric similarity.
+    """Eigenvalues of a reversible kernel via symmetric similarity, split by its symmetries.
 
-    The symmetric part of S = diag(sqrt(pi)) P diag(sqrt(pi))^-1 goes to a dense
-    symmetric eigensolver; values are grouped into multiplicities at ``group_tol``.
-    If M is even and P and pi equal their index reversal J exactly (the antipodal
-    map of a product of chains: Ising's spin flip, the cube's x -> k - x), then
-    S = [[A, B], [JBJ, JAJ]] is orthogonally similar to diag(A + BJ, A - BJ), and
-    those two half-size blocks, built from the top half of P, are solved instead.
+    S = diag(sqrt(pi)) P diag(sqrt(pi))^-1 keeps a state permutation g when
+    |S(gx, gy) - S(x, y)| <= REVERSIBLE_TOL on every nonzero (x, y) of P, which by Weyl's
+    inequality moves no eigenvalue by more than the largest row's nonzero count times the
+    bound.  Two are tried: the index reversal J (Ising's spin flip, the cube's x -> k - x)
+    and, on a product of chains of one length, the cyclic shift of coordinates.  Over the
+    least states r_a of the orbits of the abelian group G they generate, with stabilisers
+    St_a, each character chi of G gives the Hermitian block B[a, b] = sum over h in G of
+    S(r_a, h r_b) conj chi(h) / sqrt(|St_a| |St_b|), on the orbits where chi is trivial on
+    St_a (Diaconis 1988): real when chi is, and S itself when nothing is kept.  Values are
+    grouped into multiplicities at ``group_tol``.
     """
     _check_tol(group_tol, "group_tol")
     root = np.sqrt(_positive_pi(c.pi, "numeric spectrum"))
-    if not is_reversible(c, REVERSIBLE_TOL):
+    m, shape = c.size, c.poset.shape
+    gens = [(np.arange(m)[::-1], 2)]
+    if shape is not None and len(set(shape)) == 1:
+        gens.append((np.roll(_digits(shape), 1, axis=1) @ np.cumprod((1, *shape[:-1])), len(shape)))
+    # is_reversible's worst flux (a pair with no nonzero has none) and each |S(gx, gy) - S(x, y)|,
+    # over the nonzeros of 2^18 entries at a time, not of the whole kernel
+    worst, moved, step = 0.0, np.zeros(len(gens)), max(1, (1 << 18) // m)
+    for lo in range(0, m, step):
+        rows, cols, vals = _nonzeros(c.P[lo : lo + step])
+        rows += lo
+        worst = max(worst, np.abs(c.pi[rows] * vals - c.pi[cols] * c.P[cols, rows]).max(initial=0.0))
+        s = root[rows] * vals / root[cols]
+        moved = np.maximum(moved, [np.abs(root[g[rows]] * c.P[g[rows], g[cols]] / root[g[cols]] - s)
+                                   .max(initial=0.0) for g, _ in gens])
+    if not worst <= REVERSIBLE_TOL:
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
-    flips = c.size % 2 == 0 and np.array_equal(c.pi, c.pi[::-1])
-    if flips and np.array_equal(c.P, c.P[::-1, ::-1]):
-        h = c.size // 2
-        top = root[:h, None] * c.P[:h]  # the top rows of S: [A | B]
-        top /= root[None, :]
-        a, bj = top[:, :h], top[:, h:][:, ::-1]
-        vals = np.concatenate([_eigvalsh_averaged(a + bj), _eigvalsh_averaged(a - bj)])
-    else:
-        sym = root[:, None] * c.P
-        sym /= root[None, :]
-        vals = _eigvalsh_averaged(sym)
-    values, counts = group_with_tolerance(np.sort(vals)[::-1], group_tol)
+    gens = [gen for gen, d in zip(gens, moved) if d <= REVERSIBLE_TOL]
+    orders = [k for _, k in gens]
+    whole = math.lcm(*orders)  # a character's phases are in units of 1/whole of a turn
+    elements = np.array(list(np.ndindex(*orders)), dtype=np.int64).reshape(math.prod(orders), -1)
+    act = np.arange(m)[None]  # act[h, x]: x moved by element h, in the order of ``elements``
+    for g, k in gens:
+        powers = [act]
+        for _ in range(k - 1):
+            powers.append(g[powers[-1]])
+        act = np.stack(powers, axis=1).reshape(-1, m)
+    reps = np.flatnonzero(act.min(axis=0) == np.arange(m))
+    stab = act[:, reps] == reps
+    terms, norm = c.P[reps[:, None], act[:, None, reps]], np.sqrt(stab.sum(axis=0))
+    terms *= (root[reps] / norm)[:, None]  # terms[h, a, b]: the summands of B[a, b] but conj chi(h)
+    terms /= root[act[:, None, reps]] * norm
+    spectra, n, flat = [], len(reps), terms.reshape(len(terms), -1)
+    for chi in elements:
+        twin = -chi % orders  # conj chi, whose block is conj(B_chi): the same spectrum
+        phase = elements @ (chi * whole // orders) % whole
+        inside = ~(stab & (phase != 0)[:, None]).any(axis=0)  # chi is trivial on St_a
+        if tuple(twin) < tuple(chi) or not inside.any():
+            continue
+        real = (twin == chi).all()  # then chi is +-1, taken exactly
+        unit = 1.0 - 2.0 * (phase != 0) if real else np.exp(-2j * np.pi * phase / whole)
+        block = (unit.real @ flat).reshape(n, n) if len(terms) > 1 else terms[0]
+        if not real:
+            block = block + 1j * (unit.imag @ flat).reshape(n, n)
+        block = block if inside.all() else block[np.ix_(inside, inside)]
+        spectra += [_eigvalsh_averaged(block)] * (1 if real else 2)
+    values, counts = group_with_tolerance(np.sort(np.concatenate(spectra))[::-1], group_tol)
     return SpectrumReport(values=values, multiplicities=counts, source="numeric")
 
 
 def _eigvalsh_averaged(sym: np.ndarray) -> np.ndarray:
-    """Eigenvalues of (sym + sym.T) / 2; ``sym`` is overwritten."""
+    """Eigenvalues of (sym + sym^H) / 2; ``sym`` is overwritten."""
     # eigvalsh reads the lower triangle only: average it with the upper one a
     # block of rows at a time, without a second M x M array
     for lo in range(0, len(sym), 128):
         rows, cols = slice(lo, lo + 128), slice(0, lo + 128)
-        sym[rows, cols] += sym[cols, rows].T
+        sym[rows, cols] += sym[cols, rows].T.conj()
         sym[rows, cols] *= 0.5
     return np.linalg.eigvalsh(sym)
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input or validation error, 2 monotonicity failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,6 +195,7 @@ def cmd_simulate(args) -> tuple[int, dict]:
         "written": args.output,
     }
 
+@functools.cache  # one parser per process, built by the first main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssdual",
@@ -215,19 +217,19 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
     gen.add_argument("-o", "--output", required=True)
-    gen.set_defaults(func=cmd_model_gen)
+    gen.set_defaults(func="cmd_model_gen")
 
     check = sub.add_parser("check", help="Mobius monotonicity checks")
     check.add_argument("--chain", required=True)
     check.add_argument("--direction", choices=["down", "up"], default="down")
     check.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func="cmd_check")
 
     dual = sub.add_parser("dual", help="build the strong stationary dual")
     dual.add_argument("--chain", required=True)
     dual.add_argument("--tol", type=float, default=DEFAULT_TOL)
     dual.add_argument("-o", "--output", required=True)
-    dual.set_defaults(func=cmd_dual)
+    dual.set_defaults(func="cmd_dual")
 
     verify = sub.add_parser("verify", help="verify intertwining and sharpness")
     verify.add_argument("--chain", required=True)
@@ -235,26 +237,26 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--horizon", type=int, default=60)
     verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("-o", "--output")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func="cmd_verify")
 
     eigen = sub.add_parser(
         "eigen", help="numeric spectrum of --chain and the dual's from its level blocks (--dual)"
     )
     eigen.add_argument("--chain")
     eigen.add_argument("--dual")
-    eigen.set_defaults(func=cmd_eigen)
+    eigen.set_defaults(func="cmd_eigen")
 
     separation = sub.add_parser("separation", help="separation/TV curves")
     separation.add_argument("--chain", required=True)
     separation.add_argument("--horizon", type=int, default=60)
     separation.add_argument("-o", "--output")
-    separation.set_defaults(func=cmd_separation)
+    separation.set_defaults(func="cmd_separation")
 
     absorb = sub.add_parser("absorb", help="exact absorption law of a dual")
     absorb.add_argument("--dual", required=True)
     absorb.add_argument("--horizon", type=int)
     absorb.add_argument("-o", "--output")
-    absorb.set_defaults(func=cmd_absorb)
+    absorb.set_defaults(func="cmd_absorb")
 
     bounds = sub.add_parser("bounds", help="closed-form mixing bounds")
     bounds.add_argument("--type", required=True, choices=["ising-circle", "cube"])
@@ -262,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--n", type=int)
     bounds.add_argument("--k", type=int)
     bounds.add_argument("--c", type=float, required=True)
-    bounds.set_defaults(func=cmd_bounds)
+    bounds.set_defaults(func="cmd_bounds")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo absorption law")
     simulate.add_argument("--dual", required=True)
@@ -270,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--horizon", type=int)
     simulate.add_argument("-o", "--output")
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func="cmd_simulate")
     return parser
 
 
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return OK if not exc.code else INPUT_ERROR
     try:
-        code, payload = args.func(args)
+        code, payload = globals()[args.func](args)  # looked up now, so a patched command runs
         try:  # strict JSON: a NaN or inf in the payload is a numerical failure
             text = json.dumps(payload, sort_keys=True, allow_nan=False)
         except ValueError as exc:

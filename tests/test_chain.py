@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
-from conftest import cube, ising, ising_dual, lattice, lattice_dual
+from conftest import LATTICE_PARAMS, cube, ising, ising_dual, lattice, lattice_dual
 from oracles import peak_bytes, reference_nonzeros, separation_by_matrix_power, symmetrised_eigenvalues
-from ssdual.chain import _nonzeros, _propagate, group_with_tolerance
+from ssdual.chain import REVERSIBLE_TOL, _nonzeros, _propagate, group_with_tolerance
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -356,22 +357,120 @@ SPLIT_CASES += [("cube", n, k) for n, k in ((1, 1), (2, 1), (4, 1), (2, 3), (3, 
 
 @pytest.fixture
 def eigvalsh_sizes(monkeypatch):
-    """The sizes of the matrices passed to np.linalg.eigvalsh, in call order."""
+    """(size, real?) of the matrices passed to np.linalg.eigvalsh, in call order."""
     sizes = []
     solve = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        sizes.append(len(a))
+        sizes.append((len(a), not np.iscomplexobj(a)))
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     return sizes
 
 
+def reversal(m):
+    """J: state x to M - 1 - x."""
+    return (np.arange(m)[::-1], 2)
+
+
+def rotation(side, axes):
+    """The cyclic shift of the coordinates of {0..side-1}^axes, coordinate 0 least significant:
+    x -> side * x mod (M - 1), with the top state M - 1 fixed."""
+    m = side**axes
+    perm = np.arange(m) * side % max(m - 1, 1)
+    perm[-1] = m - 1
+    return (perm, axes)
+
+
+def character_sizes(m, generators):
+    """Sorted (size, real?) of the nonzero blocks that the characters chi of the abelian group
+    generated by the commuting permutations ``generators``, (perm, order) pairs, predict: the
+    size (1/|G|) sum over g of conj chi(g) |Fix(g)|.  The sizes, zero ones too, sum to M.  A
+    complex chi and its conjugate share one block's spectrum, so the pair is listed once."""
+    orders = [order for _, order in generators]
+    exponents = list(itertools.product(*map(range, orders)))
+    fixed = []
+    for e in exponents:
+        g = np.arange(m)
+        for (perm, _), power in zip(generators, e):
+            for _ in range(power):
+                g = perm[g]
+        fixed.append(int((g == np.arange(m)).sum()))
+    sizes = {}
+    for chi in exponents:
+        turns = [sum(c * x / o for c, x, o in zip(chi, e, orders)) for e in exponents]
+        size = sum(np.exp(-2j * np.pi * u) * f for u, f in zip(turns, fixed)) / len(exponents)
+        assert abs(size - round(size.real)) < 1e-9
+        sizes[chi] = round(size.real)
+    assert sum(sizes.values()) == m
+    listed = []
+    for chi, size in sizes.items():
+        twin = tuple(-c % o for c, o in zip(chi, orders))
+        assert sizes[twin] == size
+        if size and chi <= twin:
+            listed.append((size, chi == twin))
+    return sorted(listed)
+
+
+def assert_character_blocks(c, generators, eigvalsh_sizes):
+    assert sorted(eigvalsh_sizes) == character_sizes(c.size, generators)
+    assert sum(size * (1 if real else 2) for size, real in eigvalsh_sizes) == c.size
+
+
 def assert_matches_full_spectrum(c, report):
     values, counts = group_with_tolerance(symmetrised_eigenvalues(c.P, c.pi), 1e-7)
     assert report.multiplicities.tolist() == counts.tolist()
     assert np.abs(report.values - values).max() <= 1e-12
+
+
+def pushed_off_rotation(c, eps):
+    """``c`` with eps added to S(x, y) and S(y, x) at one pair of neighbouring states and at
+    its reversal, and taken from their holds: still reversible, and J-invariant."""
+    m, root = c.size, np.sqrt(c.pi)
+    P = c.P.copy()
+    for x, y in ((0, 1), (m - 1, m - 2)):
+        P[x, y] += eps * root[y] / root[x]
+        P[y, x] += eps * root[x] / root[y]
+        P[x, x] -= eps * root[y] / root[x]
+        P[y, y] -= eps * root[x] / root[y]
+    return sd.ChainSpec(poset=c.poset, P=P, nu=c.nu, pi=c.pi)
+
+
+def reversible_kernel(poset, seed, mirrored=False):
+    """A random dense reversible chain on ``poset``: P = W / (row sums) for a symmetric W > 0,
+    pi proportional to the row sums; W equals its index reversal if ``mirrored``."""
+    rng = np.random.default_rng(seed)
+    W = rng.random((poset.size, poset.size)) + 0.1
+    W += W.T
+    if mirrored:
+        W += W[::-1, ::-1]
+    sums = W.sum(axis=1)
+    return sd.ChainSpec(poset=poset, P=W / sums[:, None], nu=np.eye(poset.size)[0], pi=sums / sums.sum())
+
+
+def unshaped_poset():
+    """0 < {a, b, c} < 1: no product of chains."""
+    return sd.build_poset(["0", "a", "b", "c", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+GATE_CASES = [("ising", N, beta) for N in range(3, 11) for beta in (0.0, 0.5, 1.0, 2.0)]
+GATE_CASES += [("cube", n, k) for n in range(1, 6) for k in range(1, 4)]
+GATE_CASES += [("lattice", N, params) for N in (2, 5, 12) for params in LATTICE_PARAMS]
+GATE_CASES += [("lattice", 4, (0.2, 0.2, 0.2, 0.2)), ("lattice", 4, (0.2, 0.3, 0.2, 0.3))]
+
+
+def gate_case(kind, a, b):
+    """(chain, generators it keeps): the circle and the cube keep J and the rotation; the
+    lattice keeps J when lambda_a = mu_a and its swap of axes when the two axes' rates agree."""
+    if kind == "ising":
+        return ising(a, b), [reversal(2**a), rotation(2, a)]
+    if kind == "cube":
+        return cube(a, b), [reversal((b + 1) ** a), rotation(b + 1, a)]
+    l1, l2, m1, m2 = b
+    keeps = [reversal((a + 1) ** 2)] if (l1, l2) == (m1, m2) else []
+    keeps += [rotation(a + 1, 2)] if (l1, m1) == (l2, m2) else []
+    return lattice(a, b), keeps
 
 
 class TestSpectrumNumeric:
@@ -411,24 +510,108 @@ class TestSpectrumNumeric:
     def test_reversal_invariant_chain_splits_in_halves(self, eigvalsh_sizes, kind, a, b):
         c = reversal_invariant_chain(kind, a, b)
         report = sd.spectrum_numeric(c)
-        assert eigvalsh_sizes == [c.size // 2] * 2
+        side, axes = (b + 1, a) if kind == "cube" else (2, a)
+        assert_character_blocks(c, [reversal(c.size), rotation(side, axes)], eigvalsh_sizes)
         assert_matches_full_spectrum(c, report)
 
     def test_loaded_ising_chain_splits_in_halves(self, eigvalsh_sizes, tmp_path):
         sd.save_chain(tmp_path / "ising.json", ising(6, 0.5))
         c = sd.load_chain(tmp_path / "ising.json").chain
         report = sd.spectrum_numeric(c)
-        assert eigvalsh_sizes == [32, 32]
+        assert_character_blocks(c, [reversal(64), rotation(2, 6)], eigvalsh_sizes)
+        assert len(eigvalsh_sizes) == 8 and max(eigvalsh_sizes)[0] == 8  # 4 real, 4 conjugate pairs
         assert_matches_full_spectrum(c, report)
 
-    @pytest.mark.parametrize("c", [cube(3, 2), lattice(3)], ids=["cube-odd-size", "lattice"])
-    def test_other_chains_take_one_full_eigensolve(self, eigvalsh_sizes, c):
+    @pytest.mark.parametrize(
+        "c,generators",
+        [(cube(3, 2), [reversal(27), rotation(3, 3)]), (lattice(3), [rotation(4, 2)])],
+        ids=["cube-odd-size", "lattice"],
+    )
+    def test_other_chains_take_one_full_eigensolve(self, eigvalsh_sizes, c, generators):
         report = sd.spectrum_numeric(c)
-        assert eigvalsh_sizes == [c.size]
+        assert_character_blocks(c, generators, eigvalsh_sizes)
         assert_matches_full_spectrum(c, report)
+
+    @pytest.mark.parametrize("kind,a,b", GATE_CASES)
+    def test_gate_cases_take_their_character_blocks(self, eigvalsh_sizes, kind, a, b):
+        c, generators = gate_case(kind, a, b)
+        report = sd.spectrum_numeric(c)
+        assert_character_blocks(c, generators, eigvalsh_sizes)
+        assert_matches_full_spectrum(c, report)
+
+    def test_ising_path_takes_the_flip_only(self, eigvalsh_sizes):
+        c = sd.ising_gibbs_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 0.7)
+        report = sd.spectrum_numeric(c)
+        assert eigvalsh_sizes == [(16, True)] * 2
+        assert_character_blocks(c, [reversal(32)], eigvalsh_sizes)
+        assert_matches_full_spectrum(c, report)
+
+    @pytest.mark.parametrize("eps,generators", [(1e-8, "J"), (1e-10, "JR")])
+    def test_rotation_is_kept_within_the_reversible_tolerance(self, eigvalsh_sizes, eps, generators):
+        c = pushed_off_rotation(ising(6, 0.5), eps)
+        report = sd.spectrum_numeric(c)
+        keeps = {"J": reversal(64), "R": rotation(2, 6)}
+        assert_character_blocks(c, [keeps[g] for g in generators], eigvalsh_sizes)
+        # a kept symmetry moves an eigenvalue by at most the row nonzero count (7) times the bound
+        values, counts = group_with_tolerance(symmetrised_eigenvalues(c.P, c.pi), 1e-7)
+        assert report.multiplicities.tolist() == counts.tolist()
+        assert np.abs(report.values - values).max() <= (1e-12 if eps > REVERSIBLE_TOL else 7 * eps)
+
+    @pytest.mark.parametrize(
+        "c",
+        [lattice(31, LATTICE_PARAMS[1]), lattice(5, LATTICE_PARAMS[1]),
+         reversible_kernel(unshaped_poset(), 3), reversible_kernel(sd.chain_poset(6), 4)],
+        ids=["lattice-31", "lattice-5", "unshaped", "chain-poset"],
+    )
+    def test_no_symmetry_takes_one_real_block(self, eigvalsh_sizes, c):
+        report = sd.spectrum_numeric(c)
+        assert eigvalsh_sizes == [(c.size, True)]
+        assert_matches_full_spectrum(c, report)
+
+    def test_the_one_block_is_S_itself(self, monkeypatch):
+        c = reversible_kernel(unshaped_poset(), 5)
+        blocks = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: blocks.append(a.copy()) or solve(a))
+        sd.spectrum_numeric(c)
+        root = np.sqrt(c.pi)
+        S = root[:, None] * c.P / root[None, :]
+        tril = np.tril_indices(c.size)
+        assert np.array_equal(blocks[0][tril], ((S + S.T) * 0.5)[tril])
+
+    def test_unshaped_mirrored_kernel_takes_the_flip(self, eigvalsh_sizes):
+        c = reversible_kernel(unshaped_poset(), 6, mirrored=True)
+        report = sd.spectrum_numeric(c)
+        assert sorted(eigvalsh_sizes) == [(2, True), (3, True)]
+        assert_character_blocks(c, [reversal(5)], eigvalsh_sizes)
+        assert_matches_full_spectrum(c, report)
+
+    def test_odd_cube_splits_around_its_fixed_middle_state(self, eigvalsh_sizes):
+        c = cube(3, 2)
+        middle = 13  # (1, 1, 1): fixed by J and by the rotation, so its orbit's stabiliser is G
+        generators = [reversal(27), rotation(3, 3)]
+        assert all(perm[middle] == middle for perm, _ in generators)
+        report = sd.spectrum_numeric(c)
+        assert_character_blocks(c, generators, eigvalsh_sizes)
+        assert len(eigvalsh_sizes) == 4  # 2 real characters of Z2 x Z3, and 2 conjugate pairs
+        assert_matches_full_spectrum(c, report)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.0 + 2**-40, 1.0 + 2**-20, 2.0, 0.0])
+    def test_reversibility_decision_is_is_reversibles(self, scale):
+        # a flux of scale * REVERSIBLE_TOL between states 0 and 1, or the same on a model
+        c = reversible_kernel(unshaped_poset(), 7)
+        P = c.P.copy()
+        P[0, 1] += scale * REVERSIBLE_TOL / c.pi[0]
+        P[0, 0] -= scale * REVERSIBLE_TOL / c.pi[0]
+        for chain in (sd.ChainSpec(poset=c.poset, P=P, nu=c.nu, pi=c.pi), ising(4, scale)):
+            if sd.is_reversible(chain, REVERSIBLE_TOL):
+                sd.spectrum_numeric(chain)
+            else:
+                with pytest.raises(NotReversible):
+                    sd.spectrum_numeric(chain)
 
     def test_holds_less_than_one_kernel(self):
-        # the split's two half-size blocks, against the full path's symmetrised copy
+        # twelve character blocks of at most 56 states, against one symmetrised copy of S
         c = ising(10, 0.5)
         _, peak = peak_bytes(sd.spectrum_numeric, c)
         assert peak < c.P.nbytes

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from conftest import version_1_document
 from ssdual import cli
 from ssdual.cli import main
 from ssdual.errors import MonotonicityViolated
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -670,6 +676,24 @@ class TestErrorPaths:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_one_parser_serves_a_failed_parse_then_a_good_command(self, capsys):
+        good = ("bounds", "--type", "cube", "--n", "3", "--k", "2", "--c", "3")
+        cli._build_parser.cache_clear()
+        want = run(capsys, *good)
+        assert want[0] == 0 and want[1]
+        cli._build_parser.cache_clear()
+        assert run(capsys, "bounds", "--type", "cube", "--c")[0] == 1  # --c needs a value
+        assert run(capsys, *good) == want
+        assert run(capsys, "frobnicate")[0] == 1
+        assert run(capsys, *good) == want
+        assert cli._build_parser.cache_info().misses == 1  # built once, by the first call
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = "import ssdual.cli as c; print(c._build_parser.cache_info().misses)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+        assert done.returncode == 0 and done.stdout == "0\n"
 
 
 CORRUPT_VALUES = (True, "x", -1, 2.5, {}, [[]], [True])

@@ -2,8 +2,9 @@
 its modules import one another without a cycle, every tolerance goes by chain.py's table
 and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
 transform API, only absorption.py's slice factors (and poset.py's certified zeta inverse)
-invert a matrix, only poset.py's dense factors ask for the Mobius matrix, and chainfile.py
-scans a kernel for its nonzeros only through chain._nonzeros."""
+invert a matrix, only poset.py's dense factors ask for the Mobius matrix, chainfile.py
+scans a kernel for its nonzeros only through chain._nonzeros, and chain.py's block solver
+is the one place that calls the symmetric eigensolver."""
 import ast
 import graphlib
 import sys
@@ -309,3 +310,34 @@ def test_a_stray_scan_is_caught():
         "    return _nonzeros(P), np.count_nonzero(P)\n"
     )
     assert scans(source) == {"f", "g"}
+
+
+# One eigensolver call site: the block solver behind spectrum_numeric, which every symmetry
+# block (and the one block of a chain with no symmetry) goes through.
+def eigensolver_calls(source: str) -> list[str]:
+    """The top-level definition holding each ``eigvalsh`` call or name of ``source``, once per
+    occurrence (``<module>`` outside them), so an import or alias counts too."""
+    found = []
+    for node in ast.parse(source).body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [where for n in ast.walk(node)
+                  if called_name(n) == "eigvalsh" or (isinstance(n, ast.alias) and n.name == "eigvalsh")]
+    return found
+
+
+def test_one_eigensolver_call_site():
+    found = [(path.name, where) for path in SOURCES
+             for where in eigensolver_calls(path.read_text(encoding="utf-8"))]
+    assert found == [("chain.py", "_eigvalsh_averaged")]
+
+
+def test_a_second_eigensolver_is_caught():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def f(a):\n"
+        "    return np.linalg.eigvalsh(a), np.linalg.eigvals(a)\n"
+        "def g(a, b):\n"
+        "    return eigvalsh(a), np.linalg.eigvalsh(b)\n"
+    )
+    assert eigensolver_calls(source) == ["<module>", "f", "g", "g"]

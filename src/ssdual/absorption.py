@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec, DualChain, SpectrumReport, group_with_tolerance
-from .chain import _check_tol, _count, _nonzeros, _positive_pi, _propagate
+from .chain import _check_tol, _count, _lump, _nonzeros, _positive_pi, _propagate
 from .errors import (
     BadParameters,
     BadProbability,
@@ -55,11 +55,14 @@ class AbsorptionLaw:
 
 
 def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
-    """Exact separation and total-variation curves for n = 0..horizon."""
+    """Exact separation and total-variation curves for n = 0..horizon, stepped on the orbits of
+    the symmetries the chain keeps (``chain._lump``): an orbit's mass b against pi(orbit)."""
     pi = _positive_pi(c.pi, "separation distance")
     horizon = _count(horizon, "horizon")
+    P, start, orbit = _lump(c.poset, c.P, c.nu, (pi,))
+    pi = np.bincount(orbit, pi)
     sep, tv = np.empty(horizon + 1), np.empty(horizon + 1)
-    for done, b in _step_blocks(c.nu, c.P, horizon):
+    for done, b in _step_blocks(start, P, horizon):
         # rounding is monotone, so 1 - min(b / pi) is max(1 - b / pi) exactly
         ratio = b / pi
         sep[done] = 1.0 - ratio.min(axis=1)
@@ -85,9 +88,19 @@ def _transient_parts(d: DualChain) -> tuple[tuple, np.ndarray]:
     return (rows - (rows > a), cols - (cols > a), vals), np.delete(d.nu_star, a)
 
 
+def _lumped_parts(d: DualChain, parts: tuple | None = None) -> tuple[tuple, np.ndarray]:
+    """``_transient_parts`` on the orbits of the symmetries the dual keeps (``chain._lump``),
+    which fix its absorbing state: the lumped Q's nonzeros and start, in its own indices."""
+    (rows, cols, vals), _ = parts or _transient_parts(d)
+    a = d.absorbing_index
+    Q = (rows + (rows >= a), cols + (cols >= a), vals)  # in P_star's indices
+    (rows, cols, vals), start, orbit = _lump(d.poset, d.P_star, d.nu_star, (np.arange(d.size) == a,), Q)
+    return (rows - (rows > orbit[a]), cols - (cols > orbit[a]), vals), np.delete(start, orbit[a])
+
+
 def _survival(d: DualChain, horizon: int, parts: tuple | None = None) -> np.ndarray:
-    """P(T > n) for n = 0..horizon: the mass left in transient states."""
-    Q, start = parts or _transient_parts(d)
+    """P(T > n) for n = 0..horizon: the mass left in transient states, or orbits of them."""
+    Q, start = _lumped_parts(d, parts)
     survival = np.empty(horizon + 1)
     for done, masses in _step_blocks(start, Q, horizon):
         survival[done] = masses.sum(axis=1)  # each row's sum is bitwise its 1-D sum

@@ -1,6 +1,7 @@
 """Finite Markov chains and their absorbing duals: validation, stationarity, reversal, spectra."""
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -27,6 +28,7 @@ ROW_SUM_TOL = 1e-12  # row sums of a chain that validate() calls healthy
 STATIONARY_TOL = 1e-10  # |pi P - pi| of a stationary distribution
 DEBRIS_TOL = 1e-12  # stored kernel entries within this of zero are rounding debris
 REVERSIBLE_TOL = 1e-9  # detailed-balance flux, and a kept symmetry's move of S, in spectrum_numeric
+LUMP_TOL = 4 * np.finfo(float).eps  # a kept symmetry's move of a kernel entry, in the exact laws
 
 
 def _check_tol(value: float, name: str = "tol") -> None:
@@ -315,6 +317,44 @@ def evolve(c: ChainSpec, n: int) -> np.ndarray:
     return v
 
 
+def _symmetries(poset: Poset) -> list[tuple[np.ndarray, int]]:
+    """The candidate state permutations and their orders: the index reversal J and, on a
+    product of chains of one length, the cyclic shift of coordinates."""
+    m, shape = poset.size, poset.shape
+    gens = [(np.arange(m)[::-1], 2)]
+    if shape is not None and len(set(shape)) == 1:
+        gens.append((np.roll(_digits(shape), 1, axis=1) @ np.cumprod((1, *shape[:-1])), len(shape)))
+    return gens
+
+
+def _group(gens: list, m: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """(orders, each element's exponents, act[h, x] = x moved by element h) of the group ``gens``."""
+    orders = [k for _, k in gens]
+    elements = np.array(list(np.ndindex(*orders)), dtype=np.int64).reshape(math.prod(orders), -1)
+    act = np.arange(m)[None]
+    for g, k in gens:
+        powers = itertools.accumulate(range(k - 1), lambda p, _: g[p], initial=act)
+        act = np.stack(list(powers), axis=1).reshape(-1, m)
+    return orders, elements, act
+
+
+def _lump(poset: Poset, K: np.ndarray, v: np.ndarray, fixed: tuple, triple: tuple | None = None):
+    """(kernel, start, orbit of each state) of K started at v, lumped onto the orbits of the
+    candidate symmetries g that fix v and ``fixed`` exactly and move no nonzero (x, y) of
+    ``triple`` (K's if None) by more than LUMP_TOL, |K(gx, gy) - K(x, y)|: the kernel is the
+    (orbit[x], orbit[y], K(x, y)) of each orbit's least state x (Kemeny and Snell 1960, 6.3)."""
+    m = len(v)
+    gens = [(g, k) for g, k in _symmetries(poset) if all(np.array_equal(u[g], u) for u in (v, *fixed))]
+    if not gens:
+        return (K if triple is None else triple), v, np.arange(m)
+    rows, cols, vals = triple or _nonzeros(K)
+    gens = [(g, k) for g, k in gens if np.abs(K[g[rows], g[cols]] - vals).max(initial=0.0) <= LUMP_TOL]
+    least = _group(gens, m)[2].min(axis=0)
+    first = least == np.arange(m)
+    orbit, keep = (np.cumsum(first) - 1)[least], first[rows]
+    return (orbit[rows[keep]], orbit[cols[keep]], vals[keep]), np.bincount(orbit, v), orbit
+
+
 def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport:
     """Eigenvalues of a reversible kernel via symmetric similarity, split by its symmetries.
 
@@ -331,10 +371,7 @@ def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport
     """
     _check_tol(group_tol, "group_tol")
     root = np.sqrt(_positive_pi(c.pi, "numeric spectrum"))
-    m, shape = c.size, c.poset.shape
-    gens = [(np.arange(m)[::-1], 2)]
-    if shape is not None and len(set(shape)) == 1:
-        gens.append((np.roll(_digits(shape), 1, axis=1) @ np.cumprod((1, *shape[:-1])), len(shape)))
+    m, gens = c.size, _symmetries(c.poset)
     # is_reversible's worst flux (a pair with no nonzero has none) and each |S(gx, gy) - S(x, y)|,
     # over the nonzeros of 2^18 entries at a time, not of the whole kernel
     worst, moved, step = 0.0, np.zeros(len(gens)), max(1, (1 << 18) // m)
@@ -348,15 +385,8 @@ def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport
     if not worst <= REVERSIBLE_TOL:
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
     gens = [gen for gen, d in zip(gens, moved) if d <= REVERSIBLE_TOL]
-    orders = [k for _, k in gens]
+    orders, elements, act = _group(gens, m)
     whole = math.lcm(*orders)  # a character's phases are in units of 1/whole of a turn
-    elements = np.array(list(np.ndindex(*orders)), dtype=np.int64).reshape(math.prod(orders), -1)
-    act = np.arange(m)[None]  # act[h, x]: x moved by element h, in the order of ``elements``
-    for g, k in gens:
-        powers = [act]
-        for _ in range(k - 1):
-            powers.append(g[powers[-1]])
-        act = np.stack(powers, axis=1).reshape(-1, m)
     reps = np.flatnonzero(act.min(axis=0) == np.arange(m))
     stab = act[:, reps] == reps
     terms, norm = c.P[reps[:, None], act[:, None, reps]], np.sqrt(stab.sum(axis=0))
@@ -392,13 +422,15 @@ def _eigvalsh_averaged(sym: np.ndarray) -> np.ndarray:
 
 
 def group_with_tolerance(sorted_desc: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group a descending-sorted array into (representatives, multiplicities)."""
-    values: list[float] = []
-    counts: list[int] = []
-    for v in sorted_desc:
-        if values and abs(v - values[-1]) <= tol:
-            counts[-1] += 1
-        else:
-            values.append(float(v))
-            counts.append(1)
-    return np.asarray(values), np.asarray(counts, dtype=np.int64)
+    """Group a descending-sorted array into (representatives, multiplicities): each value joins
+    the group whose first value it is within ``tol`` of, by one search for where each group ends."""
+    values, n = np.asarray(sorted_desc, dtype=float), len(sorted_desc)
+    end = np.maximum(np.arange(1, n + 1), (-values).searchsorted(tol - values, side="right"))
+    while (on := (end < n) & (np.abs(values[np.minimum(end, n - 1)] - values) <= tol)).any():
+        end += on
+    while (off := np.abs(values[end - 1] - values) > tol).any():
+        end -= off
+    starts, ends = [0], end.tolist()
+    while starts[-1] < n:  # a loop over the groups, not over the values
+        starts.append(ends[starts[-1]])
+    return values[starts[:-1]], np.diff(starts).astype(np.int64)

@@ -275,10 +275,49 @@ def reference_nonzeros(P):
     return rows, cols, P.ravel()[flat]
 
 
-def per_step_survival(d, horizon):
-    """P(T > n) for n = 0..horizon, each step's transient mass summed on its own."""
-    from ssdual.absorption import _transient_parts
+def per_step_sums(Q, start, horizon):
+    """The mass of ``start`` Q^n for n = 0..horizon, each step's mass summed on its own."""
     from ssdual.chain import _propagate
 
-    Q, start = _transient_parts(d)
     return np.fromiter((mass.sum() for mass in _propagate(start, Q, horizon)), float, horizon + 1)
+
+
+def per_step_survival(d, horizon):
+    """P(T > n) for n = 0..horizon by ``per_step_sums``, on the lumped transient block and start
+    that ``_survival`` steps."""
+    from ssdual.absorption import _lumped_parts
+
+    return per_step_sums(*_lumped_parts(d), horizon)
+
+
+def unlumped_survival(d, horizon):
+    """P(T > n) for n = 0..horizon by ``per_step_sums`` on every transient state: the survival
+    before the symmetries' lumping, bitwise."""
+    from ssdual.absorption import _transient_parts
+
+    return per_step_sums(*_transient_parts(d), horizon)
+
+
+def unlumped_separation(c, horizon):
+    """(separation, total variation) for n = 0..horizon on every state, one step at a time: the
+    curves before the symmetries' lumping, bitwise."""
+    from ssdual.chain import _propagate
+
+    sep, tv = np.empty(horizon + 1), np.empty(horizon + 1)
+    for n, dist in enumerate(_propagate(c.nu, c.P, horizon)):
+        sep[n] = 1.0 - (dist / c.pi).min()
+        tv[n] = 0.5 * np.abs(dist - c.pi).sum()
+    return sep, tv
+
+
+def looped_groups(sorted_desc, tol):
+    """(representatives, multiplicities) of a descending array, one value at a time: a value
+    within ``tol`` of its group's first value joins the group, any other starts a new one."""
+    values, counts = [], []
+    for v in sorted_desc:
+        if values and abs(v - values[-1]) <= tol:
+            counts[-1] += 1
+        else:
+            values.append(float(v))
+            counts.append(1)
+    return np.asarray(values), np.asarray(counts, dtype=np.int64)

@@ -8,9 +8,10 @@ import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
 from conftest import lattice_dual, rotating_dual
 from oracles import dense_absorption_moments, dense_simulate_sst, peak_bytes
-from oracles import per_step_survival, separation_by_matrix_power
+from oracles import per_step_survival, separation_by_matrix_power, unlumped_separation
+from oracles import unlumped_survival
 from ssdual import absorption
-from ssdual.absorption import _slices, _survival, _transient_parts
+from ssdual.absorption import _lumped_parts, _slices, _survival, _transient_parts
 from ssdual.errors import (
     BadParameters,
     BadProbability,
@@ -20,7 +21,7 @@ from ssdual.errors import (
     NotTriangular,
     SingularSystem,
 )
-from ssdual.chain import group_with_tolerance
+from ssdual.chain import _lump, _propagate, group_with_tolerance
 from ssdual.poset import _levels
 
 
@@ -85,13 +86,16 @@ class TestSeparationCurve:
 
     @pytest.mark.parametrize("horizon", [0, 62, 63, 64, 130])
     def test_blocks_give_each_step_its_own_values(self, horizon):
-        # the curve is reduced 64 steps at a time; each step must read as if reduced alone
+        # the curve is reduced 64 steps at a time; each step must read as if reduced alone, on
+        # the orbits of the circle's shift that the curve steps
         c = ising(4, 0.5)
+        P, start, orbit = _lump(c.poset, c.P, c.nu, (c.pi,))
+        pi = np.bincount(orbit, c.pi)
+        assert len(pi) == 6
         sep = sd.separation_curve(c, horizon)
-        for n in range(horizon + 1):
-            dist = sd.evolve(c, n)
-            assert sep.values[n] == np.max(1.0 - dist / c.pi)
-            assert sep.tv[n] == 0.5 * np.abs(dist - c.pi).sum()
+        for n, dist in enumerate(_propagate(start, P, horizon)):
+            assert sep.values[n] == np.max(1.0 - dist / pi)
+            assert sep.tv[n] == 0.5 * np.abs(dist - pi).sum()
 
 
 class TestAbsorptionSurvival:
@@ -700,3 +704,112 @@ def test_survival_blocks_sum_each_step_bitwise_as_alone(name):
         assert _survival(d, horizon).tobytes() == want.tobytes()
     law = sd.absorption_survival(d, 130)
     assert law.survival.tobytes() == per_step_survival(d, 130).tobytes()
+
+
+# The primal chain of each model dual.
+MODEL_CHAINS = {name: {ising_dual: ising, lattice_dual: lattice, cube_dual: cube}[make](*args)
+                for name, (make, *args) in MODEL_DUALS.items()}
+LUMPED_HORIZONS = (0, 63, 64, 200)
+
+
+def per_step(bound, horizon):
+    """``bound`` plus half an ulp of mass per step: a representative's row may differ from its
+    orbit's other rows by rounding, so the lumped law may drift from the unlumped one by that
+    much each step (1.0e-14 over 200 steps on the 8-state Ising circle at beta = 2)."""
+    return bound + horizon * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("name", MODEL_DUALS)
+def test_lumped_survival_matches_every_transient_state(name):
+    make, *args = MODEL_DUALS[name]
+    d = make(*args)
+    law = sd.absorption_survival(d)
+    want = unlumped_survival(d, max(law.horizon, 200))
+    for horizon in LUMPED_HORIZONS:
+        assert np.abs(_survival(d, horizon) - want[: horizon + 1]).max() <= per_step(1e-14, horizon)
+    assert np.abs(law.survival - want[: law.horizon + 1]).max() <= per_step(1e-14, law.horizon)
+
+
+@pytest.mark.parametrize("name", MODEL_DUALS)
+def test_lumped_separation_matches_every_state(name):
+    make, *args = MODEL_DUALS[name]
+    c = MODEL_CHAINS[name]
+    default = absorption.default_horizon(sd.absorption_survival(make(*args), 0).mean)
+    sep, tv = unlumped_separation(c, max(default, 200))
+    for horizon in (*LUMPED_HORIZONS, default):
+        got = sd.separation_curve(c, horizon)
+        assert np.abs(got.values - sep[: horizon + 1]).max() <= per_step(1e-12, horizon)
+        assert np.abs(got.tv - tv[: horizon + 1]).max() <= per_step(1e-14, horizon)
+    if c.size <= 256:  # a dense matrix power per step count
+        got = sd.separation_curve(c, 200)
+        for n in LUMPED_HORIZONS:
+            assert abs(got.values[n] - separation_by_matrix_power(c.P, c.nu, c.pi, n)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "chain, dual, orbits",
+    [(lambda: ising(10, 0.5), lambda: ising_dual(10, 0.5), 108),
+     (lambda: lattice(24), lambda: lattice_dual(24), 325),  # the CLI's rates
+     (lambda: cube(3, 2), lambda: cube_dual(3, 2), 11)],
+    ids=["ising-10", "lattice-24", "cube-3-2"],
+)
+def test_lumped_orbit_counts(chain, dual, orbits):
+    c = chain()
+    (rows, _, vals), start, orbit = _lump(c.poset, c.P, c.nu, (c.pi,))
+    assert len(start) == orbit.max() + 1 == orbits
+    assert np.abs(np.bincount(rows, vals) - 1.0).max() <= 1e-15  # the lumped kernel is stochastic
+    (rows, cols, _), start = _lumped_parts(dual())
+    assert len(start) == orbits - 1  # the absorbing state is an orbit of its own, and is dropped
+    assert max(rows.max(), cols.max()) == orbits - 2
+
+
+def moved_entry(P, x, y, eps=1e-13):
+    """``P`` with ``eps`` moved from the hold of state x to its move to y."""
+    P = P.copy()
+    P[x, y] += eps
+    P[x, x] -= eps
+    return P
+
+
+def at_state(label):
+    """The lattice N = 8 chain, and its dual, started at ``label``."""
+    c, d = lattice(8), lattice_dual(8)
+    start = np.eye(c.size)[c.poset.labels.index(label)]
+    return (sd.ChainSpec(poset=c.poset, P=c.P, nu=start, pi=c.pi),
+            sd.DualChain(poset=d.poset, P_star=d.P_star, nu_star=start,
+                         absorbing_index=d.absorbing_index))
+
+
+def unlumpable(kind):
+    """(chain, dual) that keep no candidate symmetry."""
+    if kind == "unequal-rates":
+        return lattice(8, LATTICE_PARAMS[1]), lattice_dual(8, LATTICE_PARAMS[1])
+    if kind == "started-at-1-0":
+        return at_state((1, 0))
+    if kind == "moved-entry":
+        c, d = ising(6, 0.5), ising_dual(6, 0.5)
+        x, y = 1, int(np.flatnonzero(d.P_star[1])[-2])  # a move between transient states
+        assert c.P[1, 3] > 0.0 and y != d.absorbing_index and y != x
+        return (sd.ChainSpec(poset=c.poset, P=moved_entry(c.P, 1, 3), nu=c.nu, pi=c.pi),
+                sd.DualChain(poset=d.poset, P_star=moved_entry(d.P_star, x, y), nu_star=d.nu_star,
+                             absorbing_index=d.absorbing_index))
+    poset = rotating_dual().poset  # 0 < {a, b, c} < 1: no product of chains
+    W = np.random.default_rng(5).random((5, 5)) + 0.1
+    W += W.T
+    c = sd.ChainSpec(poset=poset, P=W / W.sum(axis=1)[:, None], nu=np.eye(5)[0],
+                     pi=W.sum(axis=1) / W.sum())
+    return c, rotating_dual()
+
+
+@pytest.mark.parametrize("kind", ["unequal-rates", "started-at-1-0", "moved-entry", "unshaped"])
+def test_a_chain_without_a_kept_symmetry_is_not_lumped(kind):
+    c, d = unlumpable(kind)
+    assert np.array_equal(_lump(c.poset, c.P, c.nu, (c.pi,))[2], np.arange(c.size))
+    (rows, cols, vals), start = _lumped_parts(d)
+    (q_rows, q_cols, q_vals), q_start = _transient_parts(d)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in ((rows, q_rows), (cols, q_cols), (vals, q_vals), (start, q_start)))
+    for horizon in (0, 64, 200):
+        assert _survival(d, horizon).tobytes() == unlumped_survival(d, horizon).tobytes()
+        got, (sep, tv) = sd.separation_curve(c, horizon), unlumped_separation(c, horizon)
+        assert got.values.tobytes() == sep.tobytes() and got.tv.tobytes() == tv.tobytes()

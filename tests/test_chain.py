@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, ising, ising_dual, lattice, lattice_dual
 from oracles import peak_bytes, reference_nonzeros, separation_by_matrix_power, symmetrised_eigenvalues
+from oracles import looped_groups
 from ssdual.chain import REVERSIBLE_TOL, _nonzeros, _propagate, group_with_tolerance
 from ssdual.errors import (
     BadParameters,
@@ -435,6 +436,45 @@ def pushed_off_rotation(c, eps):
         P[x, x] -= eps * root[y] / root[x]
         P[y, y] -= eps * root[x] / root[y]
     return sd.ChainSpec(poset=c.poset, P=P, nu=c.nu, pi=c.pi)
+
+
+def assert_groups_as_the_loop(values, tol):
+    got, want = group_with_tolerance(values, tol), looped_groups(values, tol)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+class TestGroupWithTolerance:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sorted_arrays_group_as_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            tol = float(rng.choice([0.0, 1e-9, 1e-3, 0.1, 0.5]))
+            values = np.round(rng.random(rng.integers(0, 80)), rng.integers(1, 5))
+            edges = values - tol
+            edges = np.concatenate([edges, np.nextafter(edges, 2), np.nextafter(edges, -2)])
+            values = np.concatenate([values, edges[rng.random(len(edges)) < 0.3]])
+            assert_groups_as_the_loop(np.sort(values)[::-1], tol)
+
+    def test_each_value_is_compared_with_its_groups_first(self):
+        tol = 1e-7  # consecutive gaps of 0.6 tol, but 1.2 tol from the first
+        values, counts = group_with_tolerance(np.array([1.0, 1.0 - 0.6 * tol, 1.0 - 1.2 * tol]), tol)
+        assert values.tolist() == [1.0, 1.0 - 1.2 * tol] and counts.tolist() == [2, 1]
+
+    @pytest.mark.parametrize(
+        "first, tol, value, joins",
+        [(0.536, 0.403, 0.13299999999999998, True), (1.247, 0.423, 0.8240000000000001, False)],
+        ids=["within-by-rounding", "beyond-by-rounding"],
+    )
+    def test_a_value_at_the_edge_goes_by_the_difference(self, first, tol, value, joins):
+        # first - tol rounds to the other side of value than |value - first| does of tol
+        assert (value >= first - tol) != joins and (abs(value - first) <= tol) == joins
+        assert_groups_as_the_loop(np.array([first, value, value]), tol)
+        counts = group_with_tolerance(np.array([first, value]), tol)[1]
+        assert counts.tolist() == ([2] if joins else [1, 1])
+
+    def test_empty_and_single(self):
+        assert_groups_as_the_loop(np.zeros(0), 0.1)
+        assert_groups_as_the_loop(np.array([0.5]), 0.0)
 
 
 def reversible_kernel(poset, seed, mirrored=False):

@@ -3,8 +3,9 @@ its modules import one another without a cycle, every tolerance goes by chain.py
 and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
 transform API, only absorption.py's slice factors (and poset.py's certified zeta inverse)
 invert a matrix, only poset.py's dense factors ask for the Mobius matrix, chainfile.py
-scans a kernel for its nonzeros only through chain._nonzeros, and chain.py's block solver
-is the one place that calls the symmetric eigensolver."""
+scans a kernel for its nonzeros only through chain._nonzeros, chain.py's block solver
+is the one place that calls the symmetric eigensolver, and chain._symmetries is the one
+place that builds the candidate symmetries' coordinate shift."""
 import ast
 import graphlib
 import sys
@@ -341,3 +342,37 @@ def test_a_second_eigensolver_is_caught():
         "    return eigvalsh(a), np.linalg.eigvalsh(b)\n"
     )
     assert eigensolver_calls(source) == ["<module>", "f", "g", "g"]
+
+
+# One site builds the candidate symmetries: chain._symmetries, whose coordinate shift both the
+# numeric spectrum's blocks and the exact laws' lumping use.  A shift of coordinates is built
+# by rolling or moving axes.
+SHIFTS = {"roll", "rollaxis", "moveaxis"}
+
+
+def shift_sites(source: str) -> set[str]:
+    return definitions_with(source, lambda n: called_name(n) in SHIFTS)
+
+
+def test_one_site_builds_the_coordinate_shift():
+    found = {(path.name, name) for path in SOURCES
+             for name in shift_sites(path.read_text(encoding="utf-8"))}
+    assert found == {("chain.py", "_symmetries")}
+
+
+def test_a_second_shift_is_caught():
+    source = (
+        "import numpy as np\n"
+        "def f(d, w):\n"
+        "    return np.roll(d, 1, axis=1) @ w\n"
+        "def g(a):\n"
+        "    return np.moveaxis(a, 0, -1), a.transpose()\n"
+        "def h(a):\n"
+        "    return np.rollaxis(a, 2)\n"
+    )
+    assert shift_sites(source) == {"f", "g", "h"}
+
+
+def test_the_lumping_tolerance_sits_in_the_table():
+    source = next(path for path in SOURCES if path.name == "chain.py").read_text(encoding="utf-8")
+    assert "LUMP_TOL" in tolerance_names(source)

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec, DualChain, SpectrumReport, group_with_tolerance
-from .chain import _check_tol, _count, _lump, _nonzeros, _positive_pi, _propagate
+from .chain import _check_tol, _lump, _nonzeros, _positive_pi, _propagate
 from .errors import (
     BadParameters,
     BadProbability,
@@ -19,7 +19,7 @@ from .errors import (
     NotTriangular,
     SingularSystem,
 )
-from .poset import _levels, _readonly
+from .poset import _count, _levels, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,27 +80,18 @@ def _step_blocks(v: np.ndarray, P: np.ndarray | tuple, n: int):
 
 
 def _transient_parts(d: DualChain) -> tuple[tuple, np.ndarray]:
-    """The (rows, cols, vals) of the transient block Q's nonzeros, and the start, in Q's indices."""
+    """The (rows, cols, vals) of the transient block Q's nonzeros, P_star's off the absorbing
+    state's row and column, and the start, nu_star less the absorbing mass, in P_star's indices."""
     a = d.absorbing_index
     rows, cols, vals = _nonzeros(d.P_star)
     keep = (rows != a) & (cols != a)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return (rows - (rows > a), cols - (cols > a), vals), np.delete(d.nu_star, a)
-
-
-def _lumped_parts(d: DualChain, parts: tuple | None = None) -> tuple[tuple, np.ndarray]:
-    """``_transient_parts`` on the orbits of the symmetries the dual keeps (``chain._lump``),
-    which fix its absorbing state: the lumped Q's nonzeros and start, in its own indices."""
-    (rows, cols, vals), _ = parts or _transient_parts(d)
-    a = d.absorbing_index
-    Q = (rows + (rows >= a), cols + (cols >= a), vals)  # in P_star's indices
-    (rows, cols, vals), start, orbit = _lump(d.poset, d.P_star, d.nu_star, (np.arange(d.size) == a,), Q)
-    return (rows - (rows > orbit[a]), cols - (cols > orbit[a]), vals), np.delete(start, orbit[a])
+    return (rows[keep], cols[keep], vals[keep]), np.where(np.arange(d.size) == a, 0.0, d.nu_star)
 
 
 def _survival(d: DualChain, horizon: int, parts: tuple | None = None) -> np.ndarray:
-    """P(T > n) for n = 0..horizon: the mass left in transient states, or orbits of them."""
-    Q, start = _lumped_parts(d, parts)
+    """P(T > n) for n = 0..horizon: the transient mass, stepped on the orbits of ``chain._lump``."""
+    Q, start = parts or _transient_parts(d)
+    Q, start, _ = _lump(d.poset, d.P_star, start, (np.arange(d.size) == d.absorbing_index,), Q)
     survival = np.empty(horizon + 1)
     for done, masses in _step_blocks(start, Q, horizon):
         survival[done] = masses.sum(axis=1)  # each row's sum is bitwise its 1-D sum
@@ -115,33 +106,32 @@ def _level_blocks(level: np.ndarray, rows, cols, vals) -> tuple[list, float]:
 
 
 def _slices(d: DualChain, rows, cols) -> list | None:
-    """Q's states of each last coordinate of a shaped poset, lowest first, as contiguous
-    ranges, if no nonzero (rows, cols) of Q changes that coordinate by more than 1; else None."""
+    """The transient states of each last coordinate of a shaped poset, lowest first, if no
+    nonzero (rows, cols) of Q changes that coordinate by more than 1; else None."""
     if d.poset.shape is not None:
-        last = np.delete(np.arange(d.size) // (d.size // d.poset.shape[-1]), d.absorbing_index)
-        if np.abs(last[rows] - last[cols]).max(initial=0) <= 1:
-            edges = [0, *(np.flatnonzero(np.diff(last)) + 1).tolist(), len(last)]
-            return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        width = d.size // d.poset.shape[-1]  # the states of one last coordinate
+        if np.abs(rows // width - cols // width).max(initial=0) <= 1:
+            return [s[s != d.absorbing_index] for s in np.arange(d.size).reshape(-1, width)]
     return None
 
 
-def _slice_factors(P_star: np.ndarray, full: np.ndarray, slices: list) -> list:
-    """Block-Thomas factors of a block-tridiagonal ``I - Q``: per slice k its range, ``Q_k,k-1``,
+def _slice_factors(P_star: np.ndarray, slices: list) -> list:
+    """Block-Thomas factors of a block-tridiagonal ``I - Q``: per slice k its states, ``Q_k,k-1``,
     ``S_k^-1`` and ``G_k``, with ``S_k = I - Q_kk - Q_k,k-1 G_k-1`` and ``G_k = S_k^-1 Q_k,k+1``."""
-    blocks, empty = [full[s] for s in slices], np.zeros(0, dtype=np.intp)
-    factors, G = [], np.zeros((0, len(blocks[0])))  # no slice below the first, none above the last
-    for s, below, b, above in zip(slices, [empty, *blocks], blocks, [*blocks[1:], empty]):
+    empty = np.zeros(0, dtype=np.intp)
+    factors, G = [], np.zeros((0, len(slices[0])))  # no slice below the first, none above the last
+    for below, b, above in zip([empty, *slices], slices, [*slices[1:], empty]):
         low = P_star[np.ix_(b, below)]
         inverse = np.linalg.inv(np.eye(len(b)) - P_star[np.ix_(b, b)] - low @ G)
         G = inverse @ P_star[np.ix_(b, above)]
-        factors.append((s, low, inverse, G))
+        factors.append((b, low, inverse, G))
     return factors
 
 
 def _block_sweep(factors: list, rhs: np.ndarray) -> np.ndarray:
     """``(I - Q)^-1 rhs`` from ``_slice_factors``: z_k = S_k^-1 (rhs_k + Q_k,k-1 z_k-1) upward,
-    then x_k = z_k + G_k x_k+1 downward."""
-    x, z = np.empty_like(rhs), np.zeros(0)
+    then x_k = z_k + G_k x_k+1 downward; 0 on the absorbing state, in no slice."""
+    x, z = np.zeros_like(rhs), np.zeros(0)
     for s, low, inverse, _ in factors:
         z = x[s] = inverse @ (rhs[s] + low @ z)
     z = np.zeros(0)
@@ -159,20 +149,20 @@ def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray, variance=True
     Without ``variance`` only the mean's systems are solved, and the variance is NaN.
     """
     rows, cols, vals = Q
-    a, n = d.absorbing_index, len(start)
-    full = np.delete(np.arange(d.size), a)  # Q's state i is P_star's state full[i]
-    blocks, down = _level_blocks(np.delete(_levels(d.poset), a), rows, cols, vals)
+    level, n = _levels(d.poset), d.size
+    level[d.absorbing_index] = -1  # in no level block
+    blocks, down = _level_blocks(level, rows, cols, vals)
     slices = _slices(d, rows, cols) if down > 0.0 else None
     steps, second = np.zeros(n), np.zeros(n)
     try:
         if slices:
-            factors = _slice_factors(d.P_star, full, slices)
+            factors = _slice_factors(d.P_star, slices)
             steps = _block_sweep(factors, np.ones(n))
             if variance:
                 second = _block_sweep(factors, 2.0 * steps - 1.0)
         else:
-            for b in reversed([np.arange(n)] if down > 0.0 else blocks):
-                system = d.P_star[np.ix_(full[b], full[b])]
+            for b in reversed([np.flatnonzero(level >= 0)] if down > 0.0 else blocks):
+                system = d.P_star[np.ix_(b, b)]
                 np.negative(system, out=system)
                 system.flat[:: len(b) + 1] += 1.0
                 # steps[b] and second[b] are still zero: these sums see only Q_b,above
@@ -190,6 +180,8 @@ def _absorption_moments(d: DualChain, Q: tuple, start: np.ndarray, variance=True
 
 def default_horizon(mean: float) -> int:
     """max(4 * ceil(mean), 50); leaves only an exp(-4)-scale tail."""
+    if not math.isfinite(mean):
+        raise BadParameters(f"mean must be finite, got {mean!r}")
     return max(4 * math.ceil(mean), 50)
 
 

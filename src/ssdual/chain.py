@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -19,7 +18,7 @@ from .errors import (
     NotRowStochastic,
     SingularSystem,
 )
-from .poset import Poset, _digits, _readonly
+from .poset import Poset, _count, _digits, _readonly
 
 # The named tolerances, defined here once for every module.
 DEFAULT_TOL = 1e-9  # slack beyond the rounding bound; also the residual bound `ssdual verify` accepts
@@ -245,18 +244,29 @@ def time_reversal(c: ChainSpec) -> np.ndarray:
 
 
 def is_reversible(c: ChainSpec, tol: float = 1e-12) -> bool:
-    """Detailed balance check: max |pi(x)P(x,y) - pi(y)P(y,x)| <= tol."""
+    """Detailed balance check: max |pi(x)P(x,y) - pi(y)P(y,x)| <= tol; pi may have zeros."""
     _check_tol(tol)
     if c.pi is None:
         raise MissingStationary("reversibility check needs the stationary distribution")
-    # the lower triangle a slab of rows at a time: two 64 x M slabs, not an M x M flux
-    worst = 0.0
-    for lo in range(0, c.size, 64):
-        rows, cols = slice(lo, lo + 64), slice(0, lo + 64)
-        flux = c.pi[rows, None] * c.P[rows, cols]
-        flux -= c.pi[cols] * c.P[cols, rows].T
-        worst = np.maximum(worst, np.abs(flux, out=flux).max())
-    return bool(worst <= tol)
+    return bool(_balance(c)[0] <= tol)
+
+
+def _balance(c: ChainSpec, gens: list | tuple = (), root: np.ndarray | None = None) -> tuple:
+    """The one detailed-balance scan: (the worst flux |pi(x)P(x,y) - pi(y)P(y,x)|, and each
+    permutation g of ``gens``' largest |S(gx, gy) - S(x, y)| with S = diag(root) P diag(root)^-1)
+    over the nonzeros (x, y) of P, 2^18 entries at a time, not of the whole kernel: a pair with
+    no nonzero has no flux.  NaN propagates."""
+    worst, moved, step = 0.0, np.zeros(len(gens)), max(1, (1 << 18) // c.size)
+    for lo in range(0, c.size, step):
+        rows, cols, vals = _nonzeros(c.P[lo : lo + step])
+        rows += lo
+        flux = c.pi[rows] * vals - c.pi[cols] * c.P[cols, rows]
+        worst = np.maximum(worst, np.abs(flux).max(initial=0.0))
+        if gens:
+            s = root[rows] * vals / root[cols]
+            moved = np.maximum(moved, [np.abs(root[g[rows]] * c.P[g[rows], g[cols]] / root[g[cols]] - s)
+                                       .max(initial=0.0) for g, _ in gens])
+    return worst, moved
 
 
 def _propagate(v: np.ndarray, P: np.ndarray | tuple, n: int):
@@ -298,16 +308,6 @@ def _nonzeros(P: np.ndarray, most: float = np.inf) -> tuple | None:
     flat = flats[0] if len(flats) == 1 else np.concatenate([np.zeros(0, dtype=np.intp), *flats])
     rows, cols = np.divmod(flat, m)
     return rows, cols, P.ravel()[flat]
-
-
-def _count(n, what: str, least: int = 0, end: int = np.iinfo(np.intp).max // 8 - 1) -> int:
-    """``n``, a step, horizon or sample count (or a seed, with its own ``end``), as an int;
-    BadParameters for a bool or unless ``least <= n < end``.  The default ``end`` keeps n + 2
-    eight-byte entries within what numpy can size: a larger count would raise ValueError."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and least <= n < end):
-        kind = "nonnegative" if least == 0 else "positive"
-        raise BadParameters(f"{what} must be a {kind} integer below {end}")
-    return int(n)
 
 
 def evolve(c: ChainSpec, n: int) -> np.ndarray:
@@ -372,16 +372,7 @@ def spectrum_numeric(c: ChainSpec, *, group_tol: float = 1e-7) -> SpectrumReport
     _check_tol(group_tol, "group_tol")
     root = np.sqrt(_positive_pi(c.pi, "numeric spectrum"))
     m, gens = c.size, _symmetries(c.poset)
-    # is_reversible's worst flux (a pair with no nonzero has none) and each |S(gx, gy) - S(x, y)|,
-    # over the nonzeros of 2^18 entries at a time, not of the whole kernel
-    worst, moved, step = 0.0, np.zeros(len(gens)), max(1, (1 << 18) // m)
-    for lo in range(0, m, step):
-        rows, cols, vals = _nonzeros(c.P[lo : lo + step])
-        rows += lo
-        worst = max(worst, np.abs(c.pi[rows] * vals - c.pi[cols] * c.P[cols, rows]).max(initial=0.0))
-        s = root[rows] * vals / root[cols]
-        moved = np.maximum(moved, [np.abs(root[g[rows]] * c.P[g[rows], g[cols]] / root[g[cols]] - s)
-                                   .max(initial=0.0) for g, _ in gens])
+    worst, moved = _balance(c, gens, root)
     if not worst <= REVERSIBLE_TOL:
         raise NotReversible("numeric spectrum is only implemented for reversible chains")
     gens = [gen for gen, d in zip(gens, moved) if d <= REVERSIBLE_TOL]

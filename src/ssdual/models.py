@@ -18,7 +18,7 @@ import numpy as np
 from .chain import ROW_SUM_TOL, ChainSpec, DualChain, _depths
 from .duality import down_set_masses
 from .errors import BadParameters, TooLarge
-from .poset import Poset, _check_cap, _digits, grid_poset
+from .poset import _SIZE, Poset, _check_cap, _count, _digits, grid_poset
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,13 @@ class IsingSpec:
     beta: float
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        if _count(self.n_vertices, "vertex count", *_SIZE) < 1:
             raise BadParameters("graph needs at least one vertex")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise BadParameters("beta must be finite and nonnegative")
         seen = set()
         for u, v in self.edges:
+            u, v = _count(u, "edge endpoint", *_SIZE), _count(v, "edge endpoint", *_SIZE)
             if u == v:
                 raise BadParameters(f"self-loop at vertex {u}")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -57,7 +58,7 @@ class LatticeSpec:
     mu2: float
 
     def __post_init__(self):
-        if self.N < 1:
+        if _count(self.N, "lattice side N", *_SIZE) < 1:
             raise BadParameters("lattice side N must be >= 1")
         rates = (self.lambda1, self.lambda2, self.mu1, self.mu2)
         if not all(math.isfinite(r) and r > 0.0 for r in rates):
@@ -82,7 +83,7 @@ class CubeSpec:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+        if min(_count(self.n, "cube n", *_SIZE), _count(self.k, "cube k", *_SIZE)) < 1:
             raise BadParameters("cube needs n >= 1 and k >= 1")
 
 
@@ -161,7 +162,7 @@ def _ising_chain(spec: IsingSpec) -> ChainSpec:
 
 
 def _circle_spec(N: int, beta: float) -> IsingSpec:
-    if N < 3:
+    if _count(N, "circle size N", *_SIZE) < 3:
         raise BadParameters("a circle needs at least 3 vertices")
     _check_cap((2,), TooLarge, N)  # before the N edges
     edges = tuple((i, (i + 1) % N) for i in range(N))
@@ -175,10 +176,8 @@ def ising_circle(N: int, beta: float) -> ChainSpec:
 
 def ising_gibbs_graph(n_vertices: int, edges: Sequence[tuple[int, int]], beta: float) -> ChainSpec:
     """Gibbs sampler for the Ising model on an arbitrary simple graph."""
-    _check_cap((2,), TooLarge, n_vertices)  # before the per-edge checks
-    spec = IsingSpec(
-        n_vertices=n_vertices, edges=tuple((int(u), int(v)) for u, v in edges), beta=beta
-    )
+    _check_cap((2,), TooLarge, _count(n_vertices, "vertex count", *_SIZE))  # before the edges
+    spec = IsingSpec(n_vertices=n_vertices, edges=tuple(map(tuple, edges)), beta=beta)
     chain = _ising_chain(spec)  # checks the cap before the n x n adjacency below
     if not (_depths(_adjacency(spec) > 0, np.arange(n_vertices) == 0) >= 0).all():
         warnings.warn("Ising graph is disconnected", stacklevel=2)

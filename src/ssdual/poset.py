@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +55,21 @@ def _check_cap(shape: Sequence[int], exc=SizeOverflow, repeat: int = 1) -> int:
     if size > limit:
         raise exc(f"state space of size {size} exceeds cap {limit}")
     return size
+
+
+_SIZE = (-math.inf, math.inf)  # _count's bounds for a size, whose own range check follows
+
+
+def _count(n, what: str, least: float = 0, end: float = np.iinfo(np.intp).max // 8 - 1) -> int:
+    """``n`` as an int, the one integer rule: BadParameters for a bool, a non-integer, or unless
+    ``least <= n < end``.  A size passes ``_SIZE``, so its own range check and the state cap
+    come after; a step, horizon or sample count (or a seed, with its own ``end``) keeps the
+    default ``end``, so that n + 2 eight-byte entries stay within what numpy can size."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and least <= n < end):
+        kind = {0: "a nonnegative", 1: "a positive"}.get(least, "an")
+        below = f" below {end}" if end < math.inf else ""
+        raise BadParameters(f"{what} must be {kind} integer{below}")
+    return int(n)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -290,7 +306,7 @@ def _induced(labels: Sequence, leq: np.ndarray, index: np.ndarray) -> Poset:
 
 def chain_poset(length: int) -> Poset:
     """Linear order 0 < 1 < ... < length-1."""
-    if length < 1:
+    if _count(length, "chain length", *_SIZE) < 1:
         raise BadParameters("chain length must be positive")
     return _grid((length,), range(length))
 
@@ -317,7 +333,7 @@ def grid_poset(shape: Sequence[int]) -> Poset:
     States are indexed in mixed radix with coordinate 0 least significant,
     which is automatically a consistent enumeration.
     """
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(_count(s, "grid side", *_SIZE) for s in shape)
     if not shape or any(s < 1 for s in shape):
         raise BadParameters(f"invalid grid shape {shape}")
     return _grid(shape)

@@ -47,6 +47,17 @@ def lattice_dual(N, params=LATTICE_PARAMS[0]):
     return sd.build_dual(lattice(N, params))
 
 
+# The 46 models, each as (chain, dual, *args): Ising N in {3, 4, 5, 6, 8, 10} at four
+# temperatures, the lattice at N in {1, 2, 3, 8, 24} with both rate sets, and the cube at
+# n in {1, 2, 3, 5}, k in {1, 2, 3}.
+MODELS = {
+    **{f"ising-{N}-{b}": (ising, ising_dual, N, b) for N in (3, 4, 5, 6, 8, 10) for b in (0.0, 0.5, 1.0, 2.0)},
+    **{f"lattice-{N}-{i}": (lattice, lattice_dual, N, rates)
+       for N in (1, 2, 3, 8, 24) for i, rates in enumerate(LATTICE_PARAMS)},
+    **{f"cube-{n}-{k}": (cube, cube_dual, n, k) for n in (1, 2, 3, 5) for k in (1, 2, 3)},
+}
+
+
 def rotating_dual():
     """0 < {a, b, c} < 1, and the dual rotates a -> b -> c -> a: a level block whose
     eigenvalues are complex, -0.25 +- 0.433i beside 0.5."""

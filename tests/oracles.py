@@ -72,6 +72,12 @@ def dense_absorption_moments(P_star, nu_star, absorbing):
     return mean, float(start @ second) - mean * mean
 
 
+def dense_worst_flux(P, pi):
+    """max |diag(pi) P - (diag(pi) P)^T|: the worst detailed-balance flux over every pair of states."""
+    flux = np.asarray(pi)[:, None] * P
+    return float(np.abs(flux - flux.T).max())
+
+
 def symmetrised_eigenvalues(P, pi):
     """Eigenvalues of the full symmetrised kernel (S + S.T) / 2, S = D^1/2 P D^-1/2, descending."""
     root = np.sqrt(pi)
@@ -282,12 +288,20 @@ def per_step_sums(Q, start, horizon):
     return np.fromiter((mass.sum() for mass in _propagate(start, Q, horizon)), float, horizon + 1)
 
 
+def lumped_parts(d):
+    """The transient block's nonzeros and start on the orbits of the symmetries the dual keeps,
+    in the orbits' indices: ``_transient_parts`` lumped as ``_survival`` lumps it."""
+    from ssdual.absorption import _transient_parts
+    from ssdual.chain import _lump
+
+    Q, start = _transient_parts(d)
+    return _lump(d.poset, d.P_star, start, (np.arange(d.size) == d.absorbing_index,), Q)[:2]
+
+
 def per_step_survival(d, horizon):
     """P(T > n) for n = 0..horizon by ``per_step_sums``, on the lumped transient block and start
     that ``_survival`` steps."""
-    from ssdual.absorption import _lumped_parts
-
-    return per_step_sums(*_lumped_parts(d), horizon)
+    return per_step_sums(*lumped_parts(d), horizon)
 
 
 def unlumped_survival(d, horizon):

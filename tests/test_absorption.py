@@ -6,12 +6,12 @@ import pytest
 
 import ssdual as sd
 from conftest import LATTICE_PARAMS, cube, cube_closed_dual, cube_dual, ising, ising_dual, lattice
-from conftest import lattice_dual, rotating_dual
-from oracles import dense_absorption_moments, dense_simulate_sst, peak_bytes
+from conftest import MODELS, lattice_dual, rotating_dual
+from oracles import dense_absorption_moments, dense_simulate_sst, lumped_parts, peak_bytes
 from oracles import per_step_survival, separation_by_matrix_power, unlumped_separation
 from oracles import unlumped_survival
 from ssdual import absorption
-from ssdual.absorption import _lumped_parts, _slices, _survival, _transient_parts
+from ssdual.absorption import _slices, _survival, _transient_parts
 from ssdual.errors import (
     BadParameters,
     BadProbability,
@@ -274,13 +274,27 @@ def short_rows_dual():
 
 
 def absorbing_in_the_middle(down):
-    """0 < {a, b}, absorbing at a (index 1), so b is Q's state 1 and P_star's state 2.
+    """0 < {a, b}, absorbing at a (index 1), before b, P_star's state 2 and Q's alike.
 
     With ``down``, b -> 0 moves down a level with probability 0.1.
     """
     poset = sd.build_poset(["0", "a", "b"], [(0, 1), (0, 2)])
     P = [[0.5, 0.2, 0.3], [0.0, 1.0, 0.0], [0.1 if down else 0.0, 0.4, 0.5 if down else 0.6]]
     return sd.DualChain(poset=poset, P_star=P, nu_star=[0.7, 0.0, 0.3], absorbing_index=1)
+
+
+def neighbour_walk_dual(shape, absorbing, seed=0):
+    """A lazy walk on the grid ``shape`` between states one apart in one coordinate, at random
+    rates, absorbed at ``absorbing`` and started uniformly, the absorbing state too."""
+    poset = sd.grid_poset(shape)
+    digits = np.asarray(poset.labels).reshape(poset.size, -1)
+    near = np.abs(digits[:, None] - digits[None]).sum(axis=2) == 1
+    P = np.random.default_rng(seed).random(near.shape) * near
+    P /= 2.0 * P.sum(axis=1, keepdims=True)
+    P[np.diag_indices_from(P)] = 0.5
+    P[absorbing] = np.eye(poset.size)[absorbing]
+    nu = np.full(poset.size, 1.0 / poset.size)
+    return sd.DualChain(poset=poset, P_star=P, nu_star=nu, absorbing_index=absorbing)
 
 
 class TestLevelRule:
@@ -376,6 +390,23 @@ class TestBlockMoments:
         else:
             assert dense == (3.1999999999999997, 5.360000000000001)
             assert sd.spectrum_from_triangular(d).values.tolist() == [1.0, 0.6, 0.5]
+
+    @pytest.mark.parametrize(
+        "shape, absorbing",
+        [((4,), 3), ((4,), 1), ((3, 3), 4), ((3, 3), 0), ((2, 3), 5), ((3, 2), 2)],
+        ids=["chain-top", "chain-inside", "grid-middle", "grid-bottom", "grid-top", "grid-edge"],
+    )
+    def test_any_absorbing_state_on_the_slices(self, shape, absorbing):
+        # the absorbing state is left out of its slice, which may then be empty (a chain's top)
+        d = neighbour_walk_dual(shape, absorbing)
+        assert moment_path(d) == "slices"
+        assert_moments_match_dense(d)
+        Q = np.delete(np.delete(d.P_star, absorbing, axis=0), absorbing, axis=1)
+        start = np.delete(d.nu_star, absorbing)
+        want = [(start @ np.linalg.matrix_power(Q, n)).sum() for n in range(41)]
+        law = sd.absorption_survival(d, 40)
+        assert abs(law.survival[0] - (1.0 - 1.0 / d.size)) <= 1e-15  # less the absorbing mass
+        assert np.abs(law.survival - want).max() <= 1e-14
 
     def test_no_dense_transient_block(self):
         # 1024 states: one dense I - Q is 8 MiB; the level blocks stay far below
@@ -685,14 +716,8 @@ class TestSimulation:
             sd.simulate_sst(d, 10, seed=-1)
 
 
-# The 46 model duals: Ising N in {3, 4, 5, 6, 8, 10} at four temperatures, the lattice at
-# N in {1, 2, 3, 8, 24} with both rate sets, and the cube at n in {1, 2, 3, 5}, k in {1, 2, 3}.
-MODEL_DUALS = {
-    **{f"ising-{N}-{b}": (ising_dual, N, b) for N in (3, 4, 5, 6, 8, 10) for b in (0.0, 0.5, 1.0, 2.0)},
-    **{f"lattice-{N}-{i}": (lattice_dual, N, rates)
-       for N in (1, 2, 3, 8, 24) for i, rates in enumerate(LATTICE_PARAMS)},
-    **{f"cube-{n}-{k}": (cube_dual, n, k) for n in (1, 2, 3, 5) for k in (1, 2, 3)},
-}
+# The 46 model duals of conftest.MODELS.
+MODEL_DUALS = {name: (dual, *args) for name, (_, dual, *args) in MODELS.items()}
 
 
 @pytest.mark.parametrize("name", MODEL_DUALS)
@@ -707,8 +732,7 @@ def test_survival_blocks_sum_each_step_bitwise_as_alone(name):
 
 
 # The primal chain of each model dual.
-MODEL_CHAINS = {name: {ising_dual: ising, lattice_dual: lattice, cube_dual: cube}[make](*args)
-                for name, (make, *args) in MODEL_DUALS.items()}
+MODEL_CHAINS = {name: chain(*args) for name, (chain, _, *args) in MODELS.items()}
 LUMPED_HORIZONS = (0, 63, 64, 200)
 
 
@@ -758,8 +782,10 @@ def test_lumped_orbit_counts(chain, dual, orbits):
     (rows, _, vals), start, orbit = _lump(c.poset, c.P, c.nu, (c.pi,))
     assert len(start) == orbit.max() + 1 == orbits
     assert np.abs(np.bincount(rows, vals) - 1.0).max() <= 1e-15  # the lumped kernel is stochastic
-    (rows, cols, _), start = _lumped_parts(dual())
-    assert len(start) == orbits - 1  # the absorbing state is an orbit of its own, and is dropped
+    d = dual()
+    (rows, cols, _), start = lumped_parts(d)
+    assert len(start) == orbits  # the absorbing state is an orbit of its own, with no mass
+    assert start[-1] == 0.0 and orbits - 1 not in {*rows.tolist(), *cols.tolist()}
     assert max(rows.max(), cols.max()) == orbits - 2
 
 
@@ -805,7 +831,7 @@ def unlumpable(kind):
 def test_a_chain_without_a_kept_symmetry_is_not_lumped(kind):
     c, d = unlumpable(kind)
     assert np.array_equal(_lump(c.poset, c.P, c.nu, (c.pi,))[2], np.arange(c.size))
-    (rows, cols, vals), start = _lumped_parts(d)
+    (rows, cols, vals), start = lumped_parts(d)
     (q_rows, q_cols, q_vals), q_start = _transient_parts(d)
     assert all(a.tobytes() == b.tobytes()
                for a, b in ((rows, q_rows), (cols, q_cols), (vals, q_vals), (start, q_start)))

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssdual as sd
-from conftest import LATTICE_PARAMS, cube, ising, ising_dual, lattice, lattice_dual
+from conftest import LATTICE_PARAMS, MODELS, cube, ising, ising_dual, lattice, lattice_dual
 from oracles import peak_bytes, reference_nonzeros, separation_by_matrix_power, symmetrised_eigenvalues
-from oracles import looped_groups
-from ssdual.chain import REVERSIBLE_TOL, _nonzeros, _propagate, group_with_tolerance
+from oracles import dense_worst_flux, looped_groups
+from ssdual.chain import REVERSIBLE_TOL, _balance, _nonzeros, _propagate, group_with_tolerance
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -160,6 +160,33 @@ class TestReversibility:
         reversible, peak = peak_bytes(sd.is_reversible, c, 1e-12)
         assert reversible
         assert peak < c.P.nbytes / 4
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_decides_as_the_dense_flux(self, name):
+        chain, _, *args = MODELS[name]
+        c = chain(*args)
+        worst = dense_worst_flux(c.P, c.pi)
+        assert _balance(c)[0] == worst  # each pair's flux is the same product difference
+        for tol in (1e-12, REVERSIBLE_TOL):
+            assert sd.is_reversible(c, tol) == (worst <= tol)
+
+    def test_pi_with_zeros(self):
+        # no square root and no division: a zero in pi is a flux of zero, not a refusal
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        for pi, reversible in (([0.0, 0.0, 1.0], True), ([0.0, 0.5, 0.5], False)):
+            c = sd.ChainSpec(poset=sd.chain_poset(3), P=P, nu=[1, 0, 0], pi=pi)
+            assert sd.is_reversible(c) is reversible is (dense_worst_flux(P, c.pi) <= 1e-12)
+
+    def test_nan_flux_in_a_later_block_is_not_reversible(self):
+        # 1024 states scan 256 rows at a time: a NaN in the second block must not be
+        # dropped by a finite worst flux from the first
+        model = ising(10, 0.5)
+        c = sd.ChainSpec(poset=model.poset, P=model.P, nu=model.nu, pi=model.pi)
+        pi = c.pi.copy()
+        pi[300] = np.nan
+        object.__setattr__(c, "pi", pi)  # past ChainSpec's finite check
+        assert np.isnan(_balance(c)[0])
+        assert not sd.is_reversible(c, 1.0)
 
 
 class TestEvolve:
@@ -644,6 +671,8 @@ class TestSpectrumNumeric:
         P[0, 1] += scale * REVERSIBLE_TOL / c.pi[0]
         P[0, 0] -= scale * REVERSIBLE_TOL / c.pi[0]
         for chain in (sd.ChainSpec(poset=c.poset, P=P, nu=c.nu, pi=c.pi), ising(4, scale)):
+            dense = dense_worst_flux(chain.P, chain.pi) <= REVERSIBLE_TOL
+            assert sd.is_reversible(chain, REVERSIBLE_TOL) == dense
             if sd.is_reversible(chain, REVERSIBLE_TOL):
                 sd.spectrum_numeric(chain)
             else:

@@ -1,11 +1,13 @@
 """The package imports only numpy and the standard library (pyproject.toml declares numpy alone),
 its modules import one another without a cycle, every tolerance goes by chain.py's table
-and its one rule, ``_check_tol``, zeta and Mobius products go through poset.py's one
-transform API, only absorption.py's slice factors (and poset.py's certified zeta inverse)
-invert a matrix, only poset.py's dense factors ask for the Mobius matrix, chainfile.py
-scans a kernel for its nonzeros only through chain._nonzeros, chain.py's block solver
-is the one place that calls the symmetric eigensolver, and chain._symmetries is the one
-place that builds the candidate symmetries' coordinate shift."""
+and its one rule, ``_check_tol``, every integer argument by poset.py's one rule, ``_count``,
+zeta and Mobius products go through poset.py's one transform API, only absorption.py's
+slice factors (and poset.py's certified zeta inverse) invert a matrix, only poset.py's dense
+factors ask for the Mobius matrix, chainfile.py scans a kernel for its nonzeros only through
+chain._nonzeros, chain.py's block solver is the one place that calls the symmetric
+eigensolver, chain._symmetries is the one place that builds the candidate symmetries'
+coordinate shift, and absorption.py keeps the dual's transient block in P_star's indices,
+deleting no state."""
 import ast
 import graphlib
 import sys
@@ -128,6 +130,25 @@ def test_the_tolerance_rule_is_defined_once_in_chain():
     where = [path.name for path in SOURCES
              if "_check_tol" in defined_functions(path.read_text(encoding="utf-8"))]
     assert where == ["chain.py"]
+
+
+def definers(sources: dict[str, str], name: str) -> list[str]:
+    """The files among ``sources`` (file name: text) that define ``name`` at their top level."""
+    return [file for file, source in sources.items() if name in defined_functions(source)]
+
+
+def test_the_integer_rule_is_defined_once_in_poset():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert definers(sources, "_count") == ["poset.py"]
+
+
+def test_a_second_integer_rule_is_caught():
+    sources = {
+        "chain.py": "def _count(n, what):\n    return int(n)\n",
+        "poset.py": "def _count(n, what, least=0):\n    return n\n",
+        "models.py": "from .poset import _count\ndef f(n):\n    return _count(n, 'n')\n",
+    }
+    assert definers(sources, "_count") == ["chain.py", "poset.py"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -376,3 +397,26 @@ def test_a_second_shift_is_caught():
 def test_the_lumping_tolerance_sits_in_the_table():
     source = next(path for path in SOURCES if path.name == "chain.py").read_text(encoding="utf-8")
     assert "LUMP_TOL" in tolerance_names(source)
+
+
+# The transient block keeps P_star's indices: absorption.py renumbers no state, so it calls no
+# np.delete (nor a method of that name).
+def deletions(source: str) -> set[str]:
+    return definitions_with(source, lambda n: called_name(n) == "delete")
+
+
+def test_absorption_deletes_no_state():
+    source = next(path for path in SOURCES if path.name == "absorption.py").read_text(encoding="utf-8")
+    assert deletions(source) == set()
+
+
+def test_a_deleted_state_is_caught():
+    source = (
+        "import numpy as np\n"
+        "def f(d, v):\n"
+        "    return np.delete(v, d.absorbing_index)\n"
+        "def g(v, a):\n"
+        "    return v[np.arange(len(v)) != a]\n"
+        "full = np.delete(np.arange(4), 3)\n"
+    )
+    assert deletions(source) == {"f", "<module>"}

@@ -10,10 +10,14 @@ from ssdual.errors import (
     NoAbsorbingState,
     NotRowStochastic,
     NoUniqueMax,
+    SizeOverflow,
+    TooLarge,
 )
 
 SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 BIRTH_DEATH = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+RATES = (0.2, 0.2, 0.25, 0.25)
+NAN = float("nan")
 
 
 def two_tops():
@@ -110,6 +114,53 @@ CASES = {
     "grid-zero-axis": (
         lambda: sd.grid_poset([2, 0]), BadParameters, "invalid grid shape (2, 0)"
     ),
+    # a size that is not an integer is refused, never truncated or left to numpy
+    "grid-fractional-side": (lambda: sd.grid_poset([2.5]), BadParameters, "grid side must be an integer"),
+    "ising-fractional-endpoint": (
+        lambda: sd.ising_gibbs_graph(3, [(0, 1.5)], 0.5), BadParameters, "edge endpoint must be an integer"
+    ),
+    "ising-spec-float-endpoint": (
+        lambda: sd.IsingSpec(3, ((0, 1.0),), 0.5), BadParameters, "edge endpoint must be an integer"
+    ),
+    "ising-fractional-vertex-count": (
+        lambda: sd.ising_gibbs_graph(2.5, [(0, 1)], 0.5), BadParameters, "vertex count must be an integer"
+    ),
+    "ising-spec-fractional-vertex-count": (
+        lambda: sd.IsingSpec(2.5, (), 0.5), BadParameters, "vertex count must be an integer"
+    ),
+    "lattice-fractional-side": (
+        lambda: sd.LatticeSpec(2.5, *RATES), BadParameters, "lattice side N must be an integer"
+    ),
+    "lattice-nan-side": (
+        lambda: sd.LatticeSpec(NAN, *RATES), BadParameters, "lattice side N must be an integer"
+    ),
+    "lattice-bool-side": (
+        lambda: sd.LatticeSpec(True, *RATES), BadParameters, "lattice side N must be an integer"
+    ),
+    "cube-float-n": (lambda: sd.CubeSpec(2.0, 1), BadParameters, "cube n must be an integer"),
+    "cube-nan-k": (lambda: sd.CubeSpec(2, NAN), BadParameters, "cube k must be an integer"),
+    "circle-fractional-size": (
+        lambda: sd.ising_circle(3.5, 0.5), BadParameters, "circle size N must be an integer"
+    ),
+    "circle-dual-fractional-size": (
+        lambda: sd.ising_circle_dual(3.5, 0.5), BadParameters, "circle size N must be an integer"
+    ),
+    "chain-fractional-length": (
+        lambda: sd.chain_poset(2.5), BadParameters, "chain length must be an integer"
+    ),
+    "default-horizon-nan": (lambda: sd.default_horizon(NAN), BadParameters, "mean must be finite, got nan"),
+    "default-horizon-inf": (
+        lambda: sd.default_horizon(float("inf")), BadParameters, "mean must be finite, got inf"
+    ),
+    # an integer size has no upper bound of its own: the state cap refuses it
+    "grid-huge-side": (
+        lambda: sd.grid_poset([10**30]), SizeOverflow,
+        "state space of size 1000000000000000000000000000000 exceeds cap 16384",
+    ),
+    "cube-huge-n": (
+        lambda: sd.kary_cube(sd.CubeSpec(10**30, 1)), TooLarge,
+        "state space of size at least 2**1000000000000000000000000000000 exceeds cap 16384",
+    ),
 }
 
 
@@ -119,6 +170,23 @@ def test_refusal_raises_its_error_and_message(case):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (lambda n: sd.chain_poset(n(3)), 3),
+        (lambda n: sd.grid_poset([n(2), np.int32(3)]), 6),
+        (lambda n: sd.ising_circle(n(4), 0.5), 16),
+        (lambda n: sd.ising_circle_dual(n(4), 0.5), 16),
+        (lambda n: sd.ising_gibbs_graph(n(3), np.array([[0, 1], [1, 2]]), 0.5), 8),
+        (lambda n: sd.lattice_walk(sd.LatticeSpec(n(3), *RATES)), 16),
+        (lambda n: sd.kary_cube(sd.CubeSpec(n(2), n(1))), 4),
+    ],
+    ids=["chain", "grid", "circle", "circle-dual", "graph", "lattice", "cube"],
+)
+def test_numpy_integer_sizes_build(build, size):
+    assert build(np.int64).size == build(int).size == size
 
 
 def test_save_chain_refuses_other_objects_before_writing(tmp_path):

@@ -19,7 +19,7 @@ from .errors import (
     NotTriangular,
     SingularSystem,
 )
-from .poset import _count, _levels, _readonly
+from .poset import _SIZE, _count, _levels, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +258,7 @@ def _finite(steps: float, bound: float) -> tuple[int, float]:
 
 def coupon_collector_bound(N: int, c: float) -> tuple[int, float]:
     """Steps and tail bound (ceil(N ln N + c N), exp(-c))."""
-    if not 2 <= N <= sys.float_info.max:  # an int above it does not convert to a float
+    if not 2 <= _count(N, "coupon count N", *_SIZE) <= sys.float_info.max:  # else no float
         raise BadParameters(f"need 2 <= N <= {sys.float_info.max!r}")
     _check_c(c)
     return _finite(N * math.log(N) + c * N, math.exp(-c))
@@ -269,9 +269,9 @@ def chebyshev_bound(n: int, k: int, c: float) -> tuple[int, float]:
 
     Returns (ceil((2k/(k+1)) (n+1) ln n + c (2k/(k+1)) (pi/sqrt 6) n), 1/c^2).
     """
-    if not 2 <= n <= sys.float_info.max:  # an int above it does not convert to a float
+    if not 2 <= _count(n, "cube n", *_SIZE) <= sys.float_info.max:  # else no float
         raise BadParameters(f"need 2 <= n <= {sys.float_info.max!r}")
-    if not 1 <= k <= sys.float_info.max:
+    if not 1 <= _count(k, "cube k", *_SIZE) <= sys.float_info.max:
         raise BadParameters(f"need 1 <= k <= {sys.float_info.max!r}")
     _check_c(c)
     scale = 2.0 * k / (k + 1.0)

@@ -23,13 +23,17 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _grid_shape, _induced, _mobius_apply, _readonly, _sweeps
+from .poset import Poset, _down_sums, _grid_shape, _induced, _mobius_apply, _readonly, _sweeps
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
 
 
-# _certify's axis sweeps take the left factor over column slabs of 1/_SLABS of a kernel, or
-# of _SLAB_ENTRIES entries if more: on a small poset a slab costs calls, not arithmetic
-_SLABS, _SLAB_ENTRIES = 32, 1 << 15
+_SLAB_ENTRIES = 1 << 15
+
+
+def _slab(p: Poset) -> int:
+    """Columns or rows per slab of a sweep on ``p``: _SLAB_ENTRIES entries, which stay in the cache,
+    or half the longest axis's entries up to M / 32, so that its many numpy calls each cover as many."""
+    return max(-(-_SLAB_ENTRIES // p.size), min(-(-max(p.shape) // 2), -(-p.size // 32)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +76,10 @@ class LinkKernel:
         object.__setattr__(self, "pi", _readonly(np.array(self.pi, dtype=float)))
         object.__setattr__(self, "down_mass", _readonly(np.array(self.down_mass, dtype=float)))
 
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the link, columns :hi: the link is lower triangular."""
-        rows = self.poset.leq[:hi, lo:hi].T * self.pi[:hi]
-        return np.divide(rows, self.down_mass[lo:hi, None], out=rows)
-
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _readonly(self._rows(0, self.poset.size))
+        rows = self.poset.leq.T * self.pi
+        return _readonly(np.divide(rows, self.down_mass[:, None], out=rows))
 
 
 def check_mobius_monotone(
@@ -131,9 +131,8 @@ def _certify(
     transformed = np.array(a, dtype=float) if right is None else _mobius_apply(p, a, right=right)
     zero = np.empty_like(transformed, dtype=bool)
     cols, zero_cols = transformed.reshape(p.size, -1), zero.reshape(p.size, -1)  # a vector is one column
-    n, margin = cols.shape[1], np.inf  # dense factors are M x M already: one slab
-    step = max(-(-n // _SLABS), -(-_SLAB_ENTRIES // p.size)) if _sweeps(p) else n
-    for lo in range(0, n, step):
+    margin, step = np.inf, _slab(p) if _sweeps(p) else cols.shape[1]  # dense factors: one slab
+    for lo in range(0, cols.shape[1], step):
         part = cols[:, lo:lo + step]  # a view, which takes the left factor's result
         bound = _mobius_apply(p, part, f"|{left}|")
         part[...] = _mobius_apply(p, part, left)
@@ -233,17 +232,20 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
 def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tuple[float, float]:
     """(kernel, initial) intertwining residuals in the sup norm, in row slabs without the
-    link matrix: rows lo:hi of L from ``leq[:hi, lo:hi]``, of P* L as ``((P* / H) zeta.T) * pi``."""
+    link matrix: rows lo:hi of L P as ``(zeta.T (pi P)) / H``, of P* L as ``((P* / H) zeta.T) * pi``."""
     if not c.poset.labels == d.poset.labels == link.poset.labels:
         raise DimensionMismatch("chain, dual and link disagree in size or state order")
     p, pi, H = link.poset, link.pi, link.down_mass
-    step, kernel = max(128, c.size // 8), 0.0
-    for lo in range(0, c.size, step):
-        slab = link._rows(lo, lo + step) @ c.P[:lo + step]
-        dual = _mobius_apply(p, d.P_star[lo:lo + step] / H, right="zeta.T", copy=False)
-        slab -= np.multiply(dual, pi, out=dual)
-        kernel = np.maximum(kernel, np.abs(slab, out=slab).max())  # keeps a NaN, unlike max()
-        del slab, dual  # before the next slab's are made
+    kernel, step = 0.0, _slab(p) if _sweeps(p) else c.size
+    for lo, hi, slab in _down_sums(p, pi, c.P):
+        for sub in range(lo, hi, step):  # cache-sized rows; the dual's in F order, rows innermost
+            rows = slab[sub - lo:sub - lo + step]
+            dual = np.array(d.P_star[sub:sub + len(rows)], order="F")
+            dual = _mobius_apply(p, np.divide(dual, H, out=dual), right="zeta.T", copy=False)
+            rows /= H[sub:sub + len(rows), None]
+            rows -= np.multiply(dual, pi, out=dual)
+            kernel = np.maximum(kernel, np.abs(rows, out=rows).max())  # keeps a NaN, unlike max()
+        del slab, rows  # before the next slab is made
     initial = _mobius_apply(p, d.nu_star / H, right="zeta.T", copy=False) * pi
     return float(kernel), float(np.max(np.abs(c.nu - initial)))
 

@@ -45,6 +45,7 @@ class IsingSpec:
             if key in seen:
                 raise BadParameters(f"duplicate edge {key}")
             seen.add(key)
+        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))  # hashable
 
 
 @dataclass(frozen=True)

@@ -513,7 +513,8 @@ def _axis_apply(
     False and ``a`` is a contiguous float array; ``a`` is as in :func:`_mobius_apply`.
     """
     if copy or a.dtype != float or not a.flags.forc:
-        a = np.array(a, dtype=float, order="K")  # a copy in the memory order of a
+        # the batch innermost: C order for a left factor, F for a right (same adds, same bits)
+        a = np.array(a, dtype=float, order="C" if left is not None else "F")
     # a vector is one column for a left factor and one row for a right one
     mat = a.reshape((1, -1) if right is not None else (-1, 1)) if a.ndim == 1 else a
     # sweep the C-ordered face: the transpose of an F-ordered batch, led by its column axes
@@ -531,6 +532,27 @@ def _axis_apply(
             view = face.reshape(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
             _axis_sweep(view, sign, flip * offset, cumulative)
     return a
+
+
+def _down_sums(p: Poset, pi: np.ndarray, P: np.ndarray):
+    """Yield (lo, hi, fresh rows lo:hi of ``zeta.T @ (pi[:, None] * P)``) over all rows.  On a product
+    of chains that :func:`_sweeps`, blocks of sqrt(M) to max(128, M // 16) rows (its low axes) sum the
+    blocks below them, a running sum along the fastest high axis and an ``einsum`` over the others, then
+    sweep ``zeta.T`` along the low axes; other posets take dense products of 128 to M // 8 rows."""
+    size, shape = p.size, p.shape if _sweeps(p) else ()
+    low = int(np.searchsorted(np.cumprod(shape), max(128, size // 16), side="right"))
+    block, high = math.prod(shape[:low]), shape[low:][::-1]  # C order: most significant first
+    if not shape or block * block < size:
+        for lo in range(0, size, step := max(128, size // 8)):
+            hi = min(lo + step, size)
+            yield lo, hi, (p.leq[:hi, lo:hi].T * pi[:hi]) @ P[:hi]
+        return
+    n, weights, rows = len(high), pi.reshape(*high, block), P.reshape(*high, block, size)
+    for b, c in enumerate(np.ndindex(*high)):  # c[-1] is the fastest high coordinate
+        box = (*(slice(x + 1) for x in c[:-1]), c[-1])
+        part = np.einsum(weights[box], [*range(n)], rows[box], [*range(n + 1)], [n - 1, n])
+        acc = part if c[-1] == 0 else np.add(part, acc, out=part)
+        yield b * block, (b + 1) * block, _axis_apply(shape[:low], acc, left="zeta.T")
 
 
 def mobius_inverse_check(f: np.ndarray, p: Poset) -> np.ndarray:

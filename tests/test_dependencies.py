@@ -209,6 +209,23 @@ def test_a_stray_sweep_is_caught():
     assert names_used("from .poset import _mobius_apply\n") & SWEEP_INTERNALS == set()
 
 
+# The down-set row sums zeta.T @ (pi * P) of poset._down_sums: poset.py alone defines and runs
+# them, and the intertwining check in duality.py is their one reader.
+DOWN_SUMS = {"_down_sums"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_intertwining_reads_the_down_set_sums(path):
+    used = names_used(path.read_text(encoding="utf-8")) & DOWN_SUMS
+    assert used == set() or path.name in ("poset.py", "duality.py")
+
+
+def test_a_stray_down_set_sum_is_caught():
+    assert names_used("from .poset import _down_sums as rows\n") & DOWN_SUMS == {"_down_sums"}
+    assert names_used("from . import poset\nrows = poset._down_sums\n") & DOWN_SUMS == {"_down_sums"}
+    assert names_used("from .poset import _mobius_apply\n") & DOWN_SUMS == set()
+
+
 # Explicit inverses: the block-Thomas factors of absorption's slices, and poset's certified
 # inverse of an unshaped zeta.  The block sweep and its factors are named only in absorption.py.
 INVERTERS = {("absorption.py", "_slice_factors"), ("poset.py", "_compute_mobius_pair")}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ssdual as sd
 import ssdual.duality as duality_module
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
-from conftest import rotating_dual
+from conftest import MODELS, rotating_dual
 from oracles import down_set_sums, peak_bytes
 from ssdual.errors import (
     BadParameters,
@@ -109,7 +109,7 @@ class TestKernelMonotonicity:
     def test_witness_across_column_slabs(self, monkeypatch, order, marks, expected):
         # 320 states: slabs of 103 columns, the last of 11, so slab-major order
         # would name (7, 1) or (61, 103)
-        assert (duality_module._SLABS, duality_module._SLAB_ENTRIES) == (32, 1 << 15)
+        assert duality_module._SLAB_ENTRIES == 1 << 15
         T = np.arange(320.0 * 320).reshape(320, 320)
         for at, value in marks.items():
             T[at] = value
@@ -391,6 +391,16 @@ class TestIntertwining:
         link = sd.build_link(dual.poset, chain.pi)
         dense = np.max(np.abs(link.matrix @ chain.P - dual.P_star @ link.matrix))
         assert abs(sd.intertwining_residuals(chain, dual, link)[0] - dense) <= 1e-15
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_model_dual_matches_the_dense_residuals(self, model):
+        chain, dual, *args = MODELS[model]
+        c, d = chain(*args), dual(*args)
+        link = sd.build_link(c.poset, c.pi)
+        kernel = np.max(np.abs(link.matrix @ c.P - d.P_star @ link.matrix))
+        initial = np.max(np.abs(c.nu - d.nu_star @ link.matrix))
+        got = sd.intertwining_residuals(c, d, link)
+        assert abs(got[0] - kernel) <= 1e-15 and abs(got[1] - initial) <= 1e-15
 
     @staticmethod
     def antichain(m, P_star, down_mass):

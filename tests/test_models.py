@@ -74,6 +74,13 @@ class TestIsingChain:
 
 
 class TestIsingGraph:
+    def test_spec_keeps_int_pairs_and_hashes(self):
+        # a list of edges and a tuple of the same edges give one spec
+        listed, tupled = sd.IsingSpec(3, [(0, 1)], 0.5), sd.IsingSpec(3, ((0, 1),), 0.5)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.edges == ((0, 1),) and type(listed.edges[0][0]) is int
+        assert sd.IsingSpec(3, [(np.int64(1), 2)], 0.5) == sd.IsingSpec(3, ((1, 2),), 0.5)
+
     def test_circle_graph_agrees_with_circle_model(self):
         edges = [(i, (i + 1) % 4) for i in range(4)]
         g = sd.ising_gibbs_graph(4, edges, 0.5)

@@ -586,6 +586,15 @@ class TestShapedCalculus:
         close(sd.down_set_masses(p, np.abs(v)), sd.down_set_masses(q, np.abs(v)), np.abs(v) @ zeta)
         scale = np.abs(mu) @ zeta @ np.abs(v)
         close(sd.mobius_inverse_check(v, p), sd.mobius_inverse_check(v, q), scale)
+        # the memory order never changes a value: a copy, and a C- and an F-ordered matrix swept
+        # in place, each in its own order, agree bit for bit
+        for name in poset_module._AXIS_STEPS:
+            for side in ("left", "right"):
+                copied = _axis_apply(p.shape, A, **{side: name})
+                for layout in "CF":
+                    work = np.array(A, order=layout)
+                    assert _axis_apply(p.shape, work, copy=False, **{side: name}) is work
+                    assert np.array_equal(work, copied)
 
 
     @given(shaped_posets(), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
@@ -606,6 +615,31 @@ class TestShapedCalculus:
                 assert _axis_apply(p.shape, work, copy=False, **{side: name}) is work
                 assert np.array_equal(work, fast)
                 assert np.all(np.abs(_mobius_apply(p, a, **{side: name}) - dense) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "shape",
+        # block sums over two high axes, over axes of length 1, and dense products: a product of
+        # at most 128 states, blocks of fewer than sqrt(M) rows, and an unshaped poset
+        [(2,) * 9, (3, 1, 4), (7,), (2, 3, 2, 5), (25, 25), (4, 4, 4, 4), (1, 50, 3, 1, 3), (2, 200), None],
+        ids=str,
+    )
+    def test_down_sums_match_the_link_product(self, shape):
+        # rows of zeta.T @ (pi * P) over H are rows of L P, on a walk along the covers
+        p = sd.grid_poset(shape) if shape else _stacked_antichains(20)
+        rng = np.random.default_rng(11)
+        P = np.zeros((p.size, p.size))
+        for a, b in p.covers:
+            P[a, b], P[b, a] = rng.random(2)
+        P /= 1.5 * P.sum(axis=1).max()
+        P[np.diag_indices(p.size)] = 1.0 - P.sum(axis=1)
+        pi = rng.random(p.size) + 0.1
+        link = sd.build_link(p, pi / pi.sum())
+        dense, ends = link.matrix @ P, [0]  # nonnegative: its own |.| scale
+        for lo, hi, rows in poset_module._down_sums(p, link.pi, P):
+            assert lo == ends[-1] < hi and rows.shape == (hi - lo, p.size) and rows.flags.writeable
+            assert np.all(np.abs(rows / link.down_mass[lo:hi, None] - dense[lo:hi]) <= 1e-15 * dense[lo:hi])
+            ends.append(hi)
+        assert ends[-1] == p.size
 
 
 class TestMobiusInverse:

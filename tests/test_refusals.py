@@ -148,6 +148,18 @@ CASES = {
     "chain-fractional-length": (
         lambda: sd.chain_poset(2.5), BadParameters, "chain length must be an integer"
     ),
+    "coupon-fractional-N": (
+        lambda: sd.coupon_collector_bound(2.5, 1.0), BadParameters, "coupon count N must be an integer"
+    ),
+    "coupon-bool-N": (
+        lambda: sd.coupon_collector_bound(True, 1.0), BadParameters, "coupon count N must be an integer"
+    ),
+    "chebyshev-fractional-n": (
+        lambda: sd.chebyshev_bound(2.5, 1.5, 1.0), BadParameters, "cube n must be an integer"
+    ),
+    "chebyshev-fractional-k": (
+        lambda: sd.chebyshev_bound(3, 1.5, 1.0), BadParameters, "cube k must be an integer"
+    ),
     "default-horizon-nan": (lambda: sd.default_horizon(NAN), BadParameters, "mean must be finite, got nan"),
     "default-horizon-inf": (
         lambda: sd.default_horizon(float("inf")), BadParameters, "mean must be finite, got inf"

@@ -17,8 +17,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import absorption, chainfile, duality, models
 from .chain import DEFAULT_TOL, _check_tol, spectrum_numeric, with_stationary
 from .errors import (
@@ -120,9 +118,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     dual = chainfile.load_chain(args.dual).dual()
     link = duality.build_link(chain.poset, chain.pi)
     kernel_res, initial_res = duality.intertwining_residuals(chain, dual, link)
-    sep = absorption.separation_curve(chain, args.horizon)
-    survival = absorption._survival(dual, args.horizon)
-    sharpness = float(np.max(np.abs(sep.values - survival)))
+    sep, survival, sharpness = duality._sharpness(chain, dual, args.horizon)
     passed = all(res <= args.tol for res in (kernel_res, initial_res, sharpness))  # NaN fails
     _write_csv(args.output, separation=sep.values, tv=sep.tv, survival=survival)
     payload = {

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .absorption import _survival, separation_curve
+from .absorption import SeparationCurve, _survival, separation_curve
 from .chain import DEFAULT_TOL, ROW_TOL, ChainSpec, DualChain, _defect, _depths, _positive_pi
 from .chain import _check_tol, time_reversal
 from .errors import (
@@ -23,17 +23,8 @@ from .errors import (
     NotRowStochastic,
     NoUniqueMax,
 )
-from .poset import Poset, _down_sums, _grid_shape, _induced, _mobius_apply, _readonly, _sweeps
+from .poset import Poset, _down_sums, _mobius_apply, _pieces, _readonly, _restricted
 from .poset import mobius_pair  # noqa: F401  (bench/test_bench.py reads duality.mobius_pair)
-
-
-_SLAB_ENTRIES = 1 << 15
-
-
-def _slab(p: Poset) -> int:
-    """Columns or rows per slab of a sweep on ``p``: _SLAB_ENTRIES entries, which stay in the cache,
-    or half the longest axis's entries up to M / 32, so that its many numpy calls each cover as many."""
-    return max(-(-_SLAB_ENTRIES // p.size), min(-(-max(p.shape) // 2), -(-p.size // 32)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +122,14 @@ def _certify(
     transformed = np.array(a, dtype=float) if right is None else _mobius_apply(p, a, right=right)
     zero = np.empty_like(transformed, dtype=bool)
     cols, zero_cols = transformed.reshape(p.size, -1), zero.reshape(p.size, -1)  # a vector is one column
-    margin, step = np.inf, _slab(p) if _sweeps(p) else cols.shape[1]  # dense factors: one slab
-    for lo in range(0, cols.shape[1], step):
-        part = cols[:, lo:lo + step]  # a view, which takes the left factor's result
+    margin = np.inf
+    for lo, hi, part in _pieces(p, cols.T):
+        part = part.T  # columns lo:hi, a view, which takes the left factor's result
         bound = _mobius_apply(p, part, f"|{left}|")
         part[...] = _mobius_apply(p, part, left)
         np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
         bound *= p.size * np.finfo(float).eps + rho
-        zero_cols[:, lo:lo + step] = part <= bound
+        zero_cols[:, lo:hi] = part <= bound
         bound += part  # each entry's margin over -bound, without a second mask
         margin = np.minimum(margin, bound.min())  # keeps a NaN, unlike min()
     # the first minimum in row-major order, row then column (a flat argmin copies F order)
@@ -236,16 +227,14 @@ def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tupl
     if not c.poset.labels == d.poset.labels == link.poset.labels:
         raise DimensionMismatch("chain, dual and link disagree in size or state order")
     p, pi, H = link.poset, link.pi, link.down_mass
-    kernel, step = 0.0, _slab(p) if _sweeps(p) else c.size
-    for lo, hi, slab in _down_sums(p, pi, c.P):
-        for sub in range(lo, hi, step):  # cache-sized rows; the dual's in F order, rows innermost
-            rows = slab[sub - lo:sub - lo + step]
-            dual = np.array(d.P_star[sub:sub + len(rows)], order="F")
-            dual = _mobius_apply(p, np.divide(dual, H, out=dual), right="zeta.T", copy=False)
-            rows /= H[sub:sub + len(rows), None]
-            rows -= np.multiply(dual, pi, out=dual)
-            kernel = np.maximum(kernel, np.abs(rows, out=rows).max())  # keeps a NaN, unlike max()
-        del slab, rows  # before the next slab is made
+    kernel = 0.0
+    for lo, hi, rows in _down_sums(p, pi, c.P):  # the dual's rows in F order, rows innermost
+        dual = np.array(d.P_star[lo:hi], order="F")
+        dual = _mobius_apply(p, np.divide(dual, H, out=dual), right="zeta.T", copy=False)
+        rows /= H[lo:hi, None]
+        rows -= np.multiply(dual, pi, out=dual)
+        kernel = np.maximum(kernel, np.abs(rows, out=rows).max())  # keeps a NaN, unlike max()
+        del rows  # a view of its block, which goes before the next block is made
     initial = _mobius_apply(p, d.nu_star / H, right="zeta.T", copy=False) * pi
     return float(kernel), float(np.max(np.abs(c.nu - initial)))
 
@@ -257,10 +246,15 @@ def verify_intertwining(c: ChainSpec, d: DualChain, link: LinkKernel) -> float:
 
 def verify_sharpness(c: ChainSpec, d: DualChain, horizon: int) -> float:
     """Max over n <= horizon of |separation(n) - P(T* > n)|, on the same states in the same order."""
+    return _sharpness(c, d, horizon)[2]
+
+
+def _sharpness(c: ChainSpec, d: DualChain, horizon: int) -> tuple[SeparationCurve, np.ndarray, float]:
+    """The chain's separation curve, the dual's survival P(T* > n) and their largest gap, n <= horizon."""
     if c.poset.labels != d.poset.labels:
         raise DimensionMismatch("chain and dual disagree in size or state order")
-    sep = separation_curve(c, horizon)
-    return float(np.max(np.abs(sep.values - _survival(d, horizon))))
+    sep, survival = separation_curve(c, horizon), _survival(d, horizon)
+    return sep, survival, float(np.max(np.abs(sep.values - survival)))
 
 
 def restrict_to_reachable(d: DualChain) -> DualChain:
@@ -278,11 +272,5 @@ def restrict_to_reachable(d: DualChain) -> DualChain:
         raise NoAbsorbingState("absorbing state unreachable from the initial distribution")
     if len(keep) == d.size:
         return d
-    sub = _induced(d.poset.labels, d.poset.leq, keep)
-    shape = _grid_shape(sub.size, np.array(sub.covers, dtype=np.int64).reshape(-1, 2) @ [sub.size, 1])
-    if shape is not None:  # the cube dual keeps {0, k}^n
-        sub = Poset(sub.labels, sub.covers, None, keep, shape)
-    P_sub = d.P_star[np.ix_(keep, keep)]
-    nu_sub = d.nu_star[keep]
-    new_absorbing = int(np.nonzero(keep == int(d.absorbing_index))[0][0])
-    return DualChain(poset=sub, P_star=P_sub, nu_star=nu_sub, absorbing_index=new_absorbing)
+    absorbing = int(np.searchsorted(keep, d.absorbing_index))  # keep ascends and holds it
+    return DualChain(_restricted(d.poset, keep), d.P_star[np.ix_(keep, keep)], d.nu_star[keep], absorbing)

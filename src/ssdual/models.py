@@ -100,6 +100,11 @@ def _start_at_bottom(size: int) -> np.ndarray:
     return nu
 
 
+def _bottom_to_top(poset: Poset, P_star: np.ndarray) -> DualChain:
+    """A closed-form dual on ``poset``: ``P_star`` started at the bottom and absorbed at the top."""
+    return DualChain(poset, P_star, _start_at_bottom(poset.size), poset.size - 1)
+
+
 def _spin_poset(n: int) -> Poset:
     poset = _model_poset(2, n)
     # relabelled in place, not rebuilt: labels are opaque to the order, and this
@@ -221,9 +226,7 @@ def ising_circle_dual(N: int, beta: float) -> DualChain:
         x, down_i, up_j = s[swap], i[swap], j[swap]
         u = t[swap] & ~(1 << up_j)
         P[x, u] = (H[u] / H[x]) * (up[x, down_i] - up[x & ~(1 << up_j), down_i]) / N
-    return DualChain(
-        poset=poset, P_star=P, nu_star=_start_at_bottom(size), absorbing_index=size - 1
-    )
+    return _bottom_to_top(poset, P)
 
 
 def _product_walk(poset: Poset, moves: Sequence[np.ndarray], total: float = 1.0) -> np.ndarray:
@@ -308,9 +311,7 @@ def lattice_walk_dual(spec: LatticeSpec) -> DualChain:
         down[-1] = 0.0
         moves.append(_steps(hi * Q[1:] / Q[:-1], down))
     P = _product_walk(poset, moves)
-    return DualChain(
-        poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1
-    )
+    return _bottom_to_top(poset, P)
 
 
 def kary_cube(spec: CubeSpec) -> ChainSpec:
@@ -339,6 +340,4 @@ def kary_cube_dual(spec: CubeSpec) -> DualChain:
     jump = np.zeros((k + 1, k + 1))
     jump[:k, k] = k + 1
     P = _product_walk(poset, [jump] * n, total=2 * n * k)
-    return DualChain(
-        poset=poset, P_star=P, nu_star=_start_at_bottom(poset.size), absorbing_index=poset.size - 1
-    )
+    return _bottom_to_top(poset, P)

@@ -304,6 +304,13 @@ def _induced(labels: Sequence, leq: np.ndarray, index: np.ndarray) -> Poset:
     return Poset([labels[i] for i in index.tolist()], _transitive_reduction(sub), sub, index)
 
 
+def _restricted(p: Poset, keep: np.ndarray) -> Poset:
+    """The order ``p`` induces on the ascending states ``keep``, shaped if they form a product of chains."""
+    sub = _induced(p.labels, p.leq, keep)
+    shape = _grid_shape(sub.size, np.array(sub.covers, dtype=np.int64).reshape(-1, 2) @ [sub.size, 1])
+    return sub if shape is None else Poset(sub.labels, sub.covers, None, keep, shape)
+
+
 def chain_poset(length: int) -> Poset:
     """Linear order 0 < 1 < ... < length-1."""
     if _count(length, "chain length", *_SIZE) < 1:
@@ -438,6 +445,7 @@ def mobius_pair(p: Poset) -> MobiusPair:
 # this fork; it stays because the benchmark's self-test and predictions expect
 # small products of chains to call mobius_pair.
 _DENSE_MAX_STATES = 128
+_SLAB_ENTRIES = 1 << 15  # entries per slab of a swept transform: _slab's cache-sized width
 
 # Each factor acts on one chain axis, from the left, as the in-place
 # recurrence b[k] += sign * b[k + offset].  A cumulative sum (zeta) reads the
@@ -483,6 +491,15 @@ def _sweeps(p: Poset) -> bool:
     return p.shape is not None and p.size > _DENSE_MAX_STATES
 
 
+def _slab(p: Poset) -> int:
+    """Columns or rows per slab of a transform on ``p``: all M where it takes dense products; where it
+    sweeps, _SLAB_ENTRIES entries, which stay in the cache, or half the longest axis's entries up to
+    M / 32, so that its many numpy calls each cover as many."""
+    if not _sweeps(p):
+        return p.size
+    return max(-(-_SLAB_ENTRIES // p.size), min(-(-max(p.shape) // 2), -(-p.size // 32)))
+
+
 def _mobius_apply(
     p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None, copy: bool = True
 ) -> np.ndarray:
@@ -490,18 +507,15 @@ def _mobius_apply(
 
     ``a`` is an M x M matrix, a vector with one factor on either side, or a batch: k x M
     rows with a right factor, M x k columns with a left one.  A product of chains of more
-    than ``_DENSE_MAX_STATES`` states takes the factors axis by axis (:func:`_axis_apply`),
-    in place on ``a`` if ``copy`` is False; other posets, and small products of chains,
-    multiply by the zeta and Mobius matrices, which is faster there."""
+    than ``_DENSE_MAX_STATES`` states takes the factors axis by axis (:func:`_axis_apply`), in
+    place on ``a`` if ``copy`` is False and ``a`` is in the factor's order; other posets, and small
+    products of chains, multiply by the zeta and Mobius matrices, which is faster there."""
     a = np.asarray(a, dtype=float)
     if _sweeps(p):
         return _axis_apply(p.shape, a, left, right, copy)
-    out = a
     if left is not None:
-        out = _dense_factor(p, left) @ out
-    if right is not None:
-        out = out @ _dense_factor(p, right)
-    return out
+        a = _dense_factor(p, left) @ a
+    return a if right is None else a @ _dense_factor(p, right)
 
 
 def _axis_apply(
@@ -509,50 +523,52 @@ def _axis_apply(
 ) -> np.ndarray:
     """``left @ a @ right`` on the product of chains ``shape``, in O(a.size * sum(shape)).
 
-    The factors run in place one chain axis at a time, on a copy of ``a`` unless ``copy`` is
-    False and ``a`` is a contiguous float array; ``a`` is as in :func:`_mobius_apply`.
-    """
-    if copy or a.dtype != float or not a.flags.forc:
-        # the batch innermost: C order for a left factor, F for a right (same adds, same bits)
-        a = np.array(a, dtype=float, order="C" if left is not None else "F")
-    # a vector is one column for a left factor and one row for a right one
-    mat = a.reshape((1, -1) if right is not None else (-1, 1)) if a.ndim == 1 else a
-    # sweep the C-ordered face: the transpose of an F-ordered batch, led by its column axes
-    transposed = not mat.flags.c_contiguous
-    face = mat.T if transposed else mat
-    # in C order coordinate 0, the fastest, is the last axis of each index
-    rows = shape[::-1] if left is not None else mat.shape[:1]
-    cols = shape[::-1] if right is not None else mat.shape[1:]
-    dims, starts = (cols + rows, (len(cols), 0)) if transposed else (rows + cols, (0, len(rows)))
-    for name, first, flip in ((left, starts[0], 1), (right, starts[1], -1)):
+    One factor after the other runs in place one chain axis at a time, with the batch innermost:
+    on a C-ordered copy of ``a`` for a left factor and an F-ordered one for a right, or on ``a``
+    itself if ``copy`` is False and ``a`` is a float array in that order (``a`` as in
+    :func:`_mobius_apply`)."""
+    for name, order, flip in ((left, "C", 1), (right, "F", -1)):
         if name is None:
             continue
+        if copy or a.dtype != float or not a.flags[order + "_CONTIGUOUS"]:
+            a = np.array(a, dtype=float, order=order)
+        # the C-ordered face led by the chain axes, coordinate 0 (the fastest) last, then the batch
+        face = (a if order == "C" else a.T).reshape(*shape[::-1], -1)
         sign, offset, cumulative = _AXIS_STEPS[name]
-        for axis in range(first, first + len(shape)):
-            view = face.reshape(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
+        for axis in range(len(shape)):
+            view = face.reshape(math.prod(face.shape[:axis]), face.shape[axis], -1)
             _axis_sweep(view, sign, flip * offset, cumulative)
     return a
 
 
 def _down_sums(p: Poset, pi: np.ndarray, P: np.ndarray):
-    """Yield (lo, hi, fresh rows lo:hi of ``zeta.T @ (pi[:, None] * P)``) over all rows.  On a product
-    of chains that :func:`_sweeps`, blocks of sqrt(M) to max(128, M // 16) rows (its low axes) sum the
-    blocks below them, a running sum along the fastest high axis and an ``einsum`` over the others, then
-    sweep ``zeta.T`` along the low axes; other posets take dense products of 128 to M // 8 rows."""
+    """Yield (lo, hi, fresh rows lo:hi of ``zeta.T @ (pi[:, None] * P)``) over all rows, each block in
+    :func:`_pieces`.  On a product of chains that :func:`_sweeps`, blocks of sqrt(M) to max(128, M // 16)
+    rows (its low axes) sum the blocks below them, a running sum along the fastest high axis and an
+    ``einsum`` over the others, then sweep ``zeta.T`` along the low axes; other posets take dense
+    products of 128 to M // 8 rows."""
     size, shape = p.size, p.shape if _sweeps(p) else ()
     low = int(np.searchsorted(np.cumprod(shape), max(128, size // 16), side="right"))
     block, high = math.prod(shape[:low]), shape[low:][::-1]  # C order: most significant first
     if not shape or block * block < size:
         for lo in range(0, size, step := max(128, size // 8)):
             hi = min(lo + step, size)
-            yield lo, hi, (p.leq[:hi, lo:hi].T * pi[:hi]) @ P[:hi]
+            yield from _pieces(p, (p.leq[:hi, lo:hi].T * pi[:hi]) @ P[:hi], lo)
         return
     n, weights, rows = len(high), pi.reshape(*high, block), P.reshape(*high, block, size)
     for b, c in enumerate(np.ndindex(*high)):  # c[-1] is the fastest high coordinate
         box = (*(slice(x + 1) for x in c[:-1]), c[-1])
         part = np.einsum(weights[box], [*range(n)], rows[box], [*range(n + 1)], [n - 1, n])
         acc = part if c[-1] == 0 else np.add(part, acc, out=part)
-        yield b * block, (b + 1) * block, _axis_apply(shape[:low], acc, left="zeta.T")
+        yield from _pieces(p, _axis_apply(shape[:low], acc, left="zeta.T"), b * block)
+
+
+def _pieces(p: Poset, rows: np.ndarray, lo: int = 0):
+    """Yield (lo + start, lo + stop, rows[start:stop]) in slabs of :func:`_slab` rows.  Once the last
+    is read past, only the reader's pieces hold ``rows``: a reader that drops each holds one block."""
+    step = _slab(p)
+    for start in range(0, len(rows), step):
+        yield lo + start, lo + min(start + step, len(rows)), rows[start:start + step]
 
 
 def mobius_inverse_check(f: np.ndarray, p: Poset) -> np.ndarray:

@@ -6,8 +6,9 @@ slice factors (and poset.py's certified zeta inverse) invert a matrix, only pose
 factors ask for the Mobius matrix, chainfile.py scans a kernel for its nonzeros only through
 chain._nonzeros, chain.py's block solver is the one place that calls the symmetric
 eigensolver, chain._symmetries is the one place that builds the candidate symmetries'
-coordinate shift, and absorption.py keeps the dual's transient block in P_star's indices,
-deleting no state."""
+coordinate shift, absorption.py keeps the dual's transient block in P_star's indices,
+deleting no state, and poset.py alone decides how a transform runs (whether it sweeps, how wide
+its slabs are) and calls the Poset constructor."""
 import ast
 import graphlib
 import sys
@@ -437,3 +438,46 @@ def test_a_deleted_state_is_caught():
         "full = np.delete(np.arange(4), 3)\n"
     )
     assert deletions(source) == {"f", "<module>"}
+
+
+# How a transform runs, whether a poset sweeps its axes and how wide a slab is, is decided in
+# poset.py alone; other modules take their slabs from poset._pieces and _down_sums.
+SLAB_RULE = {"_sweeps", "_slab", "_SLAB_ENTRIES", "_DENSE_MAX_STATES"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_poset_decides_how_a_transform_runs(path):
+    used = names_used(path.read_text(encoding="utf-8")) & SLAB_RULE
+    assert used == set() or path.name == "poset.py"
+
+
+def test_a_stray_slab_rule_is_caught():
+    assert names_used("from .poset import _slab, _sweeps as swept\n") & SLAB_RULE == {"_slab", "_sweeps"}
+    source = "from . import poset\ndef f(p):\n    return poset._SLAB_ENTRIES // poset._DENSE_MAX_STATES\n"
+    assert names_used(source) & SLAB_RULE == {"_SLAB_ENTRIES", "_DENSE_MAX_STATES"}
+    assert names_used("from .poset import _down_sums, _mobius_apply\n") & SLAB_RULE == set()
+
+
+# Only poset.py calls the Poset constructor: every other module gets its posets, sub-posets
+# and shaped restrictions included, from poset.py's functions.
+def poset_constructions(source: str) -> set[str]:
+    return definitions_with(source, lambda n: called_name(n) == "Poset")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_poset_builds_posets(path):
+    assert poset_constructions(path.read_text(encoding="utf-8")) == set() or path.name == "poset.py"
+
+
+def test_a_stray_poset_constructor_is_caught():
+    source = (
+        "from . import poset\n"
+        "from .poset import Poset, _restricted\n"
+        "def f(p, keep):\n"
+        "    return Poset(p.labels, p.covers, None, keep, (2, 2))\n"
+        "def g(p):\n"
+        "    return poset.Poset(p.labels, [], p.leq, p.enumeration)\n"
+        "def h(p, keep):\n"
+        "    return _restricted(p, keep) if isinstance(p, Poset) else None\n"
+    )
+    assert poset_constructions(source) == {"f", "g"}

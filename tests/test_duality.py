@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ssdual as sd
 import ssdual.duality as duality_module
+import ssdual.poset as poset_module
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
 from conftest import MODELS, rotating_dual
 from oracles import down_set_sums, peak_bytes
@@ -109,7 +110,7 @@ class TestKernelMonotonicity:
     def test_witness_across_column_slabs(self, monkeypatch, order, marks, expected):
         # 320 states: slabs of 103 columns, the last of 11, so slab-major order
         # would name (7, 1) or (61, 103)
-        assert duality_module._SLAB_ENTRIES == 1 << 15
+        assert poset_module._SLAB_ENTRIES == 1 << 15
         T = np.arange(320.0 * 320).reshape(320, 320)
         for at, value in marks.items():
             T[at] = value

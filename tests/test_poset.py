@@ -586,21 +586,24 @@ class TestShapedCalculus:
         close(sd.down_set_masses(p, np.abs(v)), sd.down_set_masses(q, np.abs(v)), np.abs(v) @ zeta)
         scale = np.abs(mu) @ zeta @ np.abs(v)
         close(sd.mobius_inverse_check(v, p), sd.mobius_inverse_check(v, q), scale)
-        # the memory order never changes a value: a copy, and a C- and an F-ordered matrix swept
-        # in place, each in its own order, agree bit for bit
+        # the memory order never changes a value: a copy, and a C- and an F-ordered matrix, swept
+        # in place in the factor's own order (C for a left one, F for a right) and copied in the
+        # other, agree bit for bit
         for name in poset_module._AXIS_STEPS:
             for side in ("left", "right"):
                 copied = _axis_apply(p.shape, A, **{side: name})
                 for layout in "CF":
                     work = np.array(A, order=layout)
-                    assert _axis_apply(p.shape, work, copy=False, **{side: name}) is work
-                    assert np.array_equal(work, copied)
+                    out = _axis_apply(p.shape, work, copy=False, **{side: name})
+                    assert (out is work) == work.flags["C_CONTIGUOUS" if side == "left" else "F_CONTIGUOUS"]
+                    assert np.array_equal(out, copied)
 
 
     @given(shaped_posets(), st.integers(1, 5), st.integers(0, 2**32 - 1), st.sampled_from("CF"))
     @settings(max_examples=40, deadline=None)
     def test_batches_match_dense_products(self, p, k, seed, order):
-        # k rows with a right factor, k columns with a left one; copy=False sweeps in place
+        # k rows with a right factor, k columns with a left one; copy=False sweeps in place in the
+        # factor's own order (C for a left one, F for a right) and copies otherwise
         rng = np.random.default_rng(seed)
         rows = np.asarray(rng.standard_normal((k, p.size)), order=order)
         cols = np.asarray(rng.standard_normal((p.size, k)), order=order)
@@ -612,8 +615,9 @@ class TestShapedCalculus:
                 fast = _axis_apply(p.shape, a, **{side: name})
                 assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
                 work = a.copy(order="K")
-                assert _axis_apply(p.shape, work, copy=False, **{side: name}) is work
-                assert np.array_equal(work, fast)
+                out = _axis_apply(p.shape, work, copy=False, **{side: name})
+                assert (out is work) == work.flags["C_CONTIGUOUS" if side == "left" else "F_CONTIGUOUS"]
+                assert np.array_equal(out, fast)
                 assert np.all(np.abs(_mobius_apply(p, a, **{side: name}) - dense) <= 1e-12 * scale)
 
     @pytest.mark.parametrize(

@@ -71,11 +71,13 @@ def separation_curve(c: ChainSpec, horizon: int) -> SeparationCurve:
 
 
 def _step_blocks(v: np.ndarray, P: np.ndarray | tuple, n: int):
-    """Yield (slice of k, rows of one reused buffer) for vP^k, k = 0..n, 64 steps at a time."""
+    """Yield (slice of k, rows of one reused buffer) for vP^k, k = 0..n, 64 steps at a time; after
+    each block the subnormal masses of the vector stepped next become 0, as they step slowly."""
     block = np.empty((64, len(v)))
     for k, dist in enumerate(_propagate(v, P, n)):
         block[k % 64] = dist
         if k % 64 == 63 or k == n:
+            dist[np.abs(dist) < np.finfo(float).tiny] = 0.0
             yield slice(k - k % 64, k + 1), block[: k % 64 + 1]
 
 

@@ -270,7 +270,8 @@ def _balance(c: ChainSpec, gens: list | tuple = (), root: np.ndarray | None = No
 
 
 def _propagate(v: np.ndarray, P: np.ndarray | tuple, n: int):
-    """Yield v, vP, ..., vP^n; the first is a copy of ``v``.
+    """Yield v, vP, ..., vP^n; the first is a copy of ``v``, and each is the one stepped next
+    (``absorption._step_blocks`` flushes its subnormals in place; this loop changes no value).
 
     ``P`` is a dense kernel or its nonzeros' (rows, cols, vals) triple.  One
     with at most one nonzero in 32 entries (``32 * nnz <= M**2``) steps by a

@@ -228,14 +228,13 @@ def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tupl
         raise DimensionMismatch("chain, dual and link disagree in size or state order")
     p, pi, H = link.poset, link.pi, link.down_mass
     kernel = 0.0
-    for lo, hi, rows in _down_sums(p, pi, c.P):  # the dual's rows in F order, rows innermost
-        dual = np.array(d.P_star[lo:hi], order="F")
-        dual = _mobius_apply(p, np.divide(dual, H, out=dual), right="zeta.T", copy=False)
+    for lo, hi, rows in _down_sums(p, pi, c.P):
+        dual = _mobius_apply(p, d.P_star[lo:hi] / H, right="zeta.T")
         rows /= H[lo:hi, None]
         rows -= np.multiply(dual, pi, out=dual)
         kernel = np.maximum(kernel, np.abs(rows, out=rows).max())  # keeps a NaN, unlike max()
         del rows  # a view of its block, which goes before the next block is made
-    initial = _mobius_apply(p, d.nu_star / H, right="zeta.T", copy=False) * pi
+    initial = _mobius_apply(p, d.nu_star / H, right="zeta.T") * pi
     return float(kernel), float(np.max(np.abs(c.nu - initial)))
 
 

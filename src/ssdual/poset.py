@@ -500,38 +500,34 @@ def _slab(p: Poset) -> int:
     return max(-(-_SLAB_ENTRIES // p.size), min(-(-max(p.shape) // 2), -(-p.size // 32)))
 
 
-def _mobius_apply(
-    p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None, copy: bool = True
-) -> np.ndarray:
-    """``left @ a @ right`` as a float array, factors named in ``_AXIS_STEPS``.
+def _mobius_apply(p: Poset, a: np.ndarray, left: str | None = None, right: str | None = None) -> np.ndarray:
+    """``left @ a @ right`` as a new float array (``a`` unchanged), factors named in ``_AXIS_STEPS``.
 
     ``a`` is an M x M matrix, a vector with one factor on either side, or a batch: k x M
     rows with a right factor, M x k columns with a left one.  A product of chains of more
-    than ``_DENSE_MAX_STATES`` states takes the factors axis by axis (:func:`_axis_apply`), in
-    place on ``a`` if ``copy`` is False and ``a`` is in the factor's order; other posets, and small
-    products of chains, multiply by the zeta and Mobius matrices, which is faster there."""
+    than ``_DENSE_MAX_STATES`` states takes the factors axis by axis (:func:`_axis_apply`);
+    other posets, and small products of chains, multiply by the zeta and Mobius matrices,
+    which is faster there."""
     a = np.asarray(a, dtype=float)
     if _sweeps(p):
-        return _axis_apply(p.shape, a, left, right, copy)
+        return _axis_apply(p.shape, a, left, right)
     if left is not None:
         a = _dense_factor(p, left) @ a
     return a if right is None else a @ _dense_factor(p, right)
 
 
 def _axis_apply(
-    shape: tuple[int, ...], a: np.ndarray, left: str | None = None, right: str | None = None, copy=True
+    shape: tuple[int, ...], a: np.ndarray, left: str | None = None, right: str | None = None
 ) -> np.ndarray:
     """``left @ a @ right`` on the product of chains ``shape``, in O(a.size * sum(shape)).
 
-    One factor after the other runs in place one chain axis at a time, with the batch innermost:
-    on a C-ordered copy of ``a`` for a left factor and an F-ordered one for a right, or on ``a``
-    itself if ``copy`` is False and ``a`` is a float array in that order (``a`` as in
-    :func:`_mobius_apply`)."""
+    One factor after the other runs in place one chain axis at a time, with the batch innermost,
+    on its own copy: C-ordered for a left factor, F-ordered for a right (``a`` as in
+    :func:`_mobius_apply`, and left as it is)."""
     for name, order, flip in ((left, "C", 1), (right, "F", -1)):
         if name is None:
             continue
-        if copy or a.dtype != float or not a.flags[order + "_CONTIGUOUS"]:
-            a = np.array(a, dtype=float, order=order)
+        a = np.array(a, dtype=float, order=order)
         # the C-ordered face led by the chain axes, coordinate 0 (the fastest) last, then the batch
         face = (a if order == "C" else a.T).reshape(*shape[::-1], -1)
         sign, offset, cumulative = _AXIS_STEPS[name]

@@ -121,6 +121,14 @@ class TestAbsorptionSurvival:
         second = 2.0 * float((np.arange(401) * law.survival).sum()) + law.mean
         assert law.variance == pytest.approx(second - law.mean**2, abs=1e-8)
 
+    def test_subnormal_masses_are_flushed_after_each_block(self):
+        # 0.5**k turns subnormal at k = 1023, the last step of a 64-step block: the block keeps it,
+        # and the flush after the block zeroes the mass that is stepped next
+        blocks = absorption._step_blocks(np.array([1.0]), np.array([[0.5]]), 1100)
+        masses = np.concatenate([rows[:, 0].copy() for _, rows in blocks])  # one reused buffer
+        assert masses[1022] == 2.0**-1022 and masses[1023] == 2.0**-1023
+        assert masses[1050] == 0.0 and not masses[1024:].any()
+
     def test_default_horizon_scales_with_mean(self):
         law = sd.absorption_survival(ising_dual(4, 0.5))
         assert law.horizon == max(4 * math.ceil(law.mean), 50)

@@ -8,7 +8,7 @@ chain._nonzeros, chain.py's block solver is the one place that calls the symmetr
 eigensolver, chain._symmetries is the one place that builds the candidate symmetries'
 coordinate shift, absorption.py keeps the dual's transient block in P_star's indices,
 deleting no state, and poset.py alone decides how a transform runs (whether it sweeps, how wide
-its slabs are) and calls the Poset constructor."""
+its slabs are, in which memory order it copies its input) and calls the Poset constructor."""
 import ast
 import graphlib
 import sys
@@ -456,6 +456,39 @@ def test_a_stray_slab_rule_is_caught():
     source = "from . import poset\ndef f(p):\n    return poset._SLAB_ENTRIES // poset._DENSE_MAX_STATES\n"
     assert names_used(source) & SLAB_RULE == {"_SLAB_ENTRIES", "_DENSE_MAX_STATES"}
     assert names_used("from .poset import _down_sums, _mobius_apply\n") & SLAB_RULE == set()
+
+
+# Every transform copies its input in the memory order its sweep runs in, so poset.py alone picks
+# a memory order: no other module passes ``order=`` or ``copy=`` or reads a ``_CONTIGUOUS`` flag.
+# (chain._store keeps a chain's arrays C-contiguous, through np.ascontiguousarray.)
+def memory_orders(source: str) -> set[str]:
+    """The ``order=`` and ``copy=`` keywords of ``source``'s calls, and its strings, names and
+    attributes that name a ``_CONTIGUOUS`` flag in either case."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg in ("order", "copy"):
+            found.add(f"{node.arg}=")
+        elif isinstance(node, ast.Constant) and "_CONTIGUOUS" in str(node.value):
+            found.add(node.value)
+    return found | {name for name in names_used(source) if "_contiguous" in name.lower()}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_poset_picks_a_memory_order(path):
+    assert memory_orders(path.read_text(encoding="utf-8")) == set() or path.name == "poset.py"
+
+
+def test_a_stray_memory_order_is_caught():
+    source = (
+        "import numpy as np\n"
+        "def f(p, a, H):\n"
+        "    b = np.array(a, order='F')\n"
+        "    return _mobius_apply(p, np.divide(b, H, out=b), right='zeta.T', copy=False)\n"
+        "def g(a):\n"
+        "    return a.flags['F_CONTIGUOUS'] or a.flags.c_contiguous\n"
+    )
+    assert memory_orders(source) == {"order=", "copy=", "F_CONTIGUOUS", "c_contiguous"}
+    assert memory_orders("import numpy as np\nb = np.array(a, dtype=float) / 2\n") == set()
 
 
 # Only poset.py calls the Poset constructor: every other module gets its posets, sub-posets

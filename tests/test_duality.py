@@ -70,7 +70,7 @@ class TestKernelMonotonicity:
     def certified(monkeypatch, T):
         """The report on ``T`` itself: each signed factor the identity, each bound zero."""
 
-        def transform(p, a, left=None, right=None, copy=True):
+        def transform(p, a, left=None, right=None):
             return np.zeros(a.shape) if (left or right).startswith("|") else np.array(a)
 
         monkeypatch.setattr(duality_module, "_mobius_apply", transform)

@@ -33,7 +33,7 @@ class MonotonicityReport:
 
     ``transformed`` is the checked array itself (a matrix for kernels, a
     vector for functions); ``witness`` indexes its most negative entry.
-    ``zero`` masks the entries the rule of :func:`_certify` decides are exact
+    ``zero`` masks the entries the rule of :func:`_debris` decides are exact
     zeros; ``zeroed`` counts the nonzero ones among them.
     """
 
@@ -80,7 +80,7 @@ def check_mobius_monotone(
 
     direction="down" tests ``mobius @ P @ zeta``; direction="up" tests the
     transform conjugated by the transposed zeta matrix.  Each entry is decided
-    against its own rounding bound (:func:`_certify`); ``tol`` is slack beyond it.
+    against its own rounding bound (:func:`_debris`); ``tol`` is slack beyond it.
     """
     _check_tol(tol)
     P = np.asarray(P, dtype=float)
@@ -107,31 +107,16 @@ def check_g_monotone(c: ChainSpec, tol: float = DEFAULT_TOL) -> MonotonicityRepo
 def _certify(
     p: Poset, a: np.ndarray, direction: str, left: str, right: str | None, tol: float
 ) -> MonotonicityReport:
-    """Decide each entry of ``left @ a @ right`` by the one rule for rounding debris.
-
-    The products err by at most M * eps times ``|left| @ a @ right`` for a
-    nonnegative ``a`` (axis-wise sums err less), and kernel rows that sum to
-    1 only within rho (pi stationary up to a relative defect) move the entries
-    by about rho times it; rho is 0 for a vector.  With bound = (M * eps + rho)
-    times ``|left| @ a @ right``, an entry in [-(bound + tol), bound] is an
-    exact zero and one below it a violation.  The bound is relative, so a
-    genuine small transition (a rate of 1e-13, say) is kept.  ``a`` is copied once, and the
-    left factor and the bound are taken one slab of columns at a time.
-    """
+    """Decide each entry of ``left @ a @ right`` by the one rule for rounding debris (:func:`_debris`),
+    with rho the row-sum defect of a kernel ``a`` and 0 for a vector.  ``a`` is copied once, and the
+    left factor and the bound are taken one slab of columns at a time."""
     rho = _defect(a)[1] if a.ndim == 2 else 0.0
     transformed = np.array(a, dtype=float) if right is None else _mobius_apply(p, a, right=right)
     zero = np.empty_like(transformed, dtype=bool)
     cols, zero_cols = transformed.reshape(p.size, -1), zero.reshape(p.size, -1)  # a vector is one column
     margin = np.inf
-    for lo, hi, part in _pieces(p, cols.T):
-        part = part.T  # columns lo:hi, a view, which takes the left factor's result
-        bound = _mobius_apply(p, part, f"|{left}|")
-        part[...] = _mobius_apply(p, part, left)
-        np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
-        bound *= p.size * np.finfo(float).eps + rho
-        zero_cols[:, lo:hi] = part <= bound
-        bound += part  # each entry's margin over -bound, without a second mask
-        margin = np.minimum(margin, bound.min())  # keeps a NaN, unlike min()
+    for lo, hi, part in _pieces(p, cols.T):  # columns lo:hi, a view, which takes the rule's result
+        cols[:, lo:hi], zero_cols[:, lo:hi], margin = _debris(p, part.T, left, rho, margin)
     # the first minimum in row-major order, row then column (a flat argmin copies F order)
     idx = (int(np.argmin(transformed.min(axis=1))),) if transformed.ndim == 2 else ()
     idx += (int(np.argmin(transformed[idx])),)
@@ -146,19 +131,39 @@ def _certify(
     )
 
 
+def _debris(p: Poset, cols: np.ndarray, left: str, rho: float, margin: float) -> tuple:
+    """The one rule for rounding debris, on columns of ``a @ right``: (those columns of
+    ``left @ a @ right``, the mask of its exact zeros, the least of ``margin`` and their margins).
+    The products err by at most M * eps times ``|left| @ a @ right`` for a nonnegative ``a``
+    (axis-wise sums err less), and kernel rows that sum to 1 only within rho (pi stationary up to a
+    relative defect) move the entries by about rho times it.  With bound = (M * eps + rho) times
+    ``|left| @ a @ right``, an entry in [-(bound + tol), bound] is an exact zero and one below it a
+    violation: the check passes when the least margin, entry + bound, is at least -tol.  The bound
+    is relative, so a genuine small transition (a rate of 1e-13, say) is kept."""
+    bound = _mobius_apply(p, cols, f"|{left}|")
+    cols = _mobius_apply(p, cols, left)
+    np.abs(bound, out=bound)  # the bound of a signed ``a`` is still a magnitude
+    bound *= p.size * np.finfo(float).eps + rho
+    zero = cols <= bound
+    bound += cols  # each entry's margin over -bound, without a second mask
+    return cols, zero, np.minimum(margin, bound.min())  # keeps a NaN, unlike min()
+
+
+_CHECKED = ("time-reversed kernel", "initial density nu/pi")
+
+
 def _hypotheses(c: ChainSpec, direction: str, tol: float) -> tuple[tuple, list]:
     """The dual's two Mobius checks, the time reversal's in ``direction`` then nu/pi's
     down, and a MonotonicityViolated naming the most negative entry of each that fails."""
     p = c.poset
     reports = (check_mobius_monotone(time_reversal(c), p, direction, tol), check_g_monotone(c, tol))
-    failures = []
-    for report, what in zip(reports, ("time-reversed kernel", "initial density nu/pi")):
-        if not report.passed:
-            at = ", ".join(repr(p.labels[i]) for i in report.witness)
-            entry = f"entry {report.min_entry:.3e} at ({at})"
-            message = f"{what} is not {report.direction}-Mobius monotone: {entry}"
-            failures.append(MonotonicityViolated(message, report=report))
-    return reports, failures
+    return reports, [_violation(p, r, what) for r, what in zip(reports, _CHECKED) if not r.passed]
+
+
+def _violation(p: Poset, report: MonotonicityReport, what: str) -> MonotonicityViolated:
+    at = ", ".join(repr(p.labels[i]) for i in report.witness)
+    entry = f"entry {report.min_entry:.3e} at ({at})"
+    return MonotonicityViolated(f"{what} is not {report.direction}-Mobius monotone: {entry}", report=report)
 
 
 def down_set_masses(p: Poset, pi: np.ndarray) -> np.ndarray:
@@ -184,28 +189,37 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
     maximal state, the time-reversed kernel down-Mobius monotone at ``tol``,
     and the density nu/pi down-Mobius monotone at ``tol``.
 
-    The dual kernel is the transformed time reversal rescaled by down-set
-    mass ratios, and the dual initial distribution the transformed density
-    rescaled by down-set masses.  The entries the checks decide are exact
-    zeros (those within their rounding bound, or below zero by at most
-    bound + ``tol``; see :func:`_certify`) become exact zeros, so the kernel
-    keeps the sparsity of the closed-form duals and each row moves by at most
-    the sum of its dropped entries' bounds and ``tol``.  Rows are then
-    checked (deviation beyond 1e-10 aborts) and renormalized.
+    The dual kernel is the transformed time reversal ``mobius @ R @ zeta``
+    rescaled by down-set mass ratios, and the dual initial distribution the
+    transformed density rescaled by down-set masses.  The kernel is decided
+    (:func:`_debris`, with R's row-sum defect rho = ``max |pi P / pi - 1|``)
+    and written one slab of dual rows at a time, without R: columns lo:hi of
+    ``R @ zeta`` are rows lo:hi of ``zeta.T @ (pi * P)`` over pi.  The entries
+    it decides are exact zeros become exact zeros, so the kernel keeps the
+    sparsity of the closed-form duals and each row moves by at most the sum
+    of its dropped entries' bounds and ``tol``.  A failing slab raises the
+    dense check's violation.  Rows are then checked (deviation beyond 1e-10
+    aborts) and renormalized.
     """
     _check_tol(tol)
     pi = _positive_pi(c.pi, "dual construction")
     p = c.poset
     if not p.has_unique_max:
         raise NoUniqueMax("dual construction requires a unique maximal state")
-    (mono, gmono), failures = _hypotheses(c, "down", tol)
-    if failures:
-        raise failures[0]
 
-    H = down_set_masses(p, pi)
-    P_star = (mono.transformed * H[:, None]).T
-    P_star /= H[:, None]
-    P_star[mono.zero.T] = 0.0
+    H, rho = down_set_masses(p, pi), float(np.max(np.abs(pi @ c.P / pi - 1.0)))
+    P_star, margin = np.empty((p.size, p.size)), np.inf
+    for lo, hi, rows in _down_sums(p, pi, c.P):
+        cols, zero, margin = _debris(p, np.divide(rows, pi, out=rows).T, "mobius", rho, margin)
+        del rows  # a view of its block, which goes before the next block is made
+        if not margin >= -tol:  # the report and message of the dense check
+            raise _violation(p, _hypotheses(c, "down", tol)[0][0], _CHECKED[0])
+        dual = np.multiply(cols, H[:, None], out=cols).T  # as (T * H[:, None]).T / H[:, None]
+        np.divide(dual, H[lo:hi, None], out=P_star[lo:hi])
+        P_star[lo:hi][zero.T] = 0.0
+    gmono = check_g_monotone(c, tol)
+    if not gmono.passed:
+        raise _violation(p, gmono, _CHECKED[1])
     rows, dev, _ = _defect(P_star)
     if dev > ROW_TOL:
         raise NotRowStochastic(f"dual rows sum to 1 only within {dev:.3e}")
@@ -223,7 +237,9 @@ def build_dual(c: ChainSpec, *, tol: float = DEFAULT_TOL) -> DualChain:
 
 def intertwining_residuals(c: ChainSpec, d: DualChain, link: LinkKernel) -> tuple[float, float]:
     """(kernel, initial) intertwining residuals in the sup norm, in row slabs without the
-    link matrix: rows lo:hi of L P as ``(zeta.T (pi P)) / H``, of P* L as ``((P* / H) zeta.T) * pi``."""
+    link matrix: rows lo:hi of L P as ``(zeta.T (pi P)) / H``, of P* L as ``((P* / H) zeta.T) * pi``.
+    :func:`build_dual` reads the same down-set sums ``zeta.T (pi P)``, so a fault in them cancels in
+    the kernel residual; :func:`verify_sharpness` is the check that does not read them."""
     if not c.poset.labels == d.poset.labels == link.poset.labels:
         raise DimensionMismatch("chain, dual and link disagree in size or state order")
     p, pi, H = link.poset, link.pi, link.down_mass

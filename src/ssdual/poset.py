@@ -539,24 +539,31 @@ def _axis_apply(
 
 def _down_sums(p: Poset, pi: np.ndarray, P: np.ndarray):
     """Yield (lo, hi, fresh rows lo:hi of ``zeta.T @ (pi[:, None] * P)``) over all rows, each block in
-    :func:`_pieces`.  On a product of chains that :func:`_sweeps`, blocks of sqrt(M) to max(128, M // 16)
-    rows (its low axes) sum the blocks below them, a running sum along the fastest high axis and an
-    ``einsum`` over the others, then sweep ``zeta.T`` along the low axes; other posets take dense
-    products of 128 to M // 8 rows."""
+    :func:`_pieces`.  On a product of chains that :func:`_sweeps`, a block, its low axes (at most
+    max(128, M // 16) rows) at a run of positions of the next, long axis (enough for one slab),
+    sums the rows below it: a running sum along the long axis carried from block to block and an
+    ``einsum`` over the slower axes, then a ``zeta.T`` sweep along the run and the low axes,
+    O(M^2 * sum(shape)) in all; other posets take dense products of 128 to M // 8 rows."""
     size, shape = p.size, p.shape if _sweeps(p) else ()
-    low = int(np.searchsorted(np.cumprod(shape), max(128, size // 16), side="right"))
-    block, high = math.prod(shape[:low]), shape[low:][::-1]  # C order: most significant first
-    if not shape or block * block < size:
+    if not shape:
         for lo in range(0, size, step := max(128, size // 8)):
             hi = min(lo + step, size)
             yield from _pieces(p, (p.leq[:hi, lo:hi].T * pi[:hi]) @ P[:hi], lo)
         return
-    n, weights, rows = len(high), pi.reshape(*high, block), P.reshape(*high, block, size)
-    for b, c in enumerate(np.ndindex(*high)):  # c[-1] is the fastest high coordinate
-        box = (*(slice(x + 1) for x in c[:-1]), c[-1])
-        part = np.einsum(weights[box], [*range(n)], rows[box], [*range(n + 1)], [n - 1, n])
-        acc = part if c[-1] == 0 else np.add(part, acc, out=part)
-        yield from _pieces(p, _axis_apply(shape[:low], acc, left="zeta.T"), b * block)
+    low = int(np.searchsorted(np.cumprod(shape), max(128, size // 16), side="right"))
+    block, high = math.prod(shape[:low]), shape[low:][::-1]  # C order: most significant first
+    n, run, lo = len(high), -(-_slab(p) // block), 0  # a run of positions fills at least one slab
+    weights, rows = pi.reshape(*high, block), P.reshape(*high, block, size)
+    for c in np.ndindex(*high[:-1]):
+        for start in range(0, high[-1], run):  # high[-1] is the long axis
+            box = (*(slice(x + 1) for x in c), slice(start, start + run))
+            part = np.einsum(weights[box], [*range(n + 1)], rows[box], [*range(n + 2)], [n - 1, n, n + 1])
+            if start:
+                part[0] += acc
+            acc = part[0] if len(part) == 1 else part.sum(axis=0)  # the run's total, before its sweep
+            sweep = (*shape[:low], len(part))
+            yield from _pieces(p, _axis_apply(sweep, part.reshape(-1, size), left="zeta.T"), lo)
+            lo += len(part) * block
 
 
 def _pieces(p: Poset, rows: np.ndarray, lo: int = 0):

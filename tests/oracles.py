@@ -85,6 +85,20 @@ def symmetrised_eigenvalues(P, pi):
     return np.linalg.eigvalsh((S + S.T) / 2)[::-1]
 
 
+def dense_dual(kernel_report, g_report, down_mass):
+    """``(P_star, nu_star)`` by the dense formula from the two Mobius reports on the time reversal
+    and on nu/pi: ``(T * H[:, None]).T / H[:, None]`` and ``H * g``, each with the entries the
+    reports decide are exact zeros set to 0, then normalised."""
+    H = down_mass
+    P_star = (kernel_report.transformed * H[:, None]).T
+    P_star /= H[:, None]
+    P_star[kernel_report.zero.T] = 0.0
+    P_star /= P_star.sum(axis=1)[:, None]
+    nu_star = H * g_report.transformed
+    nu_star[g_report.zero] = 0.0
+    return P_star, nu_star / nu_star.sum()
+
+
 def peak_bytes(fn, *args, **kwargs):
     """``(fn(*args, **kwargs), tracemalloc peak of the call in bytes)``."""
     tracemalloc.start()

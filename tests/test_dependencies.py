@@ -211,14 +211,18 @@ def test_a_stray_sweep_is_caught():
 
 
 # The down-set row sums zeta.T @ (pi * P) of poset._down_sums: poset.py alone defines and runs
-# them, and the intertwining check in duality.py is their one reader.
+# them, and in duality.py the intertwining check and the dual's slab build are their readers.
 DOWN_SUMS = {"_down_sums"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_intertwining_reads_the_down_set_sums(path):
-    used = names_used(path.read_text(encoding="utf-8")) & DOWN_SUMS
+    source = path.read_text(encoding="utf-8")
+    used = names_used(source) & DOWN_SUMS
     assert used == set() or path.name in ("poset.py", "duality.py")
+    if path.name == "duality.py":
+        readers = definitions_with(source, lambda n: isinstance(n, ast.Name) and n.id in DOWN_SUMS)
+        assert readers == {"build_dual", "intertwining_residuals"}
 
 
 def test_a_stray_down_set_sum_is_caught():
@@ -514,3 +518,52 @@ def test_a_stray_poset_constructor_is_caught():
         "    return _restricted(p, keep) if isinstance(p, Poset) else None\n"
     )
     assert poset_constructions(source) == {"f", "g"}
+
+
+# The one rule for rounding debris: the bound, machine epsilon times the magnitude transform
+# ``|left| @ a @ right``, is written in one function, duality._debris, which the dense report of
+# _certify and the slab build of build_dual both call.  A module-level ``finfo(...).eps`` (the
+# tolerance table's LUMP_TOL) is no bound.
+def names_eps(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "eps" and called_name(node.value) == "finfo"
+
+
+def leading_text(node: ast.AST) -> str:
+    """The text a string literal, or an f-string up to its first field, starts with; else ''."""
+    if isinstance(node, ast.JoinedStr):
+        node = node.values[0] if node.values else None
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def magnitude_transform(node: ast.AST) -> bool:
+    """Whether ``node`` calls a transform with a factor written ``|...|``, a literal or an f-string."""
+    if called_name(node) not in ("_mobius_apply", "_axis_apply"):
+        return False
+    return any(leading_text(f).startswith("|") for f in [*node.args, *(kw.value for kw in node.keywords)])
+
+
+def debris_bounds(source: str) -> set[str]:
+    """The top-level functions of ``source`` that name ``finfo(...).eps`` or a magnitude transform."""
+    return definitions_with(source, lambda n: names_eps(n) or magnitude_transform(n)) - {"<module>"}
+
+
+def test_the_debris_bound_is_written_once():
+    found = {(path.name, name) for path in SOURCES
+             for name in debris_bounds(path.read_text(encoding="utf-8"))}
+    assert found == {("duality.py", "_debris")}
+
+
+def test_a_second_debris_bound_is_caught():
+    source = (
+        "import numpy as np\n"
+        "EPS = np.finfo(float).eps\n"
+        "def _debris(p, cols, left):\n"
+        "    return _mobius_apply(p, cols, f'|{left}|') * (p.size * np.finfo(float).eps)\n"
+        "def g(p, a):\n"
+        "    return np.abs(a) * p.size * np.finfo(float).eps\n"
+        "def h(p, a):\n"
+        "    return _mobius_apply(p, a, right='|zeta.T|') + _mobius_apply(p, a, 'mobius')\n"
+        "def k(p, a):\n"
+        "    return _mobius_apply(p, a, left='mobius'), np.finfo(float).tiny\n"
+    )
+    assert debris_bounds(source) == {"_debris", "g", "h"}

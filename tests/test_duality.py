@@ -10,7 +10,8 @@ import ssdual.duality as duality_module
 import ssdual.poset as poset_module
 from conftest import LATTICE_PARAMS, cube, cube_dual, ising, ising_dual, lattice, lattice_dual
 from conftest import MODELS, rotating_dual
-from oracles import down_set_sums, peak_bytes
+from oracles import dense_dual, down_set_sums, peak_bytes
+from ssdual.chain import DEFAULT_TOL
 from ssdual.errors import (
     BadParameters,
     DimensionMismatch,
@@ -262,11 +263,18 @@ class TestBuildDual:
             sd.build_dual(c)
 
     def test_holds_under_two_and_a_quarter_kernels(self):
-        # the time reversal, its one transformed copy and the zero mask, then the
-        # dual beside the copy; the bound exists one slab of columns at a time
+        # the dual and one block of down-set sums; test_holds_one_and_a_half_kernels
+        # bounds the same call closer
         c = ising(10, 0.5)
         _, peak = peak_bytes(sd.build_dual, c)
         assert peak < 2.25 * c.P.nbytes
+
+    def test_holds_one_and_a_half_kernels(self):
+        # the dual and one block of down-set sums, decided and written one slab of rows at a
+        # time: no time reversal, no transformed copy and no zero mask
+        c = ising(10, 0.5)
+        _, peak = peak_bytes(sd.build_dual, c)
+        assert peak <= 1.5 * c.P.nbytes
 
     def test_symmetric_two_state_jumps_to_top(self):
         c = sd.ChainSpec(
@@ -274,6 +282,46 @@ class TestBuildDual:
         )
         d = sd.build_dual(c)
         assert np.abs(d.P_star - [[0.0, 1.0], [0.0, 1.0]]).max() <= 1e-14
+
+
+def cycle_chain(nu):
+    """A cycle 0 -> 1 -> 2 -> 0 with holds on the chain 0 < 1 < 2: its time reversal is not
+    down-Mobius monotone."""
+    P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    return sd.ChainSpec(poset=sd.chain_poset(3), P=P, nu=nu, pi=[1 / 3] * 3)
+
+
+NEGATIVE_CONTROLS = {
+    "flip": flip_chain,
+    "cube-from-top": lambda: sd.ChainSpec(cube(2, 1).poset, cube(2, 1).P, [0, 0, 0, 1], cube(2, 1).pi),
+    "cycle": lambda: cycle_chain([1, 0, 0]),
+    "cycle-from-top": lambda: cycle_chain([0, 0, 1]),
+}
+
+
+class TestSlabBuild:
+    # build_dual decides and writes the dual one slab of rows at a time from the down-set sums;
+    # the dense checks of _hypotheses and the dense formula are its reference
+    @pytest.mark.parametrize("case", [*MODELS, *NEGATIVE_CONTROLS])
+    def test_agrees_with_the_dense_checks_and_formula(self, case):
+        if case in MODELS:
+            chain, _, *args = MODELS[case]
+            c = chain(*args)
+        else:
+            c = NEGATIVE_CONTROLS[case]()
+        reports, failures = duality_module._hypotheses(c, "down", DEFAULT_TOL)
+        assert bool(failures) == (case in NEGATIVE_CONTROLS)
+        if failures:
+            with pytest.raises(MonotonicityViolated) as info:
+                sd.build_dual(c)
+            assert type(info.value) is type(failures[0]) and str(info.value) == str(failures[0])
+            assert info.value.report.witness == failures[0].report.witness
+            return
+        d = sd.build_dual(c)
+        P_star, nu_star = dense_dual(*reports, sd.down_set_masses(c.poset, c.pi))
+        assert np.abs(d.P_star - P_star).max() <= 1e-15
+        assert np.array_equal(d.P_star != 0, P_star != 0)
+        assert d.nu_star.tobytes() == nu_star.tobytes()
 
 
 class TestDebrisRule:
@@ -455,6 +503,32 @@ class TestIntertwining:
         link = sd.build_link(c.poset, c.pi)
         with pytest.raises(DimensionMismatch, match="state order"):
             sd.intertwining_residuals(c, moved, link)
+
+    def test_a_fault_in_the_shared_down_set_sums_is_caught_by_sharpness(self, monkeypatch):
+        # build_dual and the L P half of the intertwining read the same down-set sums, so a fault
+        # in them cancels in the kernel residual.  This one moves eps of P* row 0 from a cover to
+        # the hold: rows stay stochastic and nonnegative, and the dual intertwines with its own sums
+        c = ising(6, 0.5)
+        link = sd.build_link(c.poset, c.pi)
+        eps, cover = 3.3e-4, 1
+        shift = eps * link.down_mass[0] * (link.matrix[0] - link.matrix[cover])
+        true_sums = duality_module._down_sums
+
+        def faulty(p, pi, P):
+            for lo, hi, rows in true_sums(p, pi, P):
+                if lo == 0:
+                    rows[0] += shift
+                yield lo, hi, rows
+
+        monkeypatch.setattr(duality_module, "_down_sums", faulty)
+        d = sd.build_dual(c)
+        assert sd.intertwining_residuals(c, d, link)[0] <= 1e-15
+        monkeypatch.undo()
+        moved = d.P_star - ising_dual(6, 0.5).P_star
+        assert moved[0, [0, cover]] == pytest.approx([eps, -eps], abs=1e-15)
+        assert np.abs(moved).sum() == pytest.approx(2 * eps, abs=1e-14)
+        assert sd.intertwining_residuals(c, d, link)[0] > 1e-5
+        assert sd.verify_sharpness(c, d, 100) > 1e-10
 
     def test_holds_no_kernel_sized_product(self):
         c, d = ising(10, 0.5), ising_dual(10, 0.5)
